@@ -8,7 +8,6 @@ Subcommands::
     seaweed-repro run     [--population --hours]  packet-level deployment
     seaweed-repro chaos   [--scenario --seed]     fault-injection campaign
     seaweed-repro audit   [--scenario --seed]     chaos under the truth oracle
-    seaweed-repro perf    [--scenario --out]      perf bench (BENCH_sim.json)
     seaweed-repro serve-plan [--hosts --nodes]    plan a live cluster spec
     seaweed-repro serve   --spec FILE --index N   run one live host process
     seaweed-repro serve-query --port P --sql ...  query a live cluster
@@ -330,60 +329,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from repro.harness.perfbench import (
-        SCENARIOS,
-        load_bench,
-        record_run,
-        run_scenario,
-        save_bench,
-    )
-    from repro.harness.reporting import format_table
-
-    if args.scenario == "all":
-        selected = [SCENARIOS[name] for name in sorted(SCENARIOS)]
-    elif args.scenario in SCENARIOS:
-        selected = [SCENARIOS[args.scenario]]
-    else:
-        names = ", ".join(sorted(SCENARIOS))
-        print(f"unknown scenario {args.scenario!r} (choose from: all, {names})")
-        return 2
-
-    bench = load_bench(args.out)
-    rows = []
-    for scenario in selected:
-        label = scenario.name
-        if args.duration_scale != 1.0:
-            label += f" (x{args.duration_scale:g} duration)"
-        print(
-            f"running perf scenario {label}: {scenario.population} endsystems, "
-            f"{scenario.duration * args.duration_scale:.0f} s simulated..."
-        )
-        result = run_scenario(scenario, duration_scale=args.duration_scale)
-        record_run(bench, scenario, result, baseline=args.save_baseline)
-        section = bench["scenarios"][scenario.name]
-        speedup = section.get("speedup_events_per_sec")
-        rows.append(
-            (
-                scenario.name,
-                f"{result['wall_s']:.1f}",
-                f"{result['events_processed']}",
-                f"{result['events_per_sec']:.0f}",
-                f"{result.get('peak_queue_depth', '-')}",
-                f"{speedup:.2f}x" if speedup is not None else "-",
-            )
-        )
-    print(format_table(
-        ["scenario", "wall s", "events", "events/s", "peak queue", "speedup"],
-        rows,
-        title="Simulator performance bench",
-    ))
-    save_bench(bench, args.out)
-    slot = "baseline" if args.save_baseline else "current"
-    print(f"{slot} results written to {args.out}")
-    return 0
-
-
 def _cmd_serve_plan(args: argparse.Namespace) -> int:
     from repro.serve.cluster import plan_cluster
 
@@ -544,28 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the JSON campaign+audit report to FILE",
     )
     audit.set_defaults(func=_cmd_audit)
-
-    perf = sub.add_parser(
-        "perf", help="seeded simulator performance bench (BENCH_sim.json)"
-    )
-    perf.add_argument(
-        "--scenario", default="all",
-        help="scenario name (2k, 5k), or 'all' (default)",
-    )
-    perf.add_argument(
-        "--out", metavar="FILE", default="BENCH_sim.json",
-        help="bench artifact path (default: BENCH_sim.json)",
-    )
-    perf.add_argument(
-        "--duration-scale", type=float, default=1.0,
-        help="scale simulated duration (CI smoke uses < 1.0; such runs "
-             "are recorded but never produce a speedup figure)",
-    )
-    perf.add_argument(
-        "--save-baseline", action="store_true",
-        help="record results as the pinned baseline instead of 'current'",
-    )
-    perf.set_defaults(func=_cmd_perf)
 
     serve_plan = sub.add_parser(
         "serve-plan", help="plan a live cluster spec (repro.serve)"

@@ -228,7 +228,7 @@ class ResultAggregator:
         auditor = self.node.auditor
         if auditor is not None:
             auditor.on_local_contribution(
-                self.node.sim.now, self.node.node_id, descriptor, version, result
+                self.node.scheduler.now, self.node.node_id, descriptor, version, result
             )
         if target == descriptor.query_id and self.node.pastry.is_closest_to(target):
             # We are the root: feed our contribution into the root vertex.
@@ -275,7 +275,7 @@ class ResultAggregator:
 
     def _ensure_retransmit_timer(self) -> None:
         if self._retransmit_timer is None or self._retransmit_timer.cancelled:
-            self._retransmit_timer = self.node.sim.schedule_periodic(
+            self._retransmit_timer = self.node.scheduler.schedule_periodic(
                 self.node.config.result_retransmit, self._retransmit_sweep
             )
 
@@ -284,7 +284,7 @@ class ResultAggregator:
             return
         config = self.node.config
         backoff = config.retransmit_backoff
-        now = self.node.sim.now
+        now = self.node.scheduler.now
         expired = []
         for key, pending in self._pending.items():
             if now > pending.descriptor.expires_at:
@@ -326,7 +326,7 @@ class ResultAggregator:
         """Handle a routed RESULT_SUBMIT delivered to this node."""
         descriptor = message.descriptor
         vertex_id = message.vertex_id
-        if self.node.sim.now > descriptor.expires_at:
+        if self.node.scheduler.now > descriptor.expires_at:
             return
         if not self.node.pastry.is_closest_to(vertex_id):
             # Stale routing: push it onward; the overlay will converge.
@@ -391,7 +391,7 @@ class ResultAggregator:
         obs = self.node._obs
         if obs is not None:
             obs.aggregation_flush(
-                self.node.sim.now, descriptor.query_id, state.vertex_id,
+                self.node.scheduler.now, descriptor.query_id, state.vertex_id,
                 self.node.node_id, False, state.up_version, merged.row_count,
             )
         parent = parent_vertex(
@@ -471,14 +471,14 @@ class ResultAggregator:
                 obs = self.node._obs
                 if obs is not None:
                     obs.aggregation_flush(
-                        self.node.sim.now, descriptor.query_id, state.vertex_id,
+                        self.node.scheduler.now, descriptor.query_id, state.vertex_id,
                         self.node.node_id, True, state.up_version, merged.row_count,
                     )
                 self.node.on_root_result(descriptor, merged)
             return
         if not state.forward_scheduled:
             state.forward_scheduled = True
-            self.node.sim.schedule(
+            self.node.scheduler.schedule(
                 self.node.config.vertex_forward_delay,
                 self._forward_up,
                 descriptor,
@@ -525,7 +525,7 @@ class ResultAggregator:
             if not self.node.pastry.is_closest_to(state.vertex_id):
                 continue
             descriptor = self.node.known_query(key[0])
-            if descriptor is None or self.node.sim.now > descriptor.expires_at:
+            if descriptor is None or self.node.scheduler.now > descriptor.expires_at:
                 del self._backups[key]
                 continue
             del self._backups[key]

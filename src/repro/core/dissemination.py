@@ -123,7 +123,7 @@ class Disseminator:
         if existing is not None:
             if not existing.done:
                 return  # still aggregating
-            age = self.node.sim.now - existing.created_at
+            age = self.node.scheduler.now - existing.created_at
             if age <= STALE_ROOT_TASK_AGE:
                 self._reply(existing)
                 return
@@ -153,7 +153,7 @@ class Disseminator:
             if task.done:
                 self._reply(task)
             return
-        if self.node.sim.now > descriptor.expires_at:
+        if self.node.scheduler.now > descriptor.expires_at:
             return
         if self.node.is_cancelled(descriptor.query_id):
             return
@@ -162,7 +162,7 @@ class Disseminator:
     def _start_task(
         self, descriptor: QueryDescriptor, lo: int, hi: int, parent: Optional[int]
     ) -> None:
-        task = BroadcastTask(descriptor, lo, hi, parent, created_at=self.node.sim.now)
+        task = BroadcastTask(descriptor, lo, hi, parent, created_at=self.node.scheduler.now)
         self._tasks[task.key] = task
         me = self.node.node_id
         if in_wrapped_range(me, lo, hi):
@@ -294,7 +294,7 @@ class Disseminator:
         """Send a BCAST for [lo, hi) and start tracking the child."""
         if wrapped_range_size(lo, hi) == 0:
             return
-        now = self.node.sim.now
+        now = self.node.scheduler.now
         child = ChildRange(lo, hi, dispatched_at=now, last_heard=now)
         task.children[(lo, hi)] = child
         self._transmit_child(task, child, target)
@@ -305,7 +305,7 @@ class Disseminator:
         obs = self.node._obs
         if obs is not None:
             obs.dissemination_hop(
-                self.node.sim.now, task.descriptor.query_id, self.node.node_id,
+                self.node.scheduler.now, task.descriptor.query_id, self.node.node_id,
                 child.lo, child.hi, child.retries,
             )
         bcast = Bcast(
@@ -361,7 +361,7 @@ class Disseminator:
             return predictor
         if lo == hi and not include_self:
             return predictor
-        now = self.node.sim.now
+        now = self.node.scheduler.now
         for owner in self.node.metadata_store.owners_in_range(lo, hi):
             if owner == self.node.node_id:
                 continue
@@ -376,7 +376,7 @@ class Disseminator:
                 record.down_since if record.down_since is not None else record.refreshed_at
             )
             prediction = record.metadata.availability.predict(
-                now, down_since, self.node.sim.clock
+                now, down_since, self.node.scheduler.clock
             )
             delays = prediction.times - descriptor.injected_at
             predictor.add_distribution(delays, prediction.weights, rows)
@@ -402,7 +402,7 @@ class Disseminator:
                 continue
             child = task.children.get((message.lo, message.hi))
             if child is not None:
-                child.last_heard = self.node.sim.now
+                child.last_heard = self.node.scheduler.now
                 child.acked = True
 
     def on_predictor(self, message: PredictorUpdate) -> None:
@@ -414,7 +414,7 @@ class Disseminator:
             if child is not None and not child.done:
                 child.done = True
                 child.predictor = message.predictor
-                child.last_heard = self.node.sim.now
+                child.last_heard = self.node.scheduler.now
                 self._maybe_finish(task)
 
     def _maybe_finish(self, task: BroadcastTask) -> None:
@@ -457,11 +457,11 @@ class Disseminator:
 
     def _arm_timers(self, task: BroadcastTask) -> None:
         config = self.node.config
-        task.check_timer = self.node.sim.schedule_periodic(
+        task.check_timer = self.node.scheduler.schedule_periodic(
             config.predictor_heartbeat, lambda: self._check_children(task)
         )
         if task.parent is not None:
-            task.heartbeat_timer = self.node.sim.schedule_periodic(
+            task.heartbeat_timer = self.node.scheduler.schedule_periodic(
                 config.predictor_heartbeat,
                 lambda: self._ack(task.descriptor, task.lo, task.hi, task.parent),
             )
@@ -476,7 +476,7 @@ class Disseminator:
     def _check_children(self, task: BroadcastTask) -> None:
         if task.done or not self.node.pastry.online:
             return
-        now = self.node.sim.now
+        now = self.node.scheduler.now
         timeout = self.node.config.predictor_reply_timeout
         # A child that never even acknowledged receipt is re-dispatched on
         # a much tighter deadline: the first transmission likely went to a

@@ -83,7 +83,7 @@ class SeaweedNode:
         self.pastry = pastry
         self.database = database
         self.config = config
-        self.sim = pastry.network.sim
+        self.scheduler = pastry.network.scheduler
         self.node_id = pastry.node_id
         self._rng = rng
         #: Active observer or None — protocol engines reach it via
@@ -138,24 +138,24 @@ class SeaweedNode:
 
     def go_online(self, bootstrap: Optional[PastryNode]) -> None:
         """The endsystem becomes available: join, learn, announce."""
-        now = self.sim.now
+        now = self.scheduler.now
         if self._obs is not None:
             self._obs.endsystem_up(now, self.node_id)
         if self._last_down_at is not None:
             self.availability.record_down_duration(now - self._last_down_at)
             self._last_down_at = None
-        self.availability.record_up_event(self.sim.clock.hour_of_day(now))
+        self.availability.record_up_event(self.scheduler.clock.hour_of_day(now))
         self._contributed.clear()
         self.disseminator.reset_for_rejoin()
         self.aggregator.reset_for_rejoin()
         self.pastry.go_online(bootstrap)
-        self.sim.schedule(JOIN_SETTLE_DELAY, self._after_join)
+        self.scheduler.schedule(JOIN_SETTLE_DELAY, self._after_join)
 
     def go_offline(self) -> None:
         """The endsystem fails or shuts down (fail-stop)."""
-        self._last_down_at = self.sim.now
+        self._last_down_at = self.scheduler.now
         if self._obs is not None:
-            self._obs.endsystem_down(self.sim.now, self.node_id)
+            self._obs.endsystem_down(self.scheduler.now, self.node_id)
         for timer_name in ("_summary_timer", "_refresh_timer"):
             timer = getattr(self, timer_name)
             if timer is not None:
@@ -171,11 +171,11 @@ class SeaweedNode:
         period = self.config.summary_push_period
         # Randomized phase avoids system-wide push spikes (paper §4.3).
         first = float(self._rng.uniform(0.0, period))
-        self._summary_timer = self.sim.schedule_periodic(
+        self._summary_timer = self.scheduler.schedule_periodic(
             period, self._periodic_push, first_delay=first
         )
         refresh = self.config.result_refresh_period
-        self._refresh_timer = self.sim.schedule_periodic(
+        self._refresh_timer = self.scheduler.schedule_periodic(
             refresh, self._refresh_results, first_delay=float(self._rng.uniform(0.0, refresh))
         )
 
@@ -189,7 +189,7 @@ class SeaweedNode:
         """
         if not self.pastry.online:
             return
-        now = self.sim.now
+        now = self.scheduler.now
         # Garbage-collect expired queries before repairing live ones, so
         # no vertex or dissemination state outlives a query by more than
         # one sweep (the "no orphaned VertexState" invariant).
@@ -232,12 +232,12 @@ class SeaweedNode:
             version=self._metadata_version,
             histogram_buckets=self.config.histogram_buckets,
             view_specs=self.config.views,
-            now=self.sim.now,
+            now=self.scheduler.now,
         )
         replicas = self.pastry.replica_set(self.config.metadata_replicas)
         self._last_replica_set = replicas
         if self._obs is not None:
-            self._obs.metadata_push(self.sim.now, self.node_id, len(replicas))
+            self._obs.metadata_push(self.scheduler.now, self.node_id, len(replicas))
         generation = self.database.generation
         for replica in replicas:
             beacon_bytes = None
@@ -293,7 +293,7 @@ class SeaweedNode:
     def _handle_meta_push(self, message: MetaPush) -> None:
         metadata = message.metadata
         stored = self.metadata_store.store(
-            metadata, self.sim.now, owner_online=message.owner_online
+            metadata, self.scheduler.now, owner_online=message.owner_online
         )
         if not stored:
             return
@@ -314,7 +314,7 @@ class SeaweedNode:
         self.send_app(target, ActiveReq(requester=self.node_id))
 
     def _handle_active_req(self, message: ActiveReq) -> None:
-        now = self.sim.now
+        now = self.scheduler.now
         active = [
             descriptor
             for descriptor in self.known_queries.values()
@@ -333,7 +333,7 @@ class SeaweedNode:
             if descriptor.query_id in self.cancelled_queries:
                 continue
             self.remember_query(descriptor)
-            if self.sim.now <= descriptor.expires_at:
+            if self.scheduler.now <= descriptor.expires_at:
                 self.execute_and_submit(descriptor)
 
     # ------------------------------------------------------------------
@@ -357,14 +357,14 @@ class SeaweedNode:
         descriptor = QueryDescriptor.create(
             sql,
             origin=self.node_id,
-            injected_at=self.sim.now,
+            injected_at=self.scheduler.now,
             now_binding=now_binding,
             lifetime=lifetime,
             continuous_period=continuous_period,
         )
         if self._obs is not None:
             self._obs.query_issued(
-                self.sim.now, descriptor.query_id, self.node_id, descriptor.sql
+                self.scheduler.now, descriptor.query_id, self.node_id, descriptor.sql
             )
         if self.auditor is not None:
             self.auditor.on_query_injected(descriptor)
@@ -376,7 +376,7 @@ class SeaweedNode:
     def _schedule_predictor_retry(
         self, descriptor: QueryDescriptor, attempt: int
     ) -> None:
-        self.sim.schedule(
+        self.scheduler.schedule(
             self.config.predictor_retry_interval,
             self._predictor_retry,
             descriptor,
@@ -417,7 +417,7 @@ class SeaweedNode:
             return
         self.cancelled_queries.add(query_id)
         if self._obs is not None:
-            self._obs.query_cancelled(self.sim.now, query_id, self.node_id)
+            self._obs.query_cancelled(self.scheduler.now, query_id, self.node_id)
         self._local_results.pop(query_id, None)
         self.disseminator.expire_query(query_id)
         if self.pastry.online:
@@ -437,20 +437,20 @@ class SeaweedNode:
             return
         if descriptor.query_id in self._contributed:
             return
-        if self.sim.now > descriptor.expires_at:
+        if self.scheduler.now > descriptor.expires_at:
             return
         self._contributed.add(descriptor.query_id)
         result = self.database.execute(self.parsed_query(descriptor))
         self._local_results[descriptor.query_id] = (descriptor, result)
         self.aggregator.submit_local_result(descriptor, result)
         if descriptor.continuous_period is not None:
-            self.sim.schedule(
+            self.scheduler.schedule(
                 descriptor.continuous_period, self._continuous_tick, descriptor
             )
 
     def _continuous_tick(self, descriptor: QueryDescriptor) -> None:
         """Re-execute a continuous query and push the fresh contribution."""
-        if self.sim.now > descriptor.expires_at:
+        if self.scheduler.now > descriptor.expires_at:
             return
         if descriptor.query_id in self.cancelled_queries:
             return
@@ -458,7 +458,7 @@ class SeaweedNode:
             result = self.database.execute(self.parsed_query(descriptor))
             self._local_results[descriptor.query_id] = (descriptor, result)
             self.aggregator.submit_local_result(descriptor, result)
-        self.sim.schedule(
+        self.scheduler.schedule(
             descriptor.continuous_period, self._continuous_tick, descriptor
         )
 
@@ -486,7 +486,7 @@ class SeaweedNode:
             self.known_queries[descriptor.query_id] = descriptor
             if self.auditor is not None and self.pastry.online:
                 self.auditor.on_query_learned(
-                    self.sim.now, self.node_id, descriptor.query_id
+                    self.scheduler.now, self.node_id, descriptor.query_id
                 )
 
     def known_query(self, query_id: int) -> Optional[QueryDescriptor]:
@@ -541,10 +541,10 @@ class SeaweedNode:
         if status.predictor is None or predictor.endsystems >= status.predictor.endsystems:
             status.predictor = predictor
             if status.predictor_ready_at is None:
-                status.predictor_ready_at = self.sim.now
+                status.predictor_ready_at = self.scheduler.now
             if self._obs is not None:
                 self._obs.predictor_update(
-                    self.sim.now, descriptor.query_id, self.node_id,
+                    self.scheduler.now, descriptor.query_id, self.node_id,
                     "root", predictor.endsystems,
                 )
 
@@ -556,16 +556,16 @@ class SeaweedNode:
             descriptor.query_id, QueryStatus(descriptor)
         )
         status.result = merged
-        status.record(self.sim.now)
+        status.record(self.scheduler.now)
         if self.auditor is not None:
-            self.auditor.on_root_result(self.sim.now, self.node_id, descriptor, merged)
+            self.auditor.on_root_result(self.scheduler.now, self.node_id, descriptor, merged)
         if descriptor.origin != self.node_id:
             self.send_app(
                 descriptor.origin,
                 StatusPush(
                     query_id=descriptor.query_id,
                     result=merged,
-                    time=self.sim.now,
+                    time=self.scheduler.now,
                 ),
             )
 
@@ -577,7 +577,7 @@ class SeaweedNode:
             descriptor.query_id, QueryStatus(descriptor)
         )
         status.result = message.result
-        status.record(self.sim.now)
+        status.record(self.scheduler.now)
 
     def _handle_predictor_result(self, message: PredictorResult) -> None:
         descriptor = self.known_queries.get(message.query_id)
@@ -590,10 +590,10 @@ class SeaweedNode:
         if status.predictor is None or incoming.endsystems >= status.predictor.endsystems:
             status.predictor = incoming
             if status.predictor_ready_at is None:
-                status.predictor_ready_at = self.sim.now
+                status.predictor_ready_at = self.scheduler.now
             if self._obs is not None:
                 self._obs.predictor_update(
-                    self.sim.now, descriptor.query_id, self.node_id,
+                    self.scheduler.now, descriptor.query_id, self.node_id,
                     "origin", incoming.endsystems,
                 )
 
@@ -627,7 +627,7 @@ class SeaweedNode:
         current = self.pastry.replica_set(self.config.metadata_replicas)
         if set(current) != set(self._last_replica_set):
             # Coalesce: at most one refresh push per settle delay.
-            self.sim.schedule(JOIN_SETTLE_DELAY, self._refresh_if_changed, current)
+            self.scheduler.schedule(JOIN_SETTLE_DELAY, self._refresh_if_changed, current)
 
     def _refresh_if_changed(self, expected: list[int]) -> None:
         if not self.pastry.online:
@@ -638,5 +638,5 @@ class SeaweedNode:
 
     def _on_neighbour_failed(self, dead_id: int) -> None:
         """A leafset neighbour stopped heartbeating."""
-        self.metadata_store.mark_down(dead_id, self.sim.now)
+        self.metadata_store.mark_down(dead_id, self.scheduler.now)
         self.aggregator.on_neighbour_failed(dead_id)

@@ -1,10 +1,13 @@
-"""Message transport over the simulated network.
+"""Message transport: the one protocol-side implementation, sim and live.
 
-The transport delivers application messages between endsystems with a
-latency taken from the :class:`~repro.net.topology.Topology`, optional
-uniform message loss, and full bandwidth accounting.  Delivery is a
-simulator event: the receiving endsystem's registered handler runs at
-``send time + latency``.
+:class:`Transport` owns everything that must mean the same thing in the
+simulator and on a live cluster: registration and liveness, the
+interceptor chain, byte accounting, drop bookkeeping, and the fate logic
+of :meth:`Transport.send`.  It ends in one seam, :meth:`Transport.carry`
+("get this message to ``dst`` after ``delay``").  Here that is a
+scheduler event at ``send time + topology latency + delay``;
+:class:`repro.serve.transport.AsyncioTransport` overrides it with real
+sockets and inherits the rest.
 
 Messages addressed to an endsystem that is offline at delivery time are
 dropped — exactly what happens to packets sent to a powered-off host.
@@ -41,7 +44,7 @@ import numpy as np
 from repro.net.stats import BandwidthAccounting
 from repro.net.topology import Topology
 from repro.proto import codec
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.observer import Observer
@@ -211,38 +214,6 @@ class Decision:
 DECISION_DROP_LOSS = Decision(drop_reason=DROP_LOSS)
 
 
-def run_interceptor_chain(
-    interceptors: list["Interceptor"],
-    now: float,
-    src: str,
-    dst: str,
-    message: "Message",
-    count_drop: Callable[[str, "Message", str], None],
-) -> Optional[tuple[float, Optional[list["Decision"]]]]:
-    """Show ``message`` to every interceptor, in order.
-
-    The shared fate logic of the sim transport and the live
-    :class:`repro.serve.transport.AsyncioTransport`: returns ``None`` if
-    the message was dropped (``count_drop`` already called with the
-    reason), else ``(extra_delay, duplication decisions)``.
-    """
-    extra_delay = 0.0
-    duplications: Optional[list[Decision]] = None
-    for interceptor in interceptors:
-        decision = interceptor.intercept(now, src, dst, message)
-        if decision is None:
-            continue
-        if decision.drop_reason is not None:
-            count_drop(dst, message, decision.drop_reason)
-            return None
-        extra_delay += decision.extra_delay
-        if decision.duplicates:
-            if duplications is None:
-                duplications = []
-            duplications.append(decision)
-    return extra_delay, duplications
-
-
 class Interceptor(Protocol):
     """The interceptor interface: one look at every outgoing message."""
 
@@ -274,12 +245,16 @@ class UniformLossInterceptor:
 
 
 class Transport:
-    """Delivers :class:`Message` objects between endsystems via the simulator."""
+    """Delivers :class:`Message` objects between endsystems."""
+
+    #: Latency model of :meth:`carry`; unset on a subclass that carries
+    #: messages some other way.
+    topology: Topology
 
     def __init__(
         self,
-        sim: Simulator,
-        topology: Topology,
+        scheduler: Scheduler,
+        topology: Optional[Topology],
         accounting: Optional[BandwidthAccounting] = None,
         loss_rate: float = 0.0,
         loss_rng: Optional[np.random.Generator] = None,
@@ -288,24 +263,20 @@ class Transport:
     ) -> None:
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
-        if loss_rate > 0.0 and loss_rng is None:
-            raise ValueError("loss_rate > 0 requires a loss_rng")
-        self.sim = sim
-        self.topology = topology
+        self.scheduler = scheduler
+        if topology is not None:
+            self.topology = topology
         self.accounting = accounting
         self.loss_rate = loss_rate
-        self._loss_rng = loss_rng
         self._handlers: dict[str, Handler] = {}
         self._online: dict[str, bool] = {}
-        self.dropped_offline = 0
-        self.dropped_loss = 0
-        self.dropped_unregistered = 0
-        self.dropped_unknown_kind = 0
         #: Drop counts for every reason, including interceptor-specific
-        #: reasons ("partition", "fault_loss", ...).
+        #: reasons ("partition", "fault_loss", ...) and a carrier's own.
         self.drops_by_reason: dict[str, int] = {}
         self._interceptors: list[Interceptor] = []
         if loss_rate > 0.0:
+            if loss_rng is None:
+                raise ValueError("loss_rate > 0 requires a loss_rng")
             self._interceptors.append(UniformLossInterceptor(loss_rate, loss_rng))
         #: Active batching policy, or None for the classic per-message path.
         self.batching = (
@@ -320,12 +291,8 @@ class Transport:
             metrics = self._obs.metrics
             self._c_messages = metrics.counter("transport.messages_total")
             self._c_bytes = metrics.counter("transport.bytes_total")
-            # Per-category byte counters, bound lazily per category string.
-            self._c_category: dict[str, Any] = {}
-        else:
-            self._c_messages = None
-            self._c_bytes = None
-            self._c_category = {}
+        # Per-category byte counters, bound lazily per category string.
+        self._c_category: dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     # Interceptor chain
@@ -373,8 +340,9 @@ class Transport:
 
         Bytes are accounted at send time (they hit the wire regardless of
         whether the destination is up).  The interceptor chain then rules
-        on the message's fate; surviving messages are scheduled for
-        delivery after the topology latency plus any injected delay.
+        on the message's fate; a surviving message, and every duplicate
+        an interceptor asked for, is handed to :meth:`carry` with the
+        delay injected on top of the carrier's own.
         With batching enabled, the message instead joins (or opens) the
         open wire frame for its (src, dst, category).
         """
@@ -387,22 +355,32 @@ class Transport:
         if fate is None:
             return
         extra_delay, duplications = fate
-        latency = self.topology.latency(src, dst) + extra_delay
-        self.sim.schedule(latency, self._deliver, dst, message)
+        self.carry(src, dst, message, extra_delay)
         if duplications is not None:
             for decision in duplications:
                 for copy in range(decision.duplicates):
-                    self.sim.schedule(
-                        latency + (copy + 1) * decision.duplicate_delay,
-                        self._deliver,
+                    self.carry(
+                        src,
                         dst,
                         message,
+                        extra_delay + (copy + 1) * decision.duplicate_delay,
                     )
+
+    def carry(self, src: str, dst: str, message: Message, delay: float) -> None:
+        """Carry ``message`` to ``dst``, ``delay`` seconds later than usual.
+
+        The one carrier seam.  Here: :meth:`_deliver` as a scheduler event
+        after the topology latency.  A subclass may move bytes instead;
+        it must never deliver inside the call.
+        """
+        self.scheduler.schedule(
+            self.topology.latency(src, dst) + delay, self._deliver, dst, message
+        )
 
     def _account(self, src: str, dst: str, wire_size: int, category: str) -> None:
         """Record ``wire_size`` outgoing bytes for one logical message."""
         if self.accounting is not None:
-            self.accounting.record(self.sim.now, src, dst, wire_size, category)
+            self.accounting.record(self.scheduler.now, src, dst, wire_size, category)
         if self._obs is not None:
             self._c_messages.inc()
             self._c_bytes.inc(wire_size)
@@ -425,9 +403,22 @@ class Transport:
         """
         if not self._interceptors:
             return 0.0, None
-        return run_interceptor_chain(
-            self._interceptors, self.sim.now, src, dst, message, self._count_drop
-        )
+        extra_delay = 0.0
+        duplications: Optional[list[Decision]] = None
+        now = self.scheduler.now
+        for interceptor in self._interceptors:
+            decision = interceptor.intercept(now, src, dst, message)
+            if decision is None:
+                continue
+            if decision.drop_reason is not None:
+                self._count_drop(dst, message.kind, decision.drop_reason)
+                return None
+            extra_delay += decision.extra_delay
+            if decision.duplicates:
+                if duplications is None:
+                    duplications = []
+                duplications.append(decision)
+        return extra_delay, duplications
 
     # ------------------------------------------------------------------
     # Batched sending
@@ -445,7 +436,7 @@ class Transport:
         """
         cfg = self.batching
         key = (src, dst, message.category)
-        now = self.sim.now
+        now = self.scheduler.now
         batch = self._open_batches.get(key)
         if batch is None or now > batch.departs_at:
             framing = MESSAGE_HEADER_BYTES
@@ -457,7 +448,7 @@ class Transport:
                 deliver_at=now + cfg.max_delay + latency,
             )
             self._open_batches[key] = batch
-            self.sim.schedule(
+            self.scheduler.schedule(
                 batch.deliver_at - now, self._flush_batch, key, batch
             )
         else:
@@ -480,7 +471,7 @@ class Transport:
         extra_delay, duplications = fate
         if extra_delay > 0:
             # Can't ride the frame's event; deliver relative to it.
-            self.sim.schedule(
+            self.scheduler.schedule(
                 batch.deliver_at - now + extra_delay, self._deliver, dst, message
             )
         else:
@@ -488,7 +479,7 @@ class Transport:
         if duplications is not None:
             for decision in duplications:
                 for copy in range(decision.duplicates):
-                    self.sim.schedule(
+                    self.scheduler.schedule(
                         batch.deliver_at
                         - now
                         + extra_delay
@@ -505,7 +496,7 @@ class Transport:
         self.batches_flushed += 1
         if self._obs is not None:
             self._obs.batch_flush(
-                self.sim.now,
+                self.scheduler.now,
                 key[0],
                 batch.dst,
                 batch.category,
@@ -527,12 +518,10 @@ class Transport:
     # Drop accounting and delivery
     # ------------------------------------------------------------------
 
-    def _count_drop(self, dst: str, message: Message, reason: str) -> None:
-        if reason == DROP_LOSS:
-            self.dropped_loss += 1
+    def _count_drop(self, dst: str, kind: str, reason: str) -> None:
         self.drops_by_reason[reason] = self.drops_by_reason.get(reason, 0) + 1
         if self._obs is not None:
-            self._obs.message_drop(self.sim.now, dst, message.kind, reason)
+            self._obs.message_drop(self.scheduler.now, dst, kind, reason)
 
     def count_unknown_kind(self, dst: str, kind: str) -> None:
         """Record a delivered message whose kind no handler recognizes.
@@ -541,31 +530,34 @@ class Transport:
         Dispatcher` consumers) so unknown kinds are counted and traced
         rather than silently ignored.
         """
-        self.dropped_unknown_kind += 1
-        self.drops_by_reason[DROP_UNKNOWN_KIND] = (
-            self.drops_by_reason.get(DROP_UNKNOWN_KIND, 0) + 1
-        )
-        if self._obs is not None:
-            self._obs.message_drop(self.sim.now, dst, kind, DROP_UNKNOWN_KIND)
+        self._count_drop(dst, kind, DROP_UNKNOWN_KIND)
+
+    @property
+    def dropped_loss(self) -> int:
+        """Messages the uniform loss model (reason ``"loss"``) dropped."""
+        return self.drops_by_reason.get(DROP_LOSS, 0)
+
+    @property
+    def dropped_offline(self) -> int:
+        """Messages that arrived at a destination that was down."""
+        return self.drops_by_reason.get(DROP_OFFLINE, 0)
+
+    @property
+    def dropped_unregistered(self) -> int:
+        """Messages that arrived at an up host with no handler."""
+        return self.drops_by_reason.get(DROP_UNREGISTERED, 0)
+
+    @property
+    def dropped_unknown_kind(self) -> int:
+        """Delivered messages whose kind no handler recognized."""
+        return self.drops_by_reason.get(DROP_UNKNOWN_KIND, 0)
 
     def _deliver(self, dst: str, message: Message) -> None:
         if not self._online.get(dst, False):
-            self.dropped_offline += 1
-            self.drops_by_reason[DROP_OFFLINE] = (
-                self.drops_by_reason.get(DROP_OFFLINE, 0) + 1
-            )
-            if self._obs is not None:
-                self._obs.message_drop(self.sim.now, dst, message.kind, DROP_OFFLINE)
+            self._count_drop(dst, message.kind, DROP_OFFLINE)
             return
         handler = self._handlers.get(dst)
         if handler is None:
-            self.dropped_unregistered += 1
-            self.drops_by_reason[DROP_UNREGISTERED] = (
-                self.drops_by_reason.get(DROP_UNREGISTERED, 0) + 1
-            )
-            if self._obs is not None:
-                self._obs.message_drop(
-                    self.sim.now, dst, message.kind, DROP_UNREGISTERED
-                )
+            self._count_drop(dst, message.kind, DROP_UNREGISTERED)
             return
         handler(dst, message)

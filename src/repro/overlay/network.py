@@ -1,7 +1,12 @@
-"""Overlay coordinator: membership, failure detection, heartbeat accounting.
+"""Overlay services: membership, failure detection, heartbeat accounting.
 
-Holds the registry of all :class:`PastryNode` instances, runs the leafset
-failure detector, and accounts heartbeat bandwidth.
+:class:`OverlayServices` is what a :class:`PastryNode` is built against:
+the scheduler, the transport, the config, the shared counters, and two
+things only its surroundings can supply — a bootstrap to join through
+and word that a neighbour died.  :class:`OverlayNetwork` is the
+simulator's omniscient variant: it holds every node, runs the leafset
+failure detector off a reverse index, and accounts heartbeat bandwidth.
+:class:`repro.serve.overlay.LiveOverlay` is the per-process variant.
 
 Two engineering deviations from a per-message implementation, both
 documented in DESIGN.md, keep the Python event count tractable at the
@@ -35,7 +40,7 @@ from repro.net.stats import CATEGORY_OVERLAY, BandwidthAccounting
 from repro.net.transport import Transport
 from repro.overlay.ids import ring_distance
 from repro.overlay.node import ID_BYTES, PastryNode
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.observer import Observer
@@ -66,30 +71,25 @@ class OverlayConfig:
     route_cache: bool = True
 
 
-class OverlayNetwork:
-    """Registry and services shared by all Pastry nodes in one simulation."""
+class OverlayServices:
+    """What every Pastry node in one process is built against."""
 
     def __init__(
         self,
-        sim: Simulator,
+        scheduler: Scheduler,
         transport: Transport,
         config: Optional[OverlayConfig] = None,
-        rng: Optional[np.random.Generator] = None,
         observer: Optional["Observer"] = None,
     ) -> None:
-        self.sim = sim
+        self.scheduler = scheduler
         self.transport = transport
         self.config = config if config is not None else OverlayConfig()
-        self._rng = rng if rng is not None else np.random.default_rng(0)
+        #: The nodes created here (all of them, or this process's share).
         self.nodes: dict[int, PastryNode] = {}
-        self._online_ids: list[int] = []  # sorted, for bootstrap + ground truth
-        # Reverse leafset index: {node_id: set of nodes listing it}.
-        self._listed_by: dict[int, set[int]] = {}
         self.routing_drops = 0
         self.reroutes = 0
-        self._heartbeat_timer = None
         # Observer plumbing shared by all PastryNodes.  Counters are
-        # pre-bound here; nodes guard on ``observer is not None``.
+        # pre-bound here; nodes guard on ``is not None``.
         self.observer = observer if (observer is not None and observer.enabled) else None
         if self.observer is not None:
             metrics = self.observer.metrics
@@ -101,10 +101,6 @@ class OverlayNetwork:
             self.c_routing_drops = None
             self.c_joins = None
 
-    # ------------------------------------------------------------------
-    # Node management
-    # ------------------------------------------------------------------
-
     def create_node(self, node_id: int) -> PastryNode:
         """Instantiate a node (offline until :meth:`PastryNode.go_online`)."""
         if node_id in self.nodes:
@@ -112,6 +108,41 @@ class OverlayNetwork:
         node = PastryNode(node_id, self)
         self.nodes[node_id] = node
         return node
+
+    def pick_bootstrap(self, exclude: int) -> Optional[PastryNode]:
+        """A node (or a stand-in with its ``node_id`` and ``name``) to join through."""
+        raise NotImplementedError
+
+    # Called by the nodes themselves.  Defaults are no-ops: a variant
+    # that learns of failures from traffic has nothing to maintain.
+
+    def on_node_online(self, node: PastryNode) -> None:
+        """``node`` came up."""
+
+    def on_node_offline(self, node: PastryNode) -> None:
+        """``node`` went down."""
+
+    def on_leafset_change(self, node: PastryNode) -> None:
+        """``node``'s leafset membership changed."""
+
+
+class OverlayNetwork(OverlayServices):
+    """The omniscient variant: every node of one simulation."""
+
+    def __init__(
+        self,
+        scheduler: Scheduler,
+        transport: Transport,
+        config: Optional[OverlayConfig] = None,
+        rng: Optional[np.random.Generator] = None,
+        observer: Optional["Observer"] = None,
+    ) -> None:
+        super().__init__(scheduler, transport, config, observer)
+        self._rng = rng if rng is not None else np.random.default_rng(0)
+        self._online_ids: list[int] = []  # sorted, for bootstrap + ground truth
+        # Reverse leafset index: {node_id: set of nodes listing it}.
+        self._listed_by: dict[int, set[int]] = {}
+        self._heartbeat_timer = None
 
     def pick_bootstrap(self, exclude: int) -> Optional[PastryNode]:
         """A random online node to bootstrap a join (well-known-host model)."""
@@ -139,7 +170,7 @@ class OverlayNetwork:
         watchers = self._listed_by.pop(node.node_id, set())
         delay = self.config.heartbeat_period + self.config.detection_grace
         for watcher_id in watchers:
-            self.sim.schedule(
+            self.scheduler.schedule(
                 delay + float(self._rng.uniform(0.0, 1.0)),
                 self._notify_failure,
                 watcher_id,
@@ -175,14 +206,14 @@ class OverlayNetwork:
         def sweep() -> None:
             if accounting is None:
                 return
-            now = self.sim.now
+            now = self.scheduler.now
             for node_id in self._online_ids:
                 node = self.nodes[node_id]
                 neighbours = len(node.leafset)
                 size = neighbours * (self.config.heartbeat_bytes + 48)
                 accounting.record_local(now, node.name, size, size, CATEGORY_OVERLAY)
 
-        self._heartbeat_timer = self.sim.schedule_periodic(
+        self._heartbeat_timer = self.scheduler.schedule_periodic(
             self.config.heartbeat_period, sweep
         )
 

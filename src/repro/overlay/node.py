@@ -48,7 +48,7 @@ from repro.proto.messages import (
 from repro.proto.registry import Dispatcher
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.overlay.network import OverlayNetwork
+    from repro.overlay.network import OverlayServices
 
 #: Approximate serialized size of one node id on the wire.
 ID_BYTES = codec.ID
@@ -82,7 +82,7 @@ _MISS: object = object()
 class PastryNode:
     """One overlay node; lives on a single endsystem."""
 
-    def __init__(self, node_id: int, network: "OverlayNetwork") -> None:
+    def __init__(self, node_id: int, network: "OverlayServices") -> None:
         self.node_id = node_id
         self.name = id_to_hex(node_id)
         self.network = network
@@ -150,7 +150,7 @@ class PastryNode:
         )
         # Defer even the first hop so that a route that terminates locally
         # never re-enters the caller synchronously.
-        self.network.sim.schedule(0.0, self._route_envelope, envelope, category)
+        self.network.scheduler.schedule(0.0, self._route_envelope, envelope, category)
 
     def route_app(
         self, key: int, app: ProtoMessage, category: Optional[str] = None
@@ -181,7 +181,7 @@ class PastryNode:
             if self._deliver_upcall is not None:
                 # Deferred: synchronous self-delivery would re-enter the
                 # calling protocol machine.
-                self.network.sim.schedule(
+                self.network.scheduler.schedule(
                     0.0, self._deliver_upcall, dst_id, kind, payload, 0
                 )
             return
@@ -249,7 +249,7 @@ class PastryNode:
             self.network.c_joins.inc()
         if bootstrap is not None and bootstrap.node_id != self.node_id:
             self._send_join(bootstrap)
-            self.network.sim.schedule(JOIN_RETRY_TIMEOUT, self._check_join, 1)
+            self.network.scheduler.schedule(JOIN_RETRY_TIMEOUT, self._check_join, 1)
         else:
             self._joined = True
         self.network.on_node_online(self)
@@ -275,7 +275,7 @@ class PastryNode:
         bootstrap = self.network.pick_bootstrap(exclude=self.node_id)
         if bootstrap is not None:
             self._send_join(bootstrap)
-        self.network.sim.schedule(JOIN_RETRY_TIMEOUT, self._check_join, attempt + 1)
+        self.network.scheduler.schedule(JOIN_RETRY_TIMEOUT, self._check_join, attempt + 1)
 
     def go_offline(self) -> None:
         """Take the node down (fail-stop: no goodbye messages)."""
@@ -294,7 +294,7 @@ class PastryNode:
         """
         period = self.network.config.stabilize_period
         first = period * (0.5 + 0.5 * ((self.node_id >> 32) % 1000) / 1000.0)
-        self._stabilize_timer = self.network.sim.schedule_periodic(
+        self._stabilize_timer = self.network.scheduler.schedule_periodic(
             period, self._stabilize, first_delay=first
         )
 
@@ -314,7 +314,7 @@ class PastryNode:
 
     def note_dead(self, node_id: int) -> None:
         """Record direct evidence that ``node_id`` is down."""
-        self._death_records[node_id] = self.network.sim.now
+        self._death_records[node_id] = self.network.scheduler.now
 
     def note_alive(self, node_id: int) -> None:
         """Clear any death record: we heard from the node directly."""
@@ -325,7 +325,7 @@ class PastryNode:
         observed = self._death_records.get(node_id)
         if observed is None:
             return False
-        if self.network.sim.now - observed > self.network.config.death_record_ttl:
+        if self.network.scheduler.now - observed > self.network.config.death_record_ttl:
             del self._death_records[node_id]
             return False
         return True
@@ -435,7 +435,7 @@ class PastryNode:
         message.meta["msg_id"] = msg_id
         message.meta["needs_ack"] = True
         self.network.transport.send(self.name, id_to_hex(next_hop), message)
-        self.network.sim.schedule(
+        self.network.scheduler.schedule(
             HOP_ACK_TIMEOUT, self._on_ack_timeout, next_hop, msg_id, envelope, category
         )
         self._pending_acks.add(msg_id)
@@ -586,7 +586,7 @@ class PastryNode:
         if removed:
             observer = self.network.observer
             if observer is not None:
-                observer.leafset_repair(self.network.sim.now, self.node_id, dead_id)
+                observer.leafset_repair(self.network.scheduler.now, self.node_id, dead_id)
             self._repair_leafset()
             self._notify_neighbour_change()
 

@@ -1,17 +1,19 @@
 """repro.serve — the live service mode.
 
 Runs the same SeaweedNode/PastryNode code that the simulator drives,
-but against real time and real TCP sockets:
+but against real time and real TCP sockets.  The protocol stack is one
+implementation; this package is the second of its two thin drivers:
 
-* :mod:`repro.serve.scheduler` — an asyncio-backed stand-in for the
-  :class:`~repro.sim.simulator.Simulator` scheduling surface;
-* :mod:`repro.serve.transport` — :class:`AsyncioTransport`, the live
-  implementation of the transport interface (connection pool, per-peer
-  write queues, reconnect with capped backoff), honoring the same
-  interceptor chain as the sim transport;
-* :mod:`repro.serve.overlay` — a per-process overlay registry with a
-  probe-based failure detector (the sim's omniscient
-  ``OverlayNetwork`` cannot exist across processes);
+* :mod:`repro.serve.scheduler` — :class:`AsyncioScheduler`, the
+  :class:`~repro.sim.simulator.Scheduler` protocol over an event loop;
+* :mod:`repro.serve.transport` — :class:`AsyncioTransport`, a
+  :class:`~repro.net.transport.Transport` whose ``carry`` writes frames
+  to pooled TCP connections (per-peer write queues, reconnect with
+  capped backoff) instead of scheduling a simulated delivery;
+* :mod:`repro.serve.overlay` — :class:`LiveOverlay`, the per-process
+  :class:`~repro.overlay.network.OverlayServices` with a probe-based
+  failure detector (the sim's omniscient ``OverlayNetwork`` cannot
+  exist across processes);
 * :mod:`repro.serve.cluster` — cluster planning: which process hosts
   which node ids, listen addresses, deterministic dataset assignment;
 * :mod:`repro.serve.host` — the per-process runtime behind

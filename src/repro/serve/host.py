@@ -104,7 +104,6 @@ class NodeHost:
             self.scheduler,
             self.transport,
             config=self.config.overlay,
-            rng=np.random.default_rng(spec.seed + 1000 + self.index),
             bootstrap=BootstrapRef.of(spec.bootstrap_id()),
             observer=self.observer,
         )
@@ -187,8 +186,7 @@ class NodeHost:
             return
         assert self.transport is not None
         # Refresh the pool gauges so idle hosts still report truthfully.
-        self.transport._note_connections()
-        self.transport._note_queue_depth()
+        self.transport.refresh_gauges()
         try:
             self.metrics.write_jsonl(self.metrics_out)
         except OSError:

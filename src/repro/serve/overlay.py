@@ -3,9 +3,9 @@
 The simulator's :class:`~repro.overlay.network.OverlayNetwork` is
 omniscient: it holds every node, picks bootstraps from a global online
 list, and *schedules* failure notifications when a node goes down.
-None of that exists across OS processes.  :class:`LiveOverlay` provides
-the same interface to the PastryNode/SeaweedNode code for the nodes
-hosted in one process, with the global services replaced by local
+None of that exists across OS processes.  :class:`LiveOverlay` is the
+other :class:`~repro.overlay.network.OverlayServices` variant, for the
+nodes hosted in one process, with the global services replaced by local
 mechanisms:
 
 * **bootstrap** — a configured :class:`BootstrapRef` (the well-known
@@ -21,11 +21,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-import numpy as np
-
 from repro.overlay.ids import id_to_hex
-from repro.overlay.network import OverlayConfig
-from repro.overlay.node import PastryNode
+from repro.overlay.network import OverlayConfig, OverlayServices
 from repro.serve.scheduler import AsyncioScheduler
 from repro.serve.transport import AsyncioTransport
 
@@ -48,7 +45,7 @@ class BootstrapRef(NamedTuple):
         return cls(node_id=node_id, name=id_to_hex(node_id))
 
 
-class LiveOverlay:
+class LiveOverlay(OverlayServices):
     """The overlay services for the nodes hosted in one process."""
 
     def __init__(
@@ -56,50 +53,18 @@ class LiveOverlay:
         scheduler: AsyncioScheduler,
         transport: AsyncioTransport,
         config: Optional[OverlayConfig] = None,
-        rng: Optional[np.random.Generator] = None,
         bootstrap: Optional[BootstrapRef] = None,
         observer: Optional["Observer"] = None,
     ) -> None:
-        self.sim = scheduler
-        self.transport = transport
-        self.config = config if config is not None else OverlayConfig()
-        self._rng = rng if rng is not None else np.random.default_rng(0)
+        super().__init__(scheduler, transport, config, observer)
         self.bootstrap = bootstrap
-        #: Locally hosted nodes only.
-        self.nodes: dict[int, PastryNode] = {}
-        self.routing_drops = 0
-        self.reroutes = 0
         #: Last time each remote peer (by name) was heard from.
         self._last_heard: dict[str, float] = {}
         #: Remote node ids declared dead (cleared when heard from again).
         self._declared_dead: set[int] = set()
         self._detector_timer = None
-        self.observer = (
-            observer if (observer is not None and observer.enabled) else None
-        )
-        if self.observer is not None:
-            metrics = self.observer.metrics
-            self.c_reroutes = metrics.counter("overlay.reroutes_total")
-            self.c_routing_drops = metrics.counter("overlay.routing_drops_total")
-            self.c_joins = metrics.counter("overlay.joins_total")
-        else:
-            self.c_reroutes = None
-            self.c_routing_drops = None
-            self.c_joins = None
         # The transport feeds the failure detector's evidence stream.
         transport.on_peer_activity = self.note_peer_activity
-
-    # ------------------------------------------------------------------
-    # Node management (the OverlayNetwork interface)
-    # ------------------------------------------------------------------
-
-    def create_node(self, node_id: int) -> PastryNode:
-        """Instantiate a locally hosted node (offline until go_online)."""
-        if node_id in self.nodes:
-            raise ValueError(f"duplicate node id {node_id:032x}")
-        node = PastryNode(node_id, self)
-        self.nodes[node_id] = node
-        return node
 
     def pick_bootstrap(self, exclude: int):
         """An online local node, else the configured remote bootstrap."""
@@ -109,20 +74,6 @@ class LiveOverlay:
         if self.bootstrap is not None and self.bootstrap.node_id != exclude:
             return self.bootstrap
         return None
-
-    def on_node_online(self, node: PastryNode) -> None:
-        """Bookkeeping when a local node comes up."""
-        # Nothing global to maintain: liveness of remote nodes is only
-        # ever learned through traffic.
-
-    def on_node_offline(self, node: PastryNode) -> None:
-        """Bookkeeping when a local node goes down (process shutdown)."""
-        # Local co-hosted watchers hear about it through the detector
-        # sweep like everyone else; no omniscient notification exists.
-
-    def on_leafset_change(self, node: PastryNode) -> None:
-        """Leafset membership changed; the detector sweep re-reads it."""
-        # The sweep walks live leafsets directly - no reverse index needed.
 
     # ------------------------------------------------------------------
     # Probe-based failure detection
@@ -146,7 +97,7 @@ class LiveOverlay:
         """Begin the periodic silent-peer sweep."""
         if self._detector_timer is not None:
             return
-        self._detector_timer = self.sim.schedule_periodic(
+        self._detector_timer = self.scheduler.schedule_periodic(
             self.config.heartbeat_period, self._sweep
         )
 
@@ -162,7 +113,7 @@ class LiveOverlay:
         progress are not "failures"), and each death is reported to each
         watching local node once until the peer speaks again.
         """
-        now = self.sim.now
+        now = self.scheduler.now
         # Live probes ride the stabilization exchange, so a healthy peer
         # may legitimately stay silent for a full stabilize period; give
         # it two before declaring death (plus the configured grace).

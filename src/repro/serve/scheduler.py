@@ -1,10 +1,10 @@
-"""Wall-clock scheduling with the simulator's interface.
+"""Wall-clock scheduling: the live :class:`~repro.sim.simulator.Scheduler`.
 
-Node code never imports the :class:`~repro.sim.simulator.Simulator`
-class directly — it duck-types a small surface (``now``, ``clock``,
-``schedule``, ``schedule_at``, ``schedule_periodic``).  This module
-implements that surface over a running asyncio event loop so the exact
-same SeaweedNode/PastryNode code drives live traffic.
+Node code is written against the ``Scheduler`` protocol (``now``,
+``clock``, ``schedule``, ``schedule_at``, ``schedule_periodic``), which
+the :class:`~repro.sim.simulator.Simulator` implements by popping
+events.  This module implements it over a running asyncio event loop so
+the exact same SeaweedNode/PastryNode code drives live traffic.
 
 Times are seconds since the scheduler was created (monotonic), matching
 the simulator's convention that the deployment starts at t=0.  An
@@ -19,66 +19,13 @@ import asyncio
 import logging
 from typing import Any, Callable, Optional
 
-from repro.sim.simulator import SimClock
+from repro.sim.simulator import PeriodicTimer, SimClock
 
 log = logging.getLogger("repro.serve.scheduler")
 
 
-class LiveHandle:
-    """Cancellation handle for one scheduled callback."""
-
-    __slots__ = ("_timer",)
-
-    def __init__(self, timer: asyncio.TimerHandle) -> None:
-        self._timer = timer
-
-    def cancel(self) -> None:
-        self._timer.cancel()
-
-
-class LivePeriodicTimer:
-    """Asyncio counterpart of :class:`repro.sim.simulator.PeriodicTimer`."""
-
-    def __init__(
-        self,
-        scheduler: "AsyncioScheduler",
-        period: float,
-        callback: Callable[[], Any],
-        first_delay: Optional[float] = None,
-    ) -> None:
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period}")
-        self._scheduler = scheduler
-        self._period = period
-        self._callback = callback
-        self._cancelled = False
-        self._handle = scheduler.schedule(
-            period if first_delay is None else first_delay, self._fire
-        )
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    @property
-    def period(self) -> float:
-        return self._period
-
-    def _fire(self) -> None:
-        if self._cancelled:
-            return
-        self._handle = self._scheduler.schedule(self._period, self._fire)
-        self._callback()
-
-    def cancel(self) -> None:
-        self._cancelled = True
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-
-
 class AsyncioScheduler:
-    """The simulator scheduling surface over a live asyncio loop.
+    """The :class:`Scheduler` protocol over a live asyncio loop.
 
     Scheduled callbacks are plain synchronous callables (the node code's
     event handlers); exceptions are logged and swallowed so one failing
@@ -114,17 +61,14 @@ class AsyncioScheduler:
 
     def schedule(
         self, delay: float, callback: Callable[..., Any], *args: Any, **kwargs: Any
-    ) -> LiveHandle:
+    ) -> asyncio.TimerHandle:
         """Run ``callback(*args, **kwargs)`` after ``delay`` protocol seconds."""
         wall_delay = max(0.0, delay) / self.time_scale
-        timer = self._loop.call_later(
-            wall_delay, self._run, callback, args, kwargs
-        )
-        return LiveHandle(timer)
+        return self._loop.call_later(wall_delay, self._run, callback, args, kwargs)
 
     def schedule_at(
         self, time: float, callback: Callable[..., Any], *args: Any, **kwargs: Any
-    ) -> LiveHandle:
+    ) -> asyncio.TimerHandle:
         """Run ``callback`` at absolute protocol time ``time``."""
         return self.schedule(time - self.now, callback, *args, **kwargs)
 
@@ -133,6 +77,8 @@ class AsyncioScheduler:
         period: float,
         callback: Callable[[], Any],
         first_delay: Optional[float] = None,
-    ) -> LivePeriodicTimer:
+    ) -> PeriodicTimer:
         """Run ``callback`` every ``period`` protocol seconds until cancelled."""
-        return LivePeriodicTimer(self, period, callback, first_delay)
+        if period <= 0:
+            raise ValueError(f"period must be positive, got {period}")
+        return PeriodicTimer(self, period, callback, first_delay)

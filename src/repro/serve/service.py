@@ -210,7 +210,7 @@ class QueryService:
             await self._emit(writer, {"event": "error",
                                       "error": "no node online"})
             return
-        scheduler = node.sim
+        scheduler = node.scheduler
         injected_at = scheduler.now
         try:
             descriptor = node.inject_query(sql, lifetime=lifetime)

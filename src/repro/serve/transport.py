@@ -1,9 +1,10 @@
-"""AsyncioTransport: the live (TCP) implementation of the transport.
+"""AsyncioTransport: the live (TCP) carrier of the transport.
 
-Implements the surface node code actually uses from
-:class:`repro.net.transport.Transport` — ``register``, ``set_online``,
-``is_online``, ``send``, ``count_unknown_kind``, the interceptor chain,
-and the drop counters — over real sockets:
+A subclass of :class:`repro.net.transport.Transport` that inherits
+registration, the interceptor chain, accounting, drop bookkeeping and
+``send`` unchanged — so :mod:`repro.faults` plans and :mod:`repro.obs`
+instrumentation work the same on live runs — and replaces only
+:meth:`~repro.net.transport.Transport.carry`, over real sockets:
 
 * every peer process gets one pooled outbound connection with a
   per-peer write queue; the writer task connects lazily, reconnects
@@ -14,11 +15,7 @@ and the drop counters — over real sockets:
   envelope layer;
 * messages addressed to a node registered *in this process* short-cut
   through the loop (scheduled, never inline) — the kernel-loopback
-  case — while still passing the interceptor chain;
-* the same :class:`~repro.net.transport.Interceptor` chain as the sim
-  transport rules on every outgoing message, so :mod:`repro.faults`
-  plans and :mod:`repro.obs` instrumentation work unchanged on live
-  runs;
+  case;
 * :meth:`drain_and_close` flushes every write queue before closing —
   the graceful-shutdown path (bounded by a timeout).
 
@@ -37,15 +34,7 @@ import logging
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
 
-from repro.net.transport import (
-    DROP_OFFLINE,
-    DROP_UNKNOWN_KIND,
-    DROP_UNREGISTERED,
-    Handler,
-    Interceptor,
-    Message,
-    run_interceptor_chain,
-)
+from repro.net.transport import Message, Transport
 from repro.proto import framing, wire
 from repro.serve.scheduler import AsyncioScheduler
 
@@ -77,12 +66,11 @@ class _Peer:
         self.queue: deque[bytes] = deque()
         self.wakeup = asyncio.Event()
         self.connected = False
+        #: The last connection attempt or write failed: nobody is
+        #: listening there right now, so the queue cannot drain.
+        self.gone = False
         self.closing = False
         self.task = asyncio.get_event_loop().create_task(self._run())
-
-    @property
-    def depth(self) -> int:
-        return len(self.queue)
 
     def enqueue(self, data: bytes) -> bool:
         """Queue one encoded frame; False if the queue is full."""
@@ -103,15 +91,16 @@ class _Peer:
                             self.host, self.port
                         )
                     except OSError:
-                        self.connected = False
+                        self.gone = True
                         await self._sleep(backoff)
                         backoff = min(
                             backoff * 2, self.transport.reconnect_cap
                         )
                         continue
                     self.connected = True
+                    self.gone = False
                     backoff = self.transport.reconnect_initial
-                    self.transport._note_connections()
+                    self.transport.refresh_gauges()
                 if not self.queue:
                     self.wakeup.clear()
                     if self.closing:
@@ -127,10 +116,11 @@ class _Peer:
                     # reconnect (datagram semantics, as the protocols expect).
                     if self.queue:
                         self.queue.popleft()
-                    self.transport._count_peer_drop(self.name_key, DROP_CONNECTION)
+                    self.transport._count_drop(self.name_key, "", DROP_CONNECTION)
                     self.connected = False
+                    self.gone = True
                     writer = None
-                    self.transport._note_connections()
+                    self.transport.refresh_gauges()
                     continue
                 if self.queue:
                     self.queue.popleft()
@@ -142,7 +132,7 @@ class _Peer:
                     await writer.wait_closed()
                 except (ConnectionError, OSError):
                     pass
-            self.transport._note_connections()
+            self.transport.refresh_gauges()
 
     async def _sleep(self, seconds: float) -> None:
         try:
@@ -150,13 +140,6 @@ class _Peer:
             self.wakeup.clear()
         except asyncio.TimeoutError:
             pass
-
-    async def drain(self, timeout: float) -> bool:
-        """Wait until the queue is empty (or ``timeout``); True if drained."""
-        deadline = asyncio.get_event_loop().time() + timeout
-        while self.queue and asyncio.get_event_loop().time() < deadline:
-            await asyncio.sleep(0.02)
-        return not self.queue
 
     async def close(self) -> None:
         self.closing = True
@@ -167,8 +150,8 @@ class _Peer:
             pass
 
 
-class AsyncioTransport:
-    """Live transport: the sim transport's interface over TCP sockets."""
+class AsyncioTransport(Transport):
+    """Live transport: the shared :class:`Transport` carried over TCP."""
 
     def __init__(
         self,
@@ -184,12 +167,11 @@ class AsyncioTransport:
         reconnect_cap: float = 5.0,
         on_peer_activity: Optional[Callable[[str, float], None]] = None,
     ) -> None:
-        self.scheduler = scheduler
+        super().__init__(scheduler, None, accounting=accounting, observer=observer)
         #: node name -> (host, port) of the process hosting it.
         self.directory = dict(directory)
         self.listen_host = listen_host
         self.listen_port = listen_port
-        self.accounting = accounting
         self.max_frame = max_frame
         self.max_queue_depth = max_queue_depth
         self.reconnect_initial = reconnect_initial
@@ -197,34 +179,16 @@ class AsyncioTransport:
         #: Called with (src name, protocol now) for every inbound message —
         #: the live failure detector's evidence stream.
         self.on_peer_activity = on_peer_activity
-        self._handlers: dict[str, Handler] = {}
-        self._online: dict[str, bool] = {}
         self._peers: dict[tuple[str, int], _Peer] = {}
         self._inbound: set[asyncio.StreamWriter] = set()
         self._server: Optional[asyncio.AbstractServer] = None
-        self._interceptors: list[Interceptor] = []
-        self.dropped_offline = 0
-        self.dropped_loss = 0
-        self.dropped_unregistered = 0
-        self.dropped_unknown_kind = 0
-        self.drops_by_reason: dict[str, int] = {}
         self.messages_sent = 0
         self.messages_received = 0
         self.bytes_sent = 0
-        self._obs = observer if (observer is not None and observer.enabled) else None
         if self._obs is not None:
             metrics = self._obs.metrics
-            self._c_messages = metrics.counter("transport.messages_total")
-            self._c_bytes = metrics.counter("transport.bytes_total")
-            self._c_category: dict[str, Any] = {}
             self._g_connections = metrics.gauge("serve.connections")
             self._g_queue_depth = metrics.gauge("serve.write_queue_depth")
-        else:
-            self._c_messages = None
-            self._c_bytes = None
-            self._c_category = {}
-            self._g_connections = None
-            self._g_queue_depth = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -242,12 +206,20 @@ class AsyncioTransport:
     async def drain_and_close(self, timeout: float = 5.0) -> bool:
         """Flush write queues, then close every connection and the server.
 
-        Returns True if every queue drained within ``timeout``.
+        One deadline covers all peers, and a peer that is gone (its
+        writer is reconnecting to an address nobody listens on) is not
+        waited for: its queue cannot drain.  Returns True if no frame
+        was left behind.
         """
-        drained = True
-        for peer in list(self._peers.values()):
-            drained = await peer.drain(timeout) and drained
-        for peer in list(self._peers.values()):
+        peers = list(self._peers.values())
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout
+        while loop.time() < deadline and any(
+            peer.queue and not peer.gone for peer in peers
+        ):
+            await asyncio.sleep(0.02)
+        drained = not any(peer.queue for peer in peers)
+        for peer in peers:
             await peer.close()
         self._peers.clear()
         if self._server is not None:
@@ -259,45 +231,8 @@ class AsyncioTransport:
         for writer in list(self._inbound):
             writer.close()
         self._inbound.clear()
-        self._note_connections()
+        self.refresh_gauges()
         return drained
-
-    # ------------------------------------------------------------------
-    # Interceptor chain (same contract as the sim transport)
-    # ------------------------------------------------------------------
-
-    def add_interceptor(self, interceptor: Interceptor) -> None:
-        """Append an interceptor to the chain (fault injection hook)."""
-        self._interceptors.append(interceptor)
-
-    def remove_interceptor(self, interceptor: Interceptor) -> None:
-        """Remove a previously added interceptor.  Missing is a no-op."""
-        try:
-            self._interceptors.remove(interceptor)
-        except ValueError:
-            pass
-
-    @property
-    def interceptors(self) -> tuple[Interceptor, ...]:
-        """The current interceptor chain (read-only view)."""
-        return tuple(self._interceptors)
-
-    # ------------------------------------------------------------------
-    # Registration and liveness
-    # ------------------------------------------------------------------
-
-    def register(self, endsystem: str, handler: Handler) -> None:
-        """Register the handler for a node hosted in this process."""
-        self._handlers[endsystem] = handler
-        self._online.setdefault(endsystem, False)
-
-    def set_online(self, endsystem: str, online: bool) -> None:
-        """Mark a locally hosted node up or down."""
-        self._online[endsystem] = online
-
-    def is_online(self, endsystem: str) -> bool:
-        """Whether a locally hosted node is up (remote nodes: unknown)."""
-        return self._online.get(endsystem, False)
 
     @property
     def connection_count(self) -> int:
@@ -307,46 +242,35 @@ class AsyncioTransport:
     @property
     def write_queue_depth(self) -> int:
         """Messages waiting in outbound write queues."""
-        return sum(peer.depth for peer in self._peers.values())
+        return sum(len(peer.queue) for peer in self._peers.values())
+
+    def refresh_gauges(self) -> None:
+        """Publish the pool's current size and backlog to the observer."""
+        if self._obs is not None:
+            self._g_connections.set(self.connection_count)
+            self._g_queue_depth.set(self.write_queue_depth)
 
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
 
-    def send(self, src: str, dst: str, message: Message) -> None:
-        """Send ``message`` from ``src`` to ``dst`` (sync, loop context).
+    def carry(self, src: str, dst: str, message: Message, delay: float) -> None:
+        """Loop back to a node hosted here, else write to its host's queue.
 
-        The interceptor chain rules first; surviving messages go to a
-        local handler via the scheduler (never inline — preserving the
-        sim's you-never-deliver-inside-send invariant) or onto the
-        destination process's write queue.
+        Loop-back goes through the scheduler even at zero delay: nothing
+        is ever delivered inside ``send``, as in the simulator.
         """
-        message.src = src
-        self._account(src, dst, message.wire_size, message.category)
-        fate = run_interceptor_chain(
-            self._interceptors, self.scheduler.now, src, dst, message,
-            self._count_drop,
-        )
-        if fate is None:
-            return
-        extra_delay, duplications = fate
-        copies = 1
-        if duplications is not None:
-            copies += sum(decision.duplicates for decision in duplications)
-        for _ in range(copies):
-            if extra_delay > 0:
-                self.scheduler.schedule(extra_delay, self._dispatch, dst, message)
-            else:
-                self._dispatch(dst, message)
+        if dst in self._online:  # registered or marked up in this process
+            self.scheduler.schedule(delay, self._deliver, dst, message)
+        elif delay > 0:
+            self.scheduler.schedule(delay, self._enqueue, dst, message)
+        else:
+            self._enqueue(dst, message)
 
-    def _dispatch(self, dst: str, message: Message) -> None:
-        if dst in self._handlers:
-            # Locally hosted node: loop-back without touching a socket.
-            self.scheduler.schedule(0.0, self._deliver_local, dst, message)
-            return
+    def _enqueue(self, dst: str, message: Message) -> None:
         address = self.directory.get(dst)
         if address is None:
-            self._count_drop(dst, message, DROP_UNRESOLVED)
+            self._count_drop(dst, message.kind, DROP_UNRESOLVED)
             return
         try:
             frame = wire.encode_message(
@@ -360,18 +284,18 @@ class AsyncioTransport:
             )
         except wire.WireError:
             log.exception("cannot encode %s for %s", message.kind, dst)
-            self._count_drop(dst, message, "unencodable")
+            self._count_drop(dst, message.kind, "unencodable")
             return
         data = frame.to_bytes()
         peer = self._peers.get(address)
         if peer is None:
             peer = self._peers[address] = _Peer(self, dst, *address)
         if not peer.enqueue(data):
-            self._count_drop(dst, message, DROP_BACKPRESSURE)
+            self._count_drop(dst, message.kind, DROP_BACKPRESSURE)
             return
         self.messages_sent += 1
         self.bytes_sent += len(data)
-        self._note_queue_depth()
+        self.refresh_gauges()
 
     # ------------------------------------------------------------------
     # Receiving
@@ -393,7 +317,8 @@ class AsyncioTransport:
                 except framing.FrameError as error:
                     # Corrupt or oversized stream: count and cut the peer.
                     log.warning("bad frame from %s: %s", peername, error)
-                    self._count_reason(DROP_BAD_FRAME)
+                    # The stream is unreadable: no destination, no kind.
+                    self._count_drop("", "", DROP_BAD_FRAME)
                     break
                 for frame in frames:
                     self._handle_frame(frame, peername)
@@ -413,7 +338,7 @@ class AsyncioTransport:
         except wire.WireError as error:
             log.warning("undecodable %r frame from %s: %s",
                         frame.kind, peername, error)
-            self._count_reason(DROP_BAD_FRAME)
+            self._count_drop("", frame.kind, DROP_BAD_FRAME)
             return
         self.messages_received += 1
         if self.on_peer_activity is not None and wm.src:
@@ -426,72 +351,7 @@ class AsyncioTransport:
             category=wm.category,
             meta=wm.meta,
         )
-        self._deliver_local(wm.dst, message)
-
-    def _deliver_local(self, dst: str, message: Message) -> None:
-        if not self._online.get(dst, False):
-            self.dropped_offline += 1
-            self._count_reason(DROP_OFFLINE)
-            if self._obs is not None:
-                self._obs.message_drop(
-                    self.scheduler.now, dst, message.kind, DROP_OFFLINE
-                )
-            return
-        handler = self._handlers.get(dst)
-        if handler is None:
-            self.dropped_unregistered += 1
-            self._count_reason(DROP_UNREGISTERED)
-            if self._obs is not None:
-                self._obs.message_drop(
-                    self.scheduler.now, dst, message.kind, DROP_UNREGISTERED
-                )
-            return
         try:
-            handler(dst, message)
+            self._deliver(wm.dst, message)
         except Exception:  # noqa: BLE001 - a handler must not kill the host
-            log.exception("handler for %s failed on %s", dst, message.kind)
-
-    def count_unknown_kind(self, dst: str, kind: str) -> None:
-        """Record a delivered message whose kind no handler recognizes."""
-        self.dropped_unknown_kind += 1
-        self._count_reason(DROP_UNKNOWN_KIND)
-        if self._obs is not None:
-            self._obs.message_drop(self.scheduler.now, dst, kind, DROP_UNKNOWN_KIND)
-
-    # ------------------------------------------------------------------
-    # Accounting
-    # ------------------------------------------------------------------
-
-    def _account(self, src: str, dst: str, wire_size: int, category: str) -> None:
-        if self.accounting is not None:
-            self.accounting.record(self.scheduler.now, src, dst, wire_size, category)
-        if self._obs is not None:
-            self._c_messages.inc()
-            self._c_bytes.inc(wire_size)
-            by_category = self._c_category.get(category)
-            if by_category is None:
-                by_category = self._c_category[category] = (
-                    self._obs.metrics.counter(
-                        "transport.bytes_total", category=category
-                    )
-                )
-            by_category.inc(wire_size)
-
-    def _count_drop(self, dst: str, message: Message, reason: str) -> None:
-        self._count_reason(reason)
-        if self._obs is not None:
-            self._obs.message_drop(self.scheduler.now, dst, message.kind, reason)
-
-    def _count_peer_drop(self, dst: str, reason: str) -> None:
-        self._count_reason(reason)
-
-    def _count_reason(self, reason: str) -> None:
-        self.drops_by_reason[reason] = self.drops_by_reason.get(reason, 0) + 1
-
-    def _note_connections(self) -> None:
-        if self._g_connections is not None:
-            self._g_connections.set(self.connection_count)
-
-    def _note_queue_depth(self) -> None:
-        if self._g_queue_depth is not None:
-            self._g_queue_depth.set(self.write_queue_depth)
+            log.exception("handler for %s failed on %s", wm.dst, message.kind)

@@ -12,6 +12,7 @@ from repro.sim.simulator import (
     SECONDS_PER_HOUR,
     SECONDS_PER_WEEK,
     PeriodicTimer,
+    Scheduler,
     SimClock,
     SimulationError,
     Simulator,
@@ -25,6 +26,7 @@ __all__ = [
     "SECONDS_PER_DAY",
     "SECONDS_PER_HOUR",
     "SECONDS_PER_WEEK",
+    "Scheduler",
     "SimClock",
     "SimulationError",
     "Simulator",

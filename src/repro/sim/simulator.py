@@ -37,7 +37,7 @@ import functools
 import heapq
 import math
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Protocol
 
 from repro.sim.events import Event, EventHandle
 
@@ -95,8 +95,54 @@ class SimClock:
         return delta_hours * SECONDS_PER_HOUR
 
 
+class Cancellable(Protocol):
+    """What scheduling returns: something that can be called off."""
+
+    def cancel(self) -> None:
+        ...  # pragma: no cover - protocol definition
+
+
+class Scheduler(Protocol):
+    """The time-and-timers surface the protocol stack runs against.
+
+    The transport, the overlay services, :class:`PastryNode` and
+    :class:`SeaweedNode` hold one of these as ``.scheduler`` and never
+    learn which world they are in: :class:`Simulator` advances ``now``
+    by popping events, :class:`repro.serve.scheduler.AsyncioScheduler`
+    reads it off the event loop's monotonic clock.
+    """
+
+    clock: SimClock
+
+    @property
+    def now(self) -> float:
+        """Protocol time in seconds since the deployment started."""
+        ...  # pragma: no cover - protocol definition
+
+    def schedule(
+        self, delay: float, callback: Callable[..., Any], *args: Any, **kwargs: Any
+    ) -> Cancellable:
+        """Run ``callback(*args, **kwargs)`` ``delay`` seconds from now."""
+        ...  # pragma: no cover - protocol definition
+
+    def schedule_at(
+        self, time: float, callback: Callable[..., Any], *args: Any, **kwargs: Any
+    ) -> Cancellable:
+        """Run ``callback(*args, **kwargs)`` at absolute time ``time``."""
+        ...  # pragma: no cover - protocol definition
+
+    def schedule_periodic(
+        self,
+        period: float,
+        callback: Callable[[], Any],
+        first_delay: Optional[float] = None,
+    ) -> "PeriodicTimer":
+        """Run ``callback`` every ``period`` seconds until cancelled."""
+        ...  # pragma: no cover - protocol definition
+
+
 class Simulator:
-    """Deterministic discrete-event loop.
+    """Deterministic discrete-event loop (the simulated :class:`Scheduler`).
 
     Example::
 
@@ -366,21 +412,27 @@ class Simulator:
 
 
 class PeriodicTimer:
-    """A self-rescheduling timer created by :meth:`Simulator.schedule_periodic`."""
+    """A self-rescheduling timer over any :class:`Scheduler`.
+
+    The next tick is armed *after* the callback returns (so a callback
+    that schedules events at the same instant keeps its place ahead of
+    the re-arm, as the simulator's event order has always had it), and
+    in a ``finally`` so a live timer survives a callback that raises.
+    """
 
     def __init__(
         self,
-        sim: Simulator,
+        scheduler: Scheduler,
         period: float,
         callback: Callable[[], Any],
         first_delay: Optional[float] = None,
     ) -> None:
-        self._sim = sim
+        self._scheduler = scheduler
         self._period = period
         self._callback = callback
         self._cancelled = False
         delay = period if first_delay is None else first_delay
-        self._handle = sim.schedule(delay, self._fire)
+        self._handle = scheduler.schedule(delay, self._fire)
 
     @property
     def cancelled(self) -> bool:
@@ -395,9 +447,11 @@ class PeriodicTimer:
     def _fire(self) -> None:
         if self._cancelled:
             return
-        self._callback()
-        if not self._cancelled:
-            self._handle = self._sim.schedule(self._period, self._fire)
+        try:
+            self._callback()
+        finally:
+            if not self._cancelled:
+                self._handle = self._scheduler.schedule(self._period, self._fire)
 
     def cancel(self) -> None:
         """Stop the timer.  Idempotent; a pending tick is discarded."""

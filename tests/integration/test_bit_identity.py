@@ -83,8 +83,8 @@ GOLDEN_LOSSY = {
 
 
 # Captured on the pre-optimization tree (plain binary heap, no route
-# cache, per-push summary rebuilds) running the perf harness's 2k
-# scenario.  The optimised hot path must reproduce it byte for byte.
+# cache, per-push summary rebuilds) running the 2k scenario of the last
+# test below.  The optimised hot path must reproduce it byte for byte.
 #
 # Deliberately re-captured once since: the overlapping-sides leafset
 # coverage fix (a node whose leafset wraps the ring in both directions
@@ -114,65 +114,47 @@ GOLDEN_2K = {
 }
 
 
+def run_scenario(
+    population, seed, num_profiles, inject_at, duration, sql, **system_kwargs
+) -> dict:
+    """One seeded deployment, one query, run to ``duration``: its fingerprint."""
+    trace = generate_farsite_trace(
+        population, horizon=duration, rng=np.random.default_rng(seed)
+    )
+    dataset = AnemoneDataset(
+        num_profiles=num_profiles,
+        params=AnemoneParams(),
+        rng=np.random.default_rng(seed + 1),
+    )
+    system = SeaweedSystem(
+        trace, dataset, num_endsystems=population, master_seed=seed, **system_kwargs
+    )
+    system.pretrain_availability()
+    system.run_until(inject_at)
+    _origin, descriptor = system.inject_query(sql, bind_now=False)
+    system.run_until(duration)
+    return fingerprint(system, descriptor)
+
+
 class TestBitIdentity:
     def test_lossless_run_matches_seed_fingerprint(self):
-        seed = 11
-        duration = 5400.0
-        trace = generate_farsite_trace(
-            48, horizon=duration, rng=np.random.default_rng(seed)
-        )
-        dataset = AnemoneDataset(
-            num_profiles=10,
-            params=AnemoneParams(),
-            rng=np.random.default_rng(seed + 1),
-        )
-        system = SeaweedSystem(
-            trace, dataset, num_endsystems=48, master_seed=seed
-        )
-        system.pretrain_availability()
-        system.run_until(900.0)
-        origin, descriptor = system.inject_query(
-            "SELECT SUM(Bytes) FROM Flow WHERE SrcPort = 80", bind_now=False
-        )
-        system.run_until(duration)
-        assert fingerprint(system, descriptor) == GOLDEN_LOSSLESS
+        assert run_scenario(
+            48, 11, 10, 900.0, 5400.0,
+            "SELECT SUM(Bytes) FROM Flow WHERE SrcPort = 80",
+        ) == GOLDEN_LOSSLESS
 
     def test_lossy_run_matches_seed_fingerprint(self):
-        seed = 23
-        duration = 2700.0
-        trace = generate_farsite_trace(
-            32, horizon=duration, rng=np.random.default_rng(seed)
-        )
-        dataset = AnemoneDataset(
-            num_profiles=8,
-            params=AnemoneParams(),
-            rng=np.random.default_rng(seed + 1),
-        )
-        system = SeaweedSystem(
-            trace, dataset, num_endsystems=32, master_seed=seed, loss_rate=0.05
-        )
-        system.pretrain_availability()
-        system.run_until(600.0)
-        origin, descriptor = system.inject_query(
-            "SELECT COUNT(*) FROM Flow WHERE DstPort < 1024", bind_now=False
-        )
-        system.run_until(duration)
-        assert fingerprint(system, descriptor) == GOLDEN_LOSSY
+        assert run_scenario(
+            32, 23, 8, 600.0, 2700.0,
+            "SELECT COUNT(*) FROM Flow WHERE DstPort < 1024",
+            loss_rate=0.05,
+        ) == GOLDEN_LOSSY
 
     def test_2k_perf_scenario_matches_pre_optimization_fingerprint(self):
-        """The perf harness's 2k probe, at full scale: the timer wheel,
-        route cache, and summary/selectivity caches must leave every
-        observable number exactly where the seed tree had it."""
-        from repro.harness.perfbench import (
-            SCENARIOS,
-            build_system,
-            scenario_fingerprint,
-        )
-
-        scenario = SCENARIOS["2k"]
-        system = build_system(scenario)
-        system.pretrain_availability()
-        system.run_until(scenario.inject_at)
-        _origin, descriptor = system.inject_query(scenario.sql, bind_now=False)
-        system.run_until(scenario.duration)
-        assert scenario_fingerprint(system, descriptor) == GOLDEN_2K
+        """The retired perf harness's 2k probe, at full scale: the timer
+        wheel, route cache, and summary/selectivity caches must leave
+        every observable number exactly where the seed tree had it."""
+        assert run_scenario(
+            2000, 7, 40, 600.0, 900.0,
+            "SELECT SUM(Bytes) FROM Flow WHERE SrcPort = 80",
+        ) == GOLDEN_2K

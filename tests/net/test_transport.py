@@ -1,4 +1,10 @@
-"""Tests for the message transport."""
+"""Tests for the message transport.
+
+What must hold on the live carrier too (offline, unregistered and
+interceptor drops, injected delay, duplication) is in
+``test_transport_contract.py``; this module keeps what only the
+simulated carrier has: topology latency, loss rates, accounting.
+"""
 
 import numpy as np
 import pytest
@@ -41,40 +47,6 @@ class TestDelivery:
         assert time == pytest.approx(0.001 + 0.005 + 0.001)
         assert message.kind == "HELLO"
         assert message.src == "a"
-
-    def test_offline_destination_drops(self, setup):
-        sim, transport, _ = setup
-        received = []
-        transport.register("b", lambda dst, msg: received.append(msg))
-        transport.set_online("a", True)
-        transport.set_online("b", False)
-        transport.send("a", "b", Message("HELLO", None, size=10))
-        sim.run()
-        assert received == []
-        assert transport.dropped_offline == 1
-        assert transport.dropped_unregistered == 0
-        assert transport.drops_by_reason == {"offline": 1}
-
-    def test_destination_goes_down_mid_flight(self, setup):
-        sim, transport, _ = setup
-        received = []
-        transport.register("b", lambda dst, msg: received.append(msg))
-        transport.set_online("b", True)
-        transport.send("a", "b", Message("HELLO", None, size=10))
-        transport.set_online("b", False)  # crashes before delivery
-        sim.run()
-        assert received == []
-
-    def test_unregistered_destination_drops(self, setup):
-        # "b" is online but never registered a handler: that is a distinct
-        # failure mode (host up, service absent) with its own counter.
-        sim, transport, _ = setup
-        transport.set_online("b", True)
-        transport.send("a", "b", Message("HELLO", None, size=10))
-        sim.run()
-        assert transport.dropped_unregistered == 1
-        assert transport.dropped_offline == 0
-        assert transport.drops_by_reason == {"unregistered": 1}
 
 
 class TestAccounting:
@@ -161,49 +133,6 @@ class _Always:
 
 
 class TestInterceptors:
-    def test_drop_decision_counts_under_its_reason(self, setup):
-        sim, transport, _ = setup
-        received = []
-        transport.register("b", lambda dst, msg: received.append(msg))
-        transport.set_online("b", True)
-        transport.add_interceptor(_Always(Decision(drop_reason="partition")))
-        transport.send("a", "b", Message("HELLO", None, size=10))
-        sim.run()
-        assert received == []
-        assert transport.drops_by_reason == {"partition": 1}
-        # Interceptor drops with custom reasons do not pollute the
-        # uniform-loss counter.
-        assert transport.dropped_loss == 0
-
-    def test_extra_delay_accumulates_across_interceptors(self, setup):
-        sim, transport, _ = setup
-        received = []
-        transport.register("b", lambda dst, msg: received.append(sim.now))
-        transport.set_online("b", True)
-        transport.add_interceptor(_Always(Decision(extra_delay=0.1)))
-        transport.add_interceptor(_Always(Decision(extra_delay=0.2)))
-        transport.send("a", "b", Message("HELLO", None, size=10))
-        sim.run()
-        base = 0.001 + 0.005 + 0.001
-        assert received == [pytest.approx(base + 0.3)]
-
-    def test_duplication_delivers_extra_copies(self, setup):
-        sim, transport, _ = setup
-        received = []
-        transport.register("b", lambda dst, msg: received.append(sim.now))
-        transport.set_online("b", True)
-        transport.add_interceptor(
-            _Always(Decision(duplicates=2, duplicate_delay=0.5))
-        )
-        transport.send("a", "b", Message("HELLO", None, size=10))
-        sim.run()
-        base = 0.001 + 0.005 + 0.001
-        assert received == [
-            pytest.approx(base),
-            pytest.approx(base + 0.5),
-            pytest.approx(base + 1.0),
-        ]
-
     def test_drop_wins_over_later_interceptors(self, setup):
         sim, transport, _ = setup
         transport.register("b", lambda dst, msg: None)

@@ -90,6 +90,24 @@ def test_periodic_first_delay():
     run(main())
 
 
+def test_periodic_keeps_ticking_after_callback_raises():
+    async def main():
+        scheduler = AsyncioScheduler()
+        ticks = []
+
+        def tick():
+            ticks.append(1)
+            if len(ticks) == 1:
+                raise RuntimeError("first tick fails")
+
+        timer = scheduler.schedule_periodic(0.01, tick)
+        await asyncio.sleep(0.08)
+        timer.cancel()
+        assert len(ticks) >= 2  # re-armed although the first tick raised
+
+    run(main())
+
+
 def test_periodic_rejects_nonpositive_period():
     async def main():
         scheduler = AsyncioScheduler()

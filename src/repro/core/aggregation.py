@@ -40,12 +40,14 @@ from repro.proto.messages import ResultAck, ResultSubmit, VertexRepl
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.node import SeaweedNode
 
-# Wire tags, re-exported for compatibility; the message classes own them.
-KIND_RESULT_SUBMIT = ResultSubmit.KIND
-KIND_RESULT_ACK = ResultAck.KIND
-KIND_VERTEX_REPL = VertexRepl.KIND
-
 MAX_VERTEX_LEVELS = 64  # loop guard; the chain length is bounded by 128/b
+
+#: Retransmit backoff: the gap between re-sends of one unacknowledged
+#: submission grows by this factor per attempt, capped at
+#: ``RETRANSMIT_CAP_PERIODS`` times ``SeaweedConfig.result_retransmit``.
+#: Integers, so the power cannot overflow however long a submission waits.
+RETRANSMIT_BACKOFF_FACTOR = 2
+RETRANSMIT_CAP_PERIODS = 16
 
 
 def parent_vertex(query_id: int, vertex_id: int, b: int = 4) -> int:
@@ -176,9 +178,9 @@ class PendingSubmission:
     version: int
     payload: dict
     descriptor: QueryDescriptor
-    #: Retransmissions so far (only read when backoff is enabled).
+    #: Retransmissions so far.
     attempts: int = 0
-    #: Earliest sim time the next retransmit may fire (backoff only).
+    #: Earliest time the next retransmit may fire.
     next_retry_at: float = 0.0
 
 
@@ -282,29 +284,25 @@ class ResultAggregator:
     def _retransmit_sweep(self) -> None:
         if not self.node.pastry.online:
             return
-        config = self.node.config
-        backoff = config.retransmit_backoff
+        period = self.node.config.result_retransmit
         now = self.node.scheduler.now
         expired = []
         for key, pending in self._pending.items():
             if now > pending.descriptor.expires_at:
                 expired.append(key)
                 continue
-            if backoff:
-                # Capped exponential backoff: the sweep still runs every
-                # period, but a pending submission is only re-sent once
-                # its due time passes, so a long partition costs
-                # O(log) retransmits per submission instead of one per
-                # period (no retransmit storm at heal time).
-                if now < pending.next_retry_at:
-                    continue
-                pending.attempts += 1
-                interval = min(
-                    config.result_retransmit
-                    * (config.retransmit_backoff_factor ** pending.attempts),
-                    config.retransmit_backoff_cap,
-                )
-                pending.next_retry_at = now + interval
+            # Capped exponential backoff: the sweep runs every period,
+            # but a pending submission is only re-sent once its due time
+            # passes, so a long partition costs O(log) retransmits per
+            # submission instead of one per period (no retransmit storm
+            # at heal time).
+            if now < pending.next_retry_at:
+                continue
+            pending.attempts += 1
+            pending.next_retry_at = now + period * min(
+                RETRANSMIT_BACKOFF_FACTOR ** pending.attempts,
+                RETRANSMIT_CAP_PERIODS,
+            )
             self._transmit(
                 pending.descriptor,
                 pending.vertex_id,

@@ -21,15 +21,8 @@ class SeaweedConfig:
 
     overlay: OverlayConfig = field(default_factory=OverlayConfig)
 
-    #: Transport-level destination batching/coalescing (off by default;
-    #: disabled runs are bit-identical to the pre-batching transport).
+    #: Transport-level destination batching/coalescing (off by default).
     batching: BatchingConfig = field(default_factory=BatchingConfig)
-
-    #: Park far-out events (periodic heartbeat/refresh timers) in the
-    #: simulator's timer wheel instead of the binary heap.  Execution
-    #: order is identical either way (see :mod:`repro.sim.simulator`);
-    #: the toggle exists for the determinism tests and for bisecting.
-    timer_wheel: bool = True
 
     #: Metadata replication factor (k): replicas of each endsystem's
     #: availability model + data summary on its k closest neighbours.
@@ -51,9 +44,6 @@ class SeaweedConfig:
     #: a small freshness beacon instead of the full histogram set.
     delta_summaries: bool = False
 
-    #: Wire size of a no-change freshness beacon.
-    delta_beacon_bytes: int = 32
-
     #: Selective replication (§3.2.2): materialized views whose results
     #: each endsystem includes in its replicated metadata.  Matching
     #: queries get exact completeness predictions for offline endsystems
@@ -67,26 +57,14 @@ class SeaweedConfig:
     #: Dissemination: heartbeat interval from working children to parents.
     predictor_heartbeat: float = 2.0
 
-    #: Result tree: retransmission period for unacknowledged submissions.
+    #: Result tree: retransmit sweep period for unacknowledged submissions
+    #: (each is re-sent with capped exponential backoff on top of it).
     result_retransmit: float = 10.0
 
     #: Result tree: period of the leaf refresh sweep.  Leaves periodically
     #: re-submit their (versioned, idempotent) results so that any vertex
     #: state lost to correlated failures is repaired.
     result_refresh_period: float = 900.0
-
-    #: Result tree: capped exponential backoff for unacknowledged
-    #: submissions.  Off by default — the fixed-period path is
-    #: bit-identical to the seed tree; turn it on to avoid retransmit
-    #: storms under long partitions (each pending submission is re-sent
-    #: at ``result_retransmit * factor^attempts`` seconds, capped).
-    retransmit_backoff: bool = False
-
-    #: Backoff multiplier per retransmission attempt.
-    retransmit_backoff_factor: float = 2.0
-
-    #: Upper bound on the interval between retransmits (seconds).
-    retransmit_backoff_cap: float = 160.0
 
     #: Originator: retry interval for re-requesting a completeness
     #: predictor that has not arrived (reissues the idempotent inject).
@@ -113,18 +91,6 @@ class SeaweedConfig:
     #: Availability model: number of log-scale down-duration buckets.
     down_duration_buckets: int = 16
 
-    #: Wire-size accounting mode: ``"legacy"`` reproduces the seed
-    #: tree's hand-audited formulas bit-for-bit; ``"encoded"`` makes the
-    #: real byte codec (:mod:`repro.proto.wire`) the source of truth, so
-    #: ``body_size()`` equals the encoded payload length.
-    wire_accounting: str = "legacy"
-
-    #: Keep the inherited ResultSubmit reroute accounting quirk (the
-    #: re-routed copy is charged without its aggregate states; DESIGN.md
-    #: §6.9).  On by default for bit-identical goldens; False charges
-    #: what the copy actually carries.  Legacy accounting mode only.
-    reroute_size_quirk: bool = True
-
     def __post_init__(self) -> None:
         if self.metadata_replicas < 1:
             raise ValueError("metadata_replicas must be >= 1")
@@ -132,30 +98,3 @@ class SeaweedConfig:
             raise ValueError("vertex_backups must be >= 0")
         if self.summary_push_period <= 0:
             raise ValueError("summary_push_period must be positive")
-        if self.retransmit_backoff_factor <= 1.0:
-            raise ValueError("retransmit_backoff_factor must exceed 1")
-        if self.retransmit_backoff_cap < self.result_retransmit:
-            raise ValueError(
-                "retransmit_backoff_cap must be >= result_retransmit"
-            )
-        from repro.proto import codec
-
-        if self.wire_accounting not in (
-            codec.ACCOUNTING_LEGACY,
-            codec.ACCOUNTING_ENCODED,
-        ):
-            raise ValueError(
-                f"wire_accounting must be 'legacy' or 'encoded', "
-                f"got {self.wire_accounting!r}"
-            )
-
-    def apply_wire_accounting(self) -> None:
-        """Install this config's accounting flags process-wide.
-
-        The codec flags are module-level (``body_size()`` has no config
-        in scope); a system/host applies them once at construction.
-        """
-        from repro.proto import codec
-
-        codec.set_accounting_mode(self.wire_accounting)
-        codec.set_reroute_quirk(self.reroute_size_quirk)

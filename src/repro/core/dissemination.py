@@ -44,13 +44,6 @@ from repro.proto.messages import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.node import SeaweedNode
 
-# Wire tags, re-exported for compatibility; the message classes own them.
-KIND_QUERY_INJECT = QueryInject.KIND
-KIND_BCAST = Bcast.KIND
-KIND_BCAST_ACK = BcastAck.KIND
-KIND_PREDICTOR = PredictorUpdate.KIND
-KIND_PREDICTOR_RESULT = PredictorResult.KIND
-
 #: Give up re-dispatching a child subrange after this many attempts.
 MAX_CHILD_RETRIES = 3
 #: A finished root task older than this is recomputed on a fresh inject

@@ -40,6 +40,7 @@ from repro.db.executor import QueryResult
 from repro.db.sql import ParsedQuery
 from repro.overlay.ids import ring_distance
 from repro.overlay.node import PastryNode
+from repro.proto import codec
 from repro.proto.messages import (
     ActiveReq,
     ActiveResp,
@@ -57,13 +58,6 @@ from repro.proto.messages import (
     VertexRepl,
 )
 from repro.proto.registry import Dispatcher
-
-# Wire tags, re-exported for compatibility; the message classes own them.
-KIND_META_PUSH = MetaPush.KIND
-KIND_ACTIVE_REQ = ActiveReq.KIND
-KIND_ACTIVE_RESP = ActiveResp.KIND
-KIND_STATUS = StatusPush.KIND
-KIND_CANCEL = Cancel.KIND
 
 #: Settling delay between overlay join and Seaweed-level (re)announcements.
 JOIN_SETTLE_DELAY = 1.5
@@ -245,7 +239,7 @@ class SeaweedNode:
                 self.config.delta_summaries
                 and self._pushed_generation.get(replica) == generation
             ):
-                beacon_bytes = self.config.delta_beacon_bytes
+                beacon_bytes = codec.DELTA_BEACON
             self._pushed_generation[replica] = generation
             self.send_app(
                 replica,

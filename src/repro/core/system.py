@@ -89,9 +89,8 @@ class SeaweedSystem:
                 only drawn when a plan is attached).
         """
         self.config = config if config is not None else SeaweedConfig()
-        self.config.apply_wire_accounting()
         self.streams = RandomStreams(master_seed)
-        self.sim = Simulator(SimClock(), timer_wheel=self.config.timer_wheel)
+        self.sim = Simulator(SimClock())
         self.obs = observer if observer is not None else Observer.disabled()
         self.obs.set_clock(lambda: self.sim.now)
         if self.obs.profiler is not None:

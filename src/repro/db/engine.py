@@ -26,19 +26,15 @@ from repro.db.table import Table
 class LocalDatabase:
     """All local tables for one endsystem."""
 
-    #: Reuse built summaries while the data generation is unchanged.
-    #: Rebuilding is by far the simulator's hottest operation (every
-    #: metadata push re-quantiles every indexed column), and pushes vastly
-    #: outnumber writes.  Class-level so the determinism tests can flip it
-    #: for a whole run; the summaries are identical either way.
-    summary_cache_enabled = True
-
     def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
         self._generation = 0  # bumped on every write; drives summary refresh
-        # One cached entry: (generation, num_buckets, summaries,
-        # selectivity cache).  A single slot suffices because a deployment
-        # uses one bucket count throughout.
+        # Summaries are rebuilt only when the data generation changes:
+        # rebuilding is by far the simulator's hottest operation (every
+        # metadata push re-quantiles every indexed column), and pushes
+        # vastly outnumber writes.  One cached entry: (generation,
+        # num_buckets, summaries, selectivity cache) — a single slot,
+        # because a deployment uses one bucket count throughout.
         self._summary_state: Optional[
             tuple[int, int, dict[str, dict[str, Histogram]], SelectivityCache]
         ] = None
@@ -133,18 +129,16 @@ class LocalDatabase:
         invalidates the pair together, so memoized row-count estimates
         can never outlive the histograms they were computed from.
         """
-        if self.summary_cache_enabled:
-            state = self._summary_state
-            if (
-                state is not None
-                and state[0] == self._generation
-                and state[1] == num_buckets
-            ):
-                return state[2], state[3]
+        state = self._summary_state
+        if (
+            state is not None
+            and state[0] == self._generation
+            and state[1] == num_buckets
+        ):
+            return state[2], state[3]
         summaries = self._build_summaries(num_buckets)
         cache = SelectivityCache()
-        if self.summary_cache_enabled:
-            self._summary_state = (self._generation, num_buckets, summaries, cache)
+        self._summary_state = (self._generation, num_buckets, summaries, cache)
         return summaries, cache
 
     def _build_summaries(

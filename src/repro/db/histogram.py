@@ -377,26 +377,6 @@ class SelectivityCache:
         self._entries[key] = value
 
 
-_estimation_cache_enabled = True
-
-
-def set_estimation_cache_enabled(enabled: bool) -> bool:
-    """Toggle selectivity memoization globally; returns the previous state.
-
-    Estimates are identical either way (the memo stores exact results);
-    the switch exists for the determinism tests and for bisecting.
-    """
-    global _estimation_cache_enabled
-    previous = _estimation_cache_enabled
-    _estimation_cache_enabled = enabled
-    return previous
-
-
-def estimation_cache_enabled() -> bool:
-    """Whether selectivity memoization is active."""
-    return _estimation_cache_enabled
-
-
 def estimate_row_count(
     predicate: Predicate,
     histograms: dict[str, Histogram],
@@ -414,7 +394,7 @@ def estimate_row_count(
     A ``cache`` scoped to this histogram set memoizes the result keyed by
     :func:`predicate_fingerprint` and ``total_rows``.
     """
-    if cache is not None and _estimation_cache_enabled:
+    if cache is not None:
         key = (predicate_fingerprint(predicate), total_rows)
         found = cache.get(key)
         if found is not None:

@@ -152,6 +152,18 @@ class Observer:
         if self.tracer.enabled:
             self.tracer.event(t, "leafset_repair", node=_hx(node), dead=_hx(dead))
 
+    def routing_drop(
+        self, t: float, node: int, key: int, app_kind: str,
+        next_hop: Optional[int], leafset: list[int],
+    ) -> None:
+        """A routed message hit the hop cap at ``node`` (trace only)."""
+        if self.tracer.enabled:
+            self.tracer.event(
+                t, "routing_drop", node=_hx(node), key=_hx(key), app_kind=app_kind,
+                next_hop=None if next_hop is None else _hx(next_hop),
+                leafset=[_hx(member) for member in leafset],
+            )
+
     def message_drop(self, t: float, dst: str, kind: str, reason: str) -> None:
         """A message was dropped in the transport (loss / dead host / fault)."""
         counter = self._c_drops.get(reason)

@@ -39,7 +39,8 @@ import numpy as np
 from repro.net.stats import CATEGORY_OVERLAY, BandwidthAccounting
 from repro.net.transport import Transport
 from repro.overlay.ids import ring_distance
-from repro.overlay.node import ID_BYTES, PastryNode
+from repro.overlay.node import PastryNode
+from repro.proto import codec
 from repro.sim.simulator import Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -54,7 +55,7 @@ class OverlayConfig:
     leafset_size: int = 8
     heartbeat_period: float = 30.0
     #: Wire size of one heartbeat message (header-dominated).
-    heartbeat_bytes: int = 2 * ID_BYTES
+    heartbeat_bytes: int = 2 * codec.ID
     #: Extra delay after a missed heartbeat before a neighbour is declared dead.
     detection_grace: float = 5.0
     #: Period of the leafset stabilization exchange (state piggybacked on
@@ -65,10 +66,6 @@ class OverlayConfig:
     #: cannot resurrect a dead entry within this window; any message
     #: received *from* the peer clears the record immediately.
     death_record_ttl: float = 90.0
-    #: Cache next-hop decisions per destination key, invalidated by the
-    #: routing-table/leafset version counters.  Decisions are identical
-    #: with the cache off; the toggle exists for the determinism tests.
-    route_cache: bool = True
 
 
 class OverlayServices:

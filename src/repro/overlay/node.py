@@ -26,15 +26,12 @@ silently ignored.
 from __future__ import annotations
 
 import dataclasses
-import os
-import sys
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.net.transport import Message
 from repro.overlay.ids import hex_to_id, id_to_hex, ring_distance
 from repro.overlay.leafset import Leafset
 from repro.overlay.routing_table import RoutingTable
-from repro.proto import codec
 from repro.proto.messages import (
     JoinReply,
     JoinRequest,
@@ -50,28 +47,13 @@ from repro.proto.registry import Dispatcher
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.overlay.network import OverlayServices
 
-#: Approximate serialized size of one node id on the wire.
-ID_BYTES = codec.ID
 #: Timeout before a forwarded hop is declared dead and rerouted.
 HOP_ACK_TIMEOUT = 0.5
 #: Maximum hop count before a routed message is dropped (loop guard).
 MAX_HOPS = 64
-
-#: When set, hop-cap routing drops print a one-line diagnosis to stderr
-#: (picked up by the live-mode host logs).
-_ROUTE_DEBUG = bool(os.environ.get("REPRO_ROUTE_DEBUG"))
 #: Join retry: resend the join if no reply arrived within this window.
 JOIN_RETRY_TIMEOUT = 4.0
 MAX_JOIN_RETRIES = 5
-
-# Wire tags, re-exported for compatibility; the message classes own them.
-KIND_ROUTE = RouteEnvelope.KIND
-KIND_ROUTE_ACK = RouteAck.KIND
-KIND_JOIN_REQ = JoinRequest.KIND
-KIND_JOIN_REPLY = JoinReply.KIND
-KIND_LEAFSET_ANNOUNCE = LeafsetAnnounce.KIND
-KIND_LEAFSET_STATE = LeafsetState.KIND
-KIND_LEAFSET_PROBE = LeafsetProbe.KIND
 
 DeliverUpcall = Callable[[int, str, Any, int], None]
 
@@ -101,7 +83,6 @@ class PastryNode:
         # input of _compute_next_hop is covered by those two counters.
         self._route_cache: dict[int, Optional[int]] = {}
         self._route_cache_versions: Optional[tuple[int, int]] = None
-        self._route_cache_enabled = network.config.route_cache
         # Death records: {node_id: observation time}.  Entries suppress
         # gossip-driven resurrection of dead peers for a TTL.
         self._death_records: dict[int, float] = {}
@@ -345,26 +326,18 @@ class PastryNode:
             self.network.routing_drops += 1
             if self.network.c_routing_drops is not None:
                 self.network.c_routing_drops.inc()
-            if _ROUTE_DEBUG:  # pragma: no cover - diagnostic aid
-                print(
-                    f"ROUTE-DROP at={self.node_id:032x} key={key:032x} "
-                    f"kind={envelope.app_kind} next={self._next_hop(key)} "
-                    f"leafset={[format(m, '032x')[:6] for m in self.leafset.members]}",
-                    file=sys.stderr, flush=True,
+            observer = self.network.observer
+            if observer is not None and observer.tracing:
+                observer.routing_drop(
+                    self.network.scheduler.now, self.node_id, key,
+                    envelope.app_kind, self._compute_next_hop(key),
+                    self.leafset.members,
                 )
             return
         next_hop = self._next_hop(key)
         if next_hop is None or next_hop == self.node_id:
             self._deliver(envelope)
             return
-        if _ROUTE_DEBUG and hops > MAX_HOPS - 6:  # pragma: no cover
-            print(
-                f"ROUTE-HOP at={self.node_id:032x} key={key:032x} "
-                f"hops={hops} next={next_hop:032x} "
-                f"covers={self.leafset.covers(key)} "
-                f"leafset={[format(m, '032x')[:6] for m in self.leafset.members]}",
-                file=sys.stderr, flush=True,
-            )
         envelope = dataclasses.replace(envelope, hops=hops + 1)
         message = Message.of(envelope, category)
         self._forward_with_ack(next_hop, message, envelope, category)
@@ -382,8 +355,6 @@ class PastryNode:
         is dropped whenever either routing input mutates (version
         counters) — see DESIGN.md §6.10.
         """
-        if not self._route_cache_enabled:
-            return self._compute_next_hop(key)
         versions = (self.routing_table.version, self.leafset.version)
         cache = self._route_cache
         if versions != self._route_cache_versions:

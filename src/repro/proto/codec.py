@@ -8,11 +8,12 @@ for that arithmetic: named field-size primitives, helpers for composite
 fields, and the fixed framing constants shared by every message.
 
 Each :class:`~repro.proto.messages.ProtoMessage` subclass implements
-``body_size()`` in terms of these primitives, so a message's wire size
-is *computed from its fields* instead of hand-maintained at call sites.
-The formulas intentionally reproduce the seed tree's accounting exactly
-(see ``tests/proto/test_wire_sizes.py`` for the audit), so a run with
-batching disabled is bit-identical to the pre-codec tree.
+its size formula in terms of these primitives, so a message's wire size
+is *computed from its fields* instead of hand-maintained at call sites
+(``tests/proto/test_wire_sizes.py`` audits every formula).  These are
+*modelled* bytes, charged alike in the simulator and on a live cluster;
+the length of a real encoded frame (:mod:`repro.proto.wire`) is a
+separate measurement, ``AsyncioTransport.bytes_sent``.
 
 Glossary of primitives (all sizes in bytes):
 
@@ -24,6 +25,7 @@ Glossary of primitives (all sizes in bytes):
                        times, lifetime) — the SQL text rides on top
 ``AGG_STATE``      32  one serialized aggregate state (func tag + values)
 ``ROW``            32  one result row in a replication payload
+``DELTA_BEACON``   32  a no-change metadata freshness beacon
 ===============  ====  =====================================================
 """
 
@@ -55,6 +57,10 @@ AGG_STATE = 32
 #: One materialized result row inside a vertex-replication payload.
 ROW = 32
 
+#: A no-change freshness beacon: what a delta-encoded metadata push
+#: costs when the replica already holds the current data generation.
+DELTA_BEACON = 32
+
 #: Fixed per-message wire header (UDP/IP + overlay header).  Kept equal
 #: to :data:`repro.net.transport.MESSAGE_HEADER_BYTES`; the transport
 #: asserts the two agree at import time.
@@ -64,63 +70,6 @@ HEADER = 48
 #: length.  Messages coalesced into an existing batch pay this instead
 #: of the full :data:`HEADER`.
 BATCH_SUBHEADER = 4
-
-
-#: Accounting mode: the seed tree's hand-maintained size formulas.
-ACCOUNTING_LEGACY = "legacy"
-
-#: Accounting mode: ``body_size()`` measures the real encoded bytes
-#: produced by :mod:`repro.proto.wire` — encode() is the source of truth.
-ACCOUNTING_ENCODED = "encoded"
-
-_ACCOUNTING_MODES = (ACCOUNTING_LEGACY, ACCOUNTING_ENCODED)
-
-_accounting_mode: str = ACCOUNTING_LEGACY
-
-#: Whether the :class:`~repro.proto.messages.ResultSubmit` reroute copy
-#: is accounted *without* its aggregate-state vector (the inherited seed
-#: quirk, DESIGN.md §6.9).  Only consulted in legacy accounting mode —
-#: encoded mode always measures the bytes actually carried.
-_reroute_quirk: bool = True
-
-
-def accounting_mode() -> str:
-    """The active wire-size accounting mode."""
-    return _accounting_mode
-
-
-def set_accounting_mode(mode: str) -> None:
-    """Select how ``body_size()`` is computed.
-
-    ``"legacy"`` (the default) reproduces the seed tree's formulas
-    exactly, keeping simulator runs bit-identical.  ``"encoded"`` makes
-    :func:`repro.proto.wire.encode_body` the source of truth:
-    ``body_size()`` returns the length of the real encoded payload.
-    """
-    global _accounting_mode
-    if mode not in _ACCOUNTING_MODES:
-        raise ValueError(
-            f"unknown accounting mode {mode!r}; expected one of "
-            f"{_ACCOUNTING_MODES}"
-        )
-    _accounting_mode = mode
-
-
-def reroute_quirk() -> bool:
-    """Whether the legacy ResultSubmit reroute size quirk is active."""
-    return _reroute_quirk
-
-
-def set_reroute_quirk(enabled: bool) -> None:
-    """Enable/disable the legacy ResultSubmit reroute accounting quirk.
-
-    Disabling it makes a re-routed submission pay for the aggregate
-    states it actually carries, reconciling the legacy formula with the
-    encoded truth.  The default (enabled) preserves bit-identical
-    simulator goldens.
-    """
-    global _reroute_quirk
-    _reroute_quirk = bool(enabled)
 
 
 def ids(count: int) -> int:
@@ -139,8 +88,7 @@ def result_states_size(result_payload: dict) -> int:
     Counts the ungrouped state vector plus, for each GROUP BY group, a
     group key (one :data:`ID`) and the group's own state vector —
     without the group term, GROUP BY replication traffic rides the wire
-    unaccounted.  Non-grouped payloads (``groups`` empty or absent) cost
-    exactly what the seed tree's hand arithmetic charged.
+    unaccounted.
     """
     size = AGG_STATE * len(result_payload["states"])
     groups = result_payload.get("groups")

@@ -3,17 +3,13 @@
 Every message that crosses the simulated network is an instance of one
 of these classes.  Each class declares:
 
-* ``KIND`` — the wire tag (kept identical to the historical string
-  constants, so traces and drop counters stay comparable across
-  versions);
+* ``KIND`` — the wire tag (the string traces and drop counters key
+  on);
 * ``CATEGORY`` — the default bandwidth-accounting category;
-* ``body_size()`` — the serialized payload size in bytes, *computed from
-  the message's fields* via the :mod:`repro.proto.codec` primitives.
-
-``body_size()`` reproduces the seed tree's hand-maintained size
-arithmetic exactly (audited by ``tests/proto/test_wire_sizes.py``); one
-inherited quirk is kept deliberately and documented on
-:class:`ResultSubmit`.
+* ``_accounted_size()`` — the modelled payload size in bytes, *computed
+  from the message's fields* via the :mod:`repro.proto.codec`
+  primitives and audited by ``tests/proto/test_wire_sizes.py``;
+  callers read it through :meth:`ProtoMessage.body_size`.
 
 Construction of a transport frame from a message is
 ``repro.net.transport.Message.of(proto, category)``.
@@ -42,21 +38,16 @@ class ProtoMessage:
     CATEGORY: ClassVar[str] = "query"
 
     def body_size(self) -> int:
-        """Serialized payload size in bytes (transport adds framing).
+        """Modelled payload size in bytes (transport adds framing).
 
-        In the default ``legacy`` accounting mode this is the seed
-        tree's hand-audited formula (:meth:`_accounted_size`); in
-        ``encoded`` mode it is the length of the real encoded payload,
-        making :func:`repro.proto.wire.encode_body` the source of truth.
+        This is the byte every bandwidth figure is charged in, in the
+        simulator and on a live cluster alike; it is not the length of
+        :func:`repro.proto.wire.encode_body`'s output.
         """
-        if codec.accounting_mode() == codec.ACCOUNTING_ENCODED:
-            from repro.proto import wire
-
-            return len(wire.encode_body(self))
         return self._accounted_size()
 
     def _accounted_size(self) -> int:
-        """The legacy (seed-tree) size formula for this message."""
+        """The per-kind size formula, in :mod:`repro.proto.codec` units."""
         raise NotImplementedError
 
 
@@ -269,15 +260,8 @@ class ResultSubmit(ProtoMessage):
     (:func:`repro.core.aggregation.result_to_payload`).
 
     ``reroute`` marks a submission forwarded onward by a node that turned
-    out not to be the vertex primary (stale routing).  Inherited quirk,
-    kept for bit-compatibility with the seed tree: the re-routed copy is
-    accounted *without* the aggregate-state vector — only the fixed part
-    and the SQL text — although the payload still carries the states.
-    The quirk is gated on :func:`repro.proto.codec.reroute_quirk` (on by
-    default; ``SeaweedConfig.reroute_size_quirk=False`` charges the
-    states the copy actually carries) and never applies in ``encoded``
-    accounting mode, where the measured bytes are the truth.
-    See DESIGN.md §6.9.
+    out not to be the vertex primary (stale routing).  The copy carries
+    the same aggregate states as the original and is charged the same.
     """
 
     KIND: ClassVar[str] = "SW_RESULT_SUBMIT"
@@ -291,10 +275,8 @@ class ResultSubmit(ProtoMessage):
     reroute: bool = False
 
     def _accounted_size(self) -> int:
-        size = 4 * codec.ID + len(self.descriptor.sql)
-        if not (self.reroute and codec.reroute_quirk()):
-            size += codec.result_states_size(self.result)
-        return size
+        fixed = 4 * codec.ID + len(self.descriptor.sql)
+        return fixed + codec.result_states_size(self.result)
 
 
 @register
@@ -363,7 +345,7 @@ class MetaPush(ProtoMessage):
     #: Set when re-replicating a dead owner's record: when the owner
     #: went down, per the holder's observation.
     down_since: Optional[float] = None
-    #: Set to the configured beacon size for a no-change delta push.
+    #: Set to ``codec.DELTA_BEACON`` for a no-change delta push.
     beacon_bytes: Optional[int] = None
 
     def _accounted_size(self) -> int:

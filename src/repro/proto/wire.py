@@ -477,8 +477,8 @@ class WireMessage(NamedTuple):
 
     ``payload`` is whatever the sender put on the wire — for Seaweed
     traffic a :class:`~repro.proto.messages.ProtoMessage`; ``size`` is
-    the *accounted* body size (which in legacy accounting mode may
-    differ from the encoded byte count).
+    the *modelled* body size (``body_size()``), which is what bandwidth
+    accounting charges and differs from the encoded byte count.
     """
 
     kind: str

@@ -72,7 +72,6 @@ class NodeHost:
         self.host_spec: HostSpec = spec.hosts[index]
         self.metrics_out = metrics_out
         self.config = build_config(spec.config_overrides)
-        self.config.apply_wire_accounting()
         self.metrics = MetricsRegistry()
         self.observer = Observer(metrics=self.metrics)
         # Built in start() — they need the running loop.

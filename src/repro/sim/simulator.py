@@ -10,7 +10,7 @@ two-level structure tuned for overlay workloads:
   heartbeat/refresh timers (30 s - 17.5 min periods).  Buckets are
   *cascaded* into the heap in deterministic ``(time, seq)`` order just
   before the loop could reach them, so wheel placement is invisible to
-  execution order: runs are bit-identical with the wheel on or off.
+  execution order.
 
 The split matters at scale: with N endsystems the heap would otherwise
 carry O(N) long-period timers at all times, charging every push and pop
@@ -160,13 +160,7 @@ class Simulator:
         self,
         clock: Optional[SimClock] = None,
         profiler: Optional["SimProfiler"] = None,
-        timer_wheel: bool = True,
-        wheel_granularity: float = 1.0,
     ) -> None:
-        if wheel_granularity <= 0:
-            raise SimulationError(
-                f"wheel_granularity must be positive, got {wheel_granularity}"
-            )
         self._queue: list[Event] = []
         self._now = 0.0
         self._seq = 0
@@ -174,13 +168,11 @@ class Simulator:
         self._running = False
         self._profiler = profiler
         self.clock = clock if clock is not None else SimClock()
-        # Timer wheel: sparse per-granularity buckets of far-out events,
-        # plus a heap of bucket indices so the earliest pending bucket is
+        # Timer wheel: sparse one-second buckets of far-out events, plus
+        # a heap of bucket indices so the earliest pending bucket is
         # O(1) to find.  ``_watermark`` is the highest bucket index ever
         # cascaded; events landing at or below it go straight to the
         # heap, so a bucket index is never re-created after cascading.
-        self._wheel_enabled = timer_wheel
-        self._wheel_granularity = wheel_granularity
         self._wheel: dict[int, list[Event]] = {}
         self._bucket_heap: list[int] = []
         self._wheel_len = 0
@@ -265,19 +257,18 @@ class Simulator:
             bound = callback
         event = Event(time=time, seq=self._seq, callback=bound)
         self._seq += 1
-        if self._wheel_enabled:
-            bucket = int(time / self._wheel_granularity)
-            if bucket > self._watermark:
-                # Far-out event: O(1) append, no heap sift.  It reaches
-                # the heap (in order) when its bucket cascades.
-                entries = self._wheel.get(bucket)
-                if entries is None:
-                    self._wheel[bucket] = [event]
-                    heapq.heappush(self._bucket_heap, bucket)
-                else:
-                    entries.append(event)
-                self._wheel_len += 1
-                return EventHandle(event, self._note_cancel)
+        bucket = int(time)
+        if bucket > self._watermark:
+            # Far-out event: O(1) append, no heap sift.  It reaches
+            # the heap (in order) when its bucket cascades.
+            entries = self._wheel.get(bucket)
+            if entries is None:
+                self._wheel[bucket] = [event]
+                heapq.heappush(self._bucket_heap, bucket)
+            else:
+                entries.append(event)
+            self._wheel_len += 1
+            return EventHandle(event, self._note_cancel)
         heapq.heappush(self._queue, event)
         return EventHandle(event, self._note_cancel)
 
@@ -302,7 +293,7 @@ class Simulator:
 
         A bucket must be in the heap before any event at or after its
         start executes — an entry in bucket B can precede a heap head at
-        time >= B * granularity (same instant, lower seq).  Cascading
+        time >= B (same instant, lower seq).  Cascading
         whole buckets keeps the check to two comparisons per event while
         preserving exact ``(time, seq)`` order, because the heap re-sorts
         the bucket's (unordered) entries.  Cancelled entries are dropped
@@ -312,10 +303,7 @@ class Simulator:
         if not buckets:
             return
         queue = self._queue
-        granularity = self._wheel_granularity
-        while buckets and (
-            not queue or buckets[0] * granularity <= queue[0].time
-        ):
+        while buckets and (not queue or buckets[0] <= queue[0].time):
             bucket = heapq.heappop(buckets)
             self._watermark = bucket
             entries = self._wheel.pop(bucket, None)

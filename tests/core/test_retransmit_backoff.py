@@ -1,11 +1,8 @@
 """Capped exponential backoff for result retransmissions.
 
-With the toggle off (the default) the sweep re-sends every pending
-submission once per period — the seed behaviour, pinned bit-identically
-by the golden-fingerprint tests.  With it on, a submission that stays
-unacknowledged is re-sent at geometrically growing intervals up to the
-cap, so a long partition costs O(log) retransmits instead of one per
-period.
+A submission that stays unacknowledged is re-sent at geometrically
+growing intervals up to a cap of 16 sweep periods, so a long partition
+costs O(log) retransmits instead of one per period.
 """
 
 import pytest
@@ -30,8 +27,11 @@ def build(small_dataset, config=None):
     return system
 
 
-def stuck_submission(system, node, window=600.0):
-    """Plant an unackable pending submission and record re-send times."""
+STUCK_VERTEX = 0x1234
+
+
+def stuck_submission(system, node, window=600.0, attempts=0):
+    """Plant an unackable pending submission and record its re-send times."""
     descriptor = QueryDescriptor.create(
         QUERY_HTTP_BYTES, origin=node.node_id,
         injected_at=system.sim.now, lifetime=2 * window,
@@ -39,11 +39,17 @@ def stuck_submission(system, node, window=600.0):
     node.remember_query(descriptor)
     agg = node.aggregator
     sends = []
-    agg._transmit = lambda *args: sends.append(system.sim.now)
-    key = (descriptor.query_id, 0x1234, node.node_id)
+
+    def record(_descriptor, vertex_id, *_rest):
+        if vertex_id == STUCK_VERTEX:
+            sends.append(system.sim.now)
+
+    agg._transmit = record
+    key = (descriptor.query_id, STUCK_VERTEX, node.node_id)
     agg._pending[key] = PendingSubmission(
-        0x1234, node.node_id, 1, {"states": [], "rows": [], "row_count": 0},
-        descriptor,
+        STUCK_VERTEX, node.node_id, 1,
+        {"states": [], "rows": [], "row_count": 0}, descriptor,
+        attempts=attempts,
     )
     agg._ensure_retransmit_timer()
     system.run_until(system.sim.now + window)
@@ -51,32 +57,36 @@ def stuck_submission(system, node, window=600.0):
 
 
 class TestBackoffBehaviour:
-    def test_default_resends_every_period(self, small_dataset):
-        system = build(small_dataset)
-        assert system.config.retransmit_backoff is False
-        sends = stuck_submission(system, system.nodes[0])
-        period = system.config.result_retransmit
-        assert len(sends) == pytest.approx(600.0 / period, abs=1)
-        gaps = [b - a for a, b in zip(sends, sends[1:])]
-        assert all(gap == pytest.approx(period) for gap in gaps)
-
     def test_backoff_grows_geometrically_to_cap(self, small_dataset):
-        config = SeaweedConfig(retransmit_backoff=True)
-        system = build(small_dataset, config=config)
+        system = build(small_dataset)
+        period = system.config.result_retransmit
         sends = stuck_submission(system, system.nodes[0])
         gaps = [b - a for a, b in zip(sends, sends[1:])]
-        # Far fewer re-sends than the fixed-period sweep...
-        assert len(sends) <= 600.0 / config.result_retransmit / 4
-        # ...with non-decreasing gaps that never exceed the cap by more
-        # than one sweep period (the sweep quantizes due times).
-        assert all(b >= a for a, b in zip(gaps, gaps[1:]))
-        assert max(gaps) <= config.retransmit_backoff_cap + config.result_retransmit
+        # Doubling from two periods up to the 16-period cap, not one
+        # re-send per sweep.
+        assert gaps == pytest.approx([period * n for n in (2, 4, 8, 16, 16)])
+
+    def test_cap_scales_with_the_period(self, small_dataset):
+        # serve_smoke runs result_retransmit=15 s; the cap follows it.
+        config = SeaweedConfig(result_retransmit=15.0)
+        system = build(small_dataset, config=config)
+        sends = stuck_submission(system, system.nodes[0], window=1200.0)
+        gaps = [b - a for a, b in zip(sends, sends[1:])]
+        assert max(gaps) == pytest.approx(16 * 15.0)
+        assert gaps[-2:] == pytest.approx([240.0, 240.0])
+
+    def test_gap_stays_at_the_cap_however_many_attempts(self, small_dataset):
+        # Days into a partition the exponent is in the thousands; the
+        # gap must still be the cap (a float power would overflow).
+        system = build(small_dataset)
+        sends = stuck_submission(system, system.nodes[0], attempts=5000)
+        gaps = [b - a for a, b in zip(sends, sends[1:])]
+        assert gaps == pytest.approx([160.0] * len(gaps)) and len(gaps) >= 2
 
     def test_ack_still_clears_pending_under_backoff(self, small_dataset):
         from repro.proto.messages import ResultAck
 
-        config = SeaweedConfig(retransmit_backoff=True)
-        system = build(small_dataset, config=config)
+        system = build(small_dataset)
         node = system.nodes[0]
         descriptor = QueryDescriptor.create(
             QUERY_HTTP_BYTES, origin=node.node_id,
@@ -94,27 +104,9 @@ class TestBackoffBehaviour:
         assert not agg._pending
 
     def test_backoff_does_not_break_delivery(self, small_dataset):
-        # End to end with the toggle on, a stable system still reaches
-        # exact ground truth.
-        config = SeaweedConfig(retransmit_backoff=True)
-        system = build(small_dataset, config=config)
+        # End to end, a stable system still reaches exact ground truth.
+        system = build(small_dataset)
         _, descriptor = system.inject_query(QUERY_HTTP_BYTES)
         system.run_until(system.sim.now + 120.0)
         truth = system.ground_truth_rows(descriptor.sql, descriptor.now_binding)
         assert system.status_of(descriptor).rows_processed == truth
-
-
-class TestConfigValidation:
-    def test_factor_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            SeaweedConfig(retransmit_backoff_factor=1.0)
-
-    def test_cap_must_cover_base_period(self):
-        with pytest.raises(ValueError):
-            SeaweedConfig(retransmit_backoff_cap=5.0)
-
-    def test_defaults_off(self):
-        config = SeaweedConfig()
-        assert config.retransmit_backoff is False
-        assert config.retransmit_backoff_factor == 2.0
-        assert config.retransmit_backoff_cap == 160.0

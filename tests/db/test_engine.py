@@ -103,19 +103,19 @@ class TestSummaryCache:
         fine, _ = flow_db.summary_state(num_buckets=64)
         assert coarse is not fine
 
-    def test_disabled_rebuilds_identically(self, flow_db):
+    def test_cached_summaries_equal_uncached_build(self, flow_db):
+        flow_db.build_summaries()  # fill the cache
         cached = flow_db.build_summaries()
-        previous = LocalDatabase.summary_cache_enabled
-        LocalDatabase.summary_cache_enabled = False
-        try:
-            rebuilt = flow_db.build_summaries()
-        finally:
-            LocalDatabase.summary_cache_enabled = previous
+        rebuilt = flow_db._build_summaries(64)
         assert rebuilt is not cached
         assert set(rebuilt) == set(cached)
+        query = parse("SELECT COUNT(*) FROM Flow WHERE SrcPort = 80")
         for table, per_column in cached.items():
+            assert set(rebuilt[table]) == set(per_column)
             for column, histogram in per_column.items():
                 other = rebuilt[table][column]
-                query = parse("SELECT COUNT(*) FROM Flow")
                 assert type(other) is type(histogram)
                 assert other.size_bytes() == histogram.size_bytes()
+        assert flow_db.estimate_from_summaries(
+            query, rebuilt, 1000
+        ) == flow_db.estimate_from_summaries(query, cached, 1000)

@@ -225,23 +225,6 @@ class TestSelectivityCache:
         assert at_5k == pytest.approx(at_10k / 2)
         assert cache.misses == 2
 
-    def test_disable_flag_bypasses_cache(self, histograms):
-        from repro.db.histogram import (
-            SelectivityCache,
-            set_estimation_cache_enabled,
-        )
-
-        hists, _, _ = histograms
-        cache = SelectivityCache()
-        predicate = Comparison("port", "=", 80)
-        previous = set_estimation_cache_enabled(False)
-        try:
-            estimate_row_count(predicate, hists, 10000, cache=cache)
-            estimate_row_count(predicate, hists, 10000, cache=cache)
-        finally:
-            set_estimation_cache_enabled(previous)
-        assert cache.hits == 0 and cache.misses == 0
-
     def test_overflow_clears_and_stays_correct(self, histograms):
         from repro.db.histogram import SelectivityCache
 

@@ -1,15 +1,16 @@
-"""Bit-identity pin: the typed protocol layer changed no observable byte.
+"""Bit-identity pin: three seeded runs reproduce their fingerprints exactly.
 
-The fingerprints below were captured on the seed tree (hand-maintained
-``size=`` literals, per-module ``{kind: handler}`` dispatch dicts,
-pre-batching transport) immediately before the protocol refactor.  With
-batching disabled — the default — the refactored stack must reproduce
-them *exactly*: same event count, same byte totals per category, same
-drop counters, same predictor timing, same result rows.
+The first two fingerprints were captured before the typed protocol
+layer existed (hand-written ``size=`` expressions at every call site,
+per-module ``{kind: handler}`` dispatch dicts), the third before the
+timer wheel, the route cache and the summary/selectivity caches did.
+They are therefore the reference for all of those: the stack as it is
+must reproduce them *exactly* — same event count, same byte totals per
+category, same drop counters, same predictor timing, same result rows.
 
-Any intentional change to wire sizes, RNG draw order, or event
-scheduling shows up here first.  Update the constants only when such a
-change is deliberate, and say so in the commit.
+Any change to wire sizes, RNG draw order, or event scheduling shows up
+here first.  Update the constants only when such a change is
+deliberate, and say so in the commit.
 """
 
 import numpy as np
@@ -82,9 +83,9 @@ GOLDEN_LOSSY = {
 }
 
 
-# Captured on the pre-optimization tree (plain binary heap, no route
-# cache, per-push summary rebuilds) running the 2k scenario of the last
-# test below.  The optimised hot path must reproduce it byte for byte.
+# Captured with a plain binary heap, no route cache and per-push summary
+# rebuilds, running the 2k scenario of the last test below.  The indexed
+# hot path must reproduce it byte for byte.
 #
 # Deliberately re-captured once since: the overlapping-sides leafset
 # coverage fix (a node whose leafset wraps the ring in both directions
@@ -151,9 +152,9 @@ class TestBitIdentity:
         ) == GOLDEN_LOSSY
 
     def test_2k_perf_scenario_matches_pre_optimization_fingerprint(self):
-        """The retired perf harness's 2k probe, at full scale: the timer
-        wheel, route cache, and summary/selectivity caches must leave
-        every observable number exactly where the seed tree had it."""
+        """The 2k probe at full scale: the timer wheel, route cache, and
+        summary/selectivity caches must leave every observable number
+        exactly where a run without them had it."""
         assert run_scenario(
             2000, 7, 40, 600.0, 900.0,
             "SELECT SUM(Bytes) FROM Flow WHERE SrcPort = 80",

@@ -1,28 +1,16 @@
-"""Cache-toggle determinism: the fast paths change no observable number.
+"""Determinism: the same seed gives the same run.
 
-Every performance structure added to the hot path — the simulator timer
-wheel, the per-node route cache, the generation-keyed summary cache, and
-the memoized selectivity estimates — is a pure accelerator: with the
-same seed a run must produce the *identical* ``metrics_snapshot()``
-whether the structure is on or off.  These tests run the same small
-deployment under each toggle and diff the full snapshot.
-
-One documented exception: the timer wheel reclaims cancelled-timer
-tombstones at cascade time, while the plain heap keeps them resident
-until their (future) firing time is popped.  ``sim.cancelled_events`` —
-a bookkeeping gauge, not a protocol observable — may therefore differ
-between the two event-queue implementations and is excluded from that
-single comparison.  Everything else, including live ``pending_events``,
-must still match exactly.
+Two fresh :class:`SeaweedSystem` instances built from the same seed must
+produce the *identical* full ``metrics_snapshot()`` and query outcome —
+every counter, byte total, gauge and timing, not a chosen few.  Nothing
+in the stack may depend on process state left behind by an earlier
+system (hash order, module-level caches, wall-clock time).
 """
 
 import numpy as np
 import pytest
 
-from repro.core import SeaweedConfig, SeaweedSystem
-from repro.db.engine import LocalDatabase
-from repro.db.histogram import set_estimation_cache_enabled
-from repro.overlay.network import OverlayConfig
+from repro.core import SeaweedSystem
 from repro.traces import generate_farsite_trace
 from repro.workload import AnemoneDataset, AnemoneParams
 
@@ -33,94 +21,45 @@ INJECT_AT = 600.0
 SQL = "SELECT SUM(Bytes) FROM Flow WHERE SrcPort = 80"
 
 
-def run_deployment(
-    *,
-    timer_wheel: bool = True,
-    route_cache: bool = True,
-    summary_cache: bool = True,
-    estimation_cache: bool = True,
-) -> dict:
+def run_deployment() -> dict:
     """One seeded end-to-end run; returns the full metrics snapshot plus
     the query's result fingerprint."""
-    previous_summary = LocalDatabase.summary_cache_enabled
-    LocalDatabase.summary_cache_enabled = summary_cache
-    previous_estimation = set_estimation_cache_enabled(estimation_cache)
-    try:
-        trace = generate_farsite_trace(
-            POPULATION, horizon=DURATION, rng=np.random.default_rng(SEED)
-        )
-        dataset = AnemoneDataset(
-            num_profiles=6,
-            params=AnemoneParams(),
-            rng=np.random.default_rng(SEED + 1),
-        )
-        config = SeaweedConfig(
-            timer_wheel=timer_wheel,
-            overlay=OverlayConfig(route_cache=route_cache),
-        )
-        system = SeaweedSystem(
-            trace,
-            dataset,
-            num_endsystems=POPULATION,
-            master_seed=SEED,
-            config=config,
-        )
-        system.pretrain_availability()
-        system.run_until(INJECT_AT)
-        origin, descriptor = system.inject_query(SQL, bind_now=False)
-        system.run_until(DURATION)
-        snapshot = system.metrics_snapshot()
-        status = system.status_of(descriptor)
-        snapshot["query"] = {
-            "rows": status.rows_processed,
-            "predictor_ready_at": status.predictor_ready_at,
-            "expected_total": status.predictor.expected_total,
-            "history_len": len(status.history),
-        }
-        return snapshot
-    finally:
-        LocalDatabase.summary_cache_enabled = previous_summary
-        set_estimation_cache_enabled(previous_estimation)
-
-
-def strip_cancelled_gauge(snapshot: dict) -> dict:
-    """Drop the tombstone gauge (the one documented wheel/heap delta)."""
-    stripped = dict(snapshot)
-    stripped["sim"] = {
-        key: value
-        for key, value in snapshot["sim"].items()
-        if key != "cancelled_events"
+    trace = generate_farsite_trace(
+        POPULATION, horizon=DURATION, rng=np.random.default_rng(SEED)
+    )
+    dataset = AnemoneDataset(
+        num_profiles=6,
+        params=AnemoneParams(),
+        rng=np.random.default_rng(SEED + 1),
+    )
+    system = SeaweedSystem(
+        trace, dataset, num_endsystems=POPULATION, master_seed=SEED
+    )
+    system.pretrain_availability()
+    system.run_until(INJECT_AT)
+    origin, descriptor = system.inject_query(SQL, bind_now=False)
+    system.run_until(DURATION)
+    snapshot = system.metrics_snapshot()
+    status = system.status_of(descriptor)
+    snapshot["query"] = {
+        "rows": status.rows_processed,
+        "predictor_ready_at": status.predictor_ready_at,
+        "expected_total": status.predictor.expected_total,
+        "history_len": len(status.history),
     }
-    stripped["metrics"] = {
-        key: value
-        for key, value in snapshot["metrics"].items()
-        if "cancelled_events" not in str(key)
-    }
-    return stripped
+    return snapshot
 
 
 @pytest.fixture(scope="module")
-def baseline() -> dict:
-    """The all-caches-on run every toggle is diffed against."""
+def first_run() -> dict:
     return run_deployment()
 
 
-class TestCacheDeterminism:
-    def test_route_cache_off_matches(self, baseline):
-        assert run_deployment(route_cache=False) == baseline
+class TestDeterminism:
+    def test_same_seed_runs_identically(self, first_run):
+        assert first_run["query"]["rows"] > 0
+        assert run_deployment() == first_run
 
-    def test_summary_cache_off_matches(self, baseline):
-        assert run_deployment(summary_cache=False) == baseline
-
-    def test_estimation_cache_off_matches(self, baseline):
-        assert run_deployment(estimation_cache=False) == baseline
-
-    def test_timer_wheel_off_matches_except_tombstone_gauge(self, baseline):
-        heap_only = run_deployment(timer_wheel=False)
-        assert strip_cancelled_gauge(heap_only) == strip_cancelled_gauge(
-            baseline
-        )
-
-    def test_snapshot_exposes_cancelled_events(self, baseline):
-        assert "cancelled_events" in baseline["sim"]
-        assert baseline["sim"]["cancelled_events"] >= 0
+    def test_snapshot_exposes_cancelled_events(self, first_run):
+        assert "cancelled_events" in first_run["sim"]
+        assert first_run["sim"]["cancelled_events"] >= 0

@@ -6,22 +6,29 @@ import pytest
 from repro.net.stats import BandwidthAccounting
 from repro.net.topology import corpnet_like
 from repro.net.transport import Transport
+from repro.obs import MemorySink, Observer
 from repro.overlay.ids import random_id, ring_distance
 from repro.overlay.network import OverlayConfig, OverlayNetwork
+from repro.overlay.node import MAX_HOPS
+from repro.proto.messages import RouteEnvelope
 from repro.sim import SimClock, Simulator
 
 
-@pytest.fixture
-def overlay():
+def build_overlay(observer=None):
     sim = Simulator(SimClock())
     rng = np.random.default_rng(21)
     topology = corpnet_like(rng, num_routers=20)
     transport = Transport(sim, topology, BandwidthAccounting())
-    network = OverlayNetwork(sim, transport, OverlayConfig(), rng)
+    network = OverlayNetwork(sim, transport, OverlayConfig(), rng, observer)
     ids = sorted({random_id(rng) for _ in range(30)})
     nodes = [network.create_node(node_id) for node_id in ids]
     topology.attach_random([node.name for node in nodes], rng)
     return sim, network, nodes, ids
+
+
+@pytest.fixture
+def overlay():
+    return build_overlay()
 
 
 def bring_all_online(sim, network, nodes, rng=None, settle=240.0):
@@ -216,9 +223,43 @@ class TestRouteCache:
         assert node._next_hop(key) != victim
         assert node._next_hop(key) == node._compute_next_hop(key)
 
-    def test_disabled_cache_stays_empty(self, overlay):
-        sim, network, nodes, _ = overlay
-        node = nodes[0]
-        node._route_cache_enabled = False
-        bring_all_online(sim, network, nodes, np.random.default_rng(3))
-        assert node._route_cache == {}
+
+class TestHopCapDrop:
+    """A route envelope arriving at the hop cap is dropped and traced."""
+
+    @staticmethod
+    def drop_at_cap(observer):
+        """Hand nodes[0] a capped envelope for its only leafset member."""
+        _, network, nodes, _ = build_overlay(observer)
+        node, peer = nodes[:2]
+        node.leafset.add(peer.node_id)
+        envelope = RouteEnvelope(
+            key=peer.node_id, app_kind="T", app_payload=None, app_size=8,
+            hops=MAX_HOPS,
+        )
+        node._route_envelope(envelope, "query")
+        return network, node, peer
+
+    def test_one_trace_event_with_the_diagnosis(self):
+        sink = MemorySink()
+        network, node, peer = self.drop_at_cap(Observer(trace_sink=sink))
+        assert network.routing_drops == 1
+        (event,) = sink.of_kind("routing_drop")
+        assert event["node"] == node.name
+        assert event["key"] == peer.name
+        assert event["app_kind"] == "T"
+        assert event["next_hop"] == peer.name
+        assert event["leafset"] == [peer.name]
+
+    def test_untraced_drop_still_counts(self):
+        # No observer: counted, nothing to emit to.
+        network, _, _ = self.drop_at_cap(None)
+        assert network.observer is None
+        assert network.routing_drops == 1
+        # Observer with the null sink: counted in the registry, no record built.
+        observer = Observer()
+        assert not observer.tracing
+        network, _, _ = self.drop_at_cap(observer)
+        assert network.routing_drops == 1
+        counters = observer.metrics.snapshot()["counters"]
+        assert counters["overlay.routing_drops_total"] == 1

@@ -167,16 +167,14 @@ def _encode_join_reply(msg: JoinReply) -> bytes:
 
 
 def _encode_result_submit(msg: ResultSubmit) -> bytes:
-    encoded = (
+    return (
         enc_id(msg.descriptor.query_id)
         + enc_id(msg.vertex_id)
         + enc_id(msg.contributor)
         + enc_id(msg.submitter)
         + enc_sql(msg.descriptor.sql)
+        + enc_result_states(msg.result)
     )
-    if not msg.reroute:
-        encoded += enc_result_states(msg.result)
-    return encoded
 
 
 def _encode_vertex_repl(msg: VertexRepl) -> bytes:

@@ -1,30 +1,13 @@
-"""The ResultSubmit reroute accounting quirk, now a config flag.
+"""A re-routed ResultSubmit is charged for what it carries.
 
-The seed tree charged a re-routed ResultSubmit *without* its aggregate
-states (DESIGN.md §6.9) — an accounting quirk kept for bit-identical
-goldens.  This suite pins the reconciliation contract:
-
-* default (quirk on): the historical undercount, golden-compatible;
-* ``set_reroute_quirk(False)``: the copy is charged for the states it
-  actually carries;
-* encoded accounting: the quirk is irrelevant — ``body_size()`` is the
-  real encoded length either way;
-* ``SeaweedConfig.reroute_size_quirk`` wires the flag end to end.
+A node that receives a submission for a vertex it is not primary for
+forwards a ``reroute=True`` copy onward; the copy holds the same
+aggregate states as the original, so its modelled size is the same.
 """
 
-import pytest
-
-from repro.core.config import SeaweedConfig
 from repro.core.query import QueryDescriptor
-from repro.proto import codec, wire
+from repro.proto import codec
 from repro.proto.messages import ResultSubmit
-
-
-@pytest.fixture(autouse=True)
-def _restore_codec_flags():
-    yield
-    codec.set_accounting_mode(codec.ACCOUNTING_LEGACY)
-    codec.set_reroute_quirk(True)
 
 
 def _submit(reroute: bool) -> ResultSubmit:
@@ -47,48 +30,7 @@ def _submit(reroute: bool) -> ResultSubmit:
     )
 
 
-def test_quirk_on_by_default():
-    assert codec.reroute_quirk() is True
-    assert codec.accounting_mode() == codec.ACCOUNTING_LEGACY
-
-
-def test_reroute_undercounts_with_quirk_on():
+def test_reroute_copy_is_charged_like_the_original():
     direct, rerouted = _submit(False), _submit(True)
-    states = codec.result_states_size(direct.result)
-    assert states > 0
-    assert rerouted.body_size() == direct.body_size() - states
-
-
-def test_quirk_off_charges_carried_states():
-    codec.set_reroute_quirk(False)
-    assert _submit(True).body_size() == _submit(False).body_size()
-
-
-def test_quirk_only_affects_reroute_copies():
-    baseline = _submit(False).body_size()
-    codec.set_reroute_quirk(False)
-    assert _submit(False).body_size() == baseline
-
-
-def test_encoded_mode_is_quirk_immune():
-    codec.set_accounting_mode(codec.ACCOUNTING_ENCODED)
-    for quirk in (True, False):
-        codec.set_reroute_quirk(quirk)
-        for reroute in (False, True):
-            message = _submit(reroute)
-            assert message.body_size() == len(wire.encode_body(message))
-    # The reroute flag is carried on the wire, so both copies encode the
-    # states they actually hold — sizes match regardless of the quirk.
-    assert _submit(True).body_size() == _submit(False).body_size()
-
-
-def test_config_wires_the_flags():
-    config = SeaweedConfig(reroute_size_quirk=False, wire_accounting="encoded")
-    config.apply_wire_accounting()
-    assert codec.reroute_quirk() is False
-    assert codec.accounting_mode() == codec.ACCOUNTING_ENCODED
-
-
-def test_config_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        SeaweedConfig(wire_accounting="sideways")
+    assert codec.result_states_size(direct.result) > 0
+    assert rerouted.body_size() == direct.body_size()

@@ -1,12 +1,9 @@
 """Wire-codec properties: every registered kind round-trips byte-exactly.
 
-Two invariants keep the live mode honest:
-
-* ``decode(encode(msg)) == msg`` for every registered message kind —
-  including the deep payloads (predictors, metadata records, aggregate
-  states) the sim-only codec treated as opaque sizes;
-* under ``encoded`` accounting, ``body_size()`` IS the encoded body
-  length — the arithmetic and the bytes cannot drift apart.
+The invariant that keeps the live mode honest:
+``decode(encode(msg)) == msg`` for every registered message kind —
+including the deep payloads (predictors, metadata records, aggregate
+states) that size accounting treats as opaque sizes.
 
 Hypothesis drives the scalar-rich fields; nested domain objects are
 drawn from a pool of real instances built from a real local database.
@@ -20,7 +17,7 @@ from repro.core.availability_model import AvailabilityModel
 from repro.core.metadata import EndsystemMetadata
 from repro.core.predictor import CompletenessPredictor
 from repro.core.query import QueryDescriptor
-from repro.proto import codec, framing, wire
+from repro.proto import framing, wire
 from repro.proto.messages import (
     ActiveReq,
     ActiveResp,
@@ -249,21 +246,6 @@ def test_roundtrip_through_bytes(message):
     data = wire.encode(message).to_bytes()
     frame = framing.decode_frame(data)
     assert wire.decode(frame) == message
-
-
-@settings(
-    max_examples=200,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(message=message_instances)
-def test_encoded_accounting_matches_bytes(message):
-    """Under encoded accounting, body_size() IS the encoded byte length."""
-    codec.set_accounting_mode(codec.ACCOUNTING_ENCODED)
-    try:
-        assert message.body_size() == len(wire.encode_body(message))
-    finally:
-        codec.set_accounting_mode(codec.ACCOUNTING_LEGACY)
 
 
 @settings(

@@ -6,8 +6,9 @@ Before the typed protocol layer, every call site carried a hand-written
 the seed tree) so the codec cannot drift from the byte accounting the
 experiments were calibrated against.
 
-The one deliberate deviation — :class:`ResultSubmit` re-routes — is
-documented and asserted explicitly at the bottom.
+The one deliberate deviation — a re-routed :class:`ResultSubmit` is
+charged for the states it carries, which the seed tree omitted — is
+pinned by ``tests/proto/test_reroute_accounting.py``.
 """
 
 from __future__ import annotations
@@ -194,8 +195,8 @@ class TestMaintenanceSizes:
         assert msg.body_size() == 5120
 
     def test_meta_push_beacon(self):
-        # Legacy delta path: config.delta_beacon_bytes
-        msg = MetaPush(metadata=_Sized(5120), beacon_bytes=32)
+        # Legacy delta path: a fixed 32-byte beacon
+        msg = MetaPush(metadata=_Sized(5120), beacon_bytes=codec.DELTA_BEACON)
         assert msg.body_size() == 32
 
     def test_meta_push_category_is_maintenance(self):
@@ -221,30 +222,8 @@ class TestMaintenanceSizes:
 
 
 # ----------------------------------------------------------------------
-# Documented deviation + completeness
+# Completeness
 # ----------------------------------------------------------------------
-
-
-class TestRerouteDeviation:
-    def test_reroute_omits_state_vector(self, descriptor):
-        """Inherited quirk, kept deliberately (see DESIGN.md §6.9).
-
-        The seed tree re-sent a stale-routed submission with only the
-        fixed part and the SQL text on the wire, although the payload
-        still carried the aggregate states.  The typed layer reproduces
-        this via the ``reroute`` flag rather than silently fixing it,
-        because the golden byte counters were captured with it.
-        """
-        payload = result_payload(states=3, rows=0)
-        kwargs = dict(
-            descriptor=descriptor, vertex_id=1, contributor=2,
-            submitter=3, version=1, result=payload,
-        )
-        first = ResultSubmit(**kwargs)
-        rerouted = ResultSubmit(**kwargs, reroute=True)
-        assert first.body_size() == 64 + len(descriptor.sql) + 8 * 3 * 4
-        assert rerouted.body_size() == 64 + len(descriptor.sql)
-        assert rerouted.body_size() < first.body_size()
 
 
 class TestCodecConstants:

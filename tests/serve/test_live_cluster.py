@@ -67,6 +67,10 @@ def test_build_config_rejects_unknown_keys():
         build_config({"no_such_knob": 1})
     with pytest.raises(ValueError, match="overlay.bogus"):
         build_config({"overlay.bogus": 1})
+    # Options that no longer exist fail as loudly as typos do.
+    for retired in ("retransmit_backoff", "wire_accounting", "overlay.route_cache"):
+        with pytest.raises(ValueError, match=retired):
+            build_config({retired: True})
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the discrete-event simulator."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import SimClock, SimulationError, Simulator
 
@@ -140,21 +141,53 @@ class TestCancellation:
 
 
 class TestTimerWheel:
-    def test_wheel_and_heap_fire_identically(self):
-        # Wheel placement must be invisible: same schedule, same order.
-        def drive(timer_wheel):
-            sim = Simulator(timer_wheel=timer_wheel)
-            fired = []
-            # A mix of near-term (sub-second) and far-out (wheel-bound)
-            # events, including same-instant ties across the two tiers.
-            for i in range(5):
-                sim.schedule(0.1 * i, fired.append, ("near", i))
-                sim.schedule(30.0 + i, fired.append, ("far", i))
-                sim.schedule(30.0, fired.append, ("tie", i))
-            sim.run()
-            return fired
+    @settings(max_examples=200, deadline=None)
+    @given(
+        plan=st.lists(
+            st.tuples(
+                # Sub-second (heap), wheel-bound, and whole-second delays
+                # (same-instant ties across the two tiers).
+                st.one_of(
+                    st.floats(0.0, 0.9),
+                    st.floats(1.0, 120.0),
+                    st.sampled_from([0.0, 1.0, 30.0, 31.0]),
+                ),
+                # Delays the callback schedules from inside the run —
+                # zero and sub-second ones land in already-cascaded
+                # buckets.
+                st.lists(
+                    st.one_of(
+                        st.floats(0.0, 0.9), st.sampled_from([0.0, 1.0, 30.0])
+                    ),
+                    max_size=3,
+                ),
+            ),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    def test_firing_order_is_time_then_scheduling_order(self, plan):
+        # Wheel placement must be invisible: events fire exactly in a
+        # stable sort by (time, scheduling order).
+        sim = Simulator()
+        scheduled = []  # (time, scheduling order) of every event
+        fired = []
 
-        assert drive(True) == drive(False)
+        def schedule(delay, followups=()):
+            entry = (sim.now + delay, len(scheduled))
+            scheduled.append(entry)
+            sim.schedule(delay, fire, entry, followups)
+
+        def fire(entry, followups):
+            assert sim.now == entry[0]
+            fired.append(entry)
+            for delay in followups:
+                schedule(delay)
+
+        for delay, followups in plan:
+            schedule(delay, followups)
+        sim.run()
+        assert fired == sorted(scheduled)
 
     def test_far_events_park_in_wheel(self):
         sim = Simulator()
@@ -185,7 +218,7 @@ class TestTimerWheel:
         assert sim.cancelled_events == 0
 
     def test_periodic_timer_rides_the_wheel(self):
-        sim = Simulator(timer_wheel=True)
+        sim = Simulator()
         fired = []
         timer = sim.schedule_periodic(30.0, lambda: fired.append(sim.now))
         sim.run_until(100.0)

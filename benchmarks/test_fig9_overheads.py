@@ -20,7 +20,6 @@ shapes and per-endsystem quantities are asserted rather than absolutes.
 import numpy as np
 
 from benchmarks.conftest import overhead_scale
-from repro.core.config import SeaweedConfig
 from repro.harness.overhead import (
     run_id_assignment_sweep,
     run_overhead_experiment,
@@ -28,7 +27,6 @@ from repro.harness.overhead import (
 )
 from repro.harness.reporting import format_table, summarize_distribution
 from repro.net.stats import CATEGORY_MAINTENANCE, CATEGORY_OVERLAY, CATEGORY_QUERY
-from repro.net.transport import BatchingConfig
 
 
 def test_fig9a_overhead_breakdown(benchmark):
@@ -91,64 +89,6 @@ def test_fig9a_overhead_breakdown(benchmark):
     assert np.percentile(nonzero, 99) < 30 * nonzero.mean()
     # Incremental results should be flowing by the later checkpoints.
     assert result.completeness[-1][1] > 0
-
-
-def test_fig9_batching_savings(benchmark):
-    """Destination batching: transport frames and header bytes, on vs off.
-
-    Not a paper panel — it quantifies the transport's destination
-    batching/coalescing option on the Fig. 9(a) workload: how many wire
-    frames carry the same logical message stream, and how many fixed
-    48-byte headers coalescing into sub-headers saves.
-    """
-    scale = overhead_scale()
-    kwargs = {
-        "num_endsystems": max(100, scale["base_population"] // 2),
-        "duration": scale["duration"] / 2,
-        "seed": 7,
-    }
-
-    def run_pair():
-        off = run_overhead_experiment(**kwargs)
-        on = run_overhead_experiment(
-            config=SeaweedConfig(batching=BatchingConfig(enabled=True)),
-            **kwargs,
-        )
-        return off, on
-
-    off, on = benchmark.pedantic(run_pair, rounds=1, iterations=1)
-
-    frames_on = on.batching["batches_flushed"]
-    coalesced = on.batching["coalesced_messages"]
-    saved = on.batching["header_bytes_saved"]
-    print()
-    print(
-        format_table(
-            ["mode", "messages", "wire frames", "coalesced", "hdr B saved",
-             "tx B/s per es"],
-            [
-                ("off", off.messages_sent, off.messages_sent, 0, 0,
-                 f"{off.mean_tx:.1f}"),
-                ("on", on.messages_sent, frames_on, coalesced, saved,
-                 f"{on.mean_tx:.1f}"),
-            ],
-            title="Destination batching — transport frames and header bytes",
-        )
-    )
-
-    # Batching must carry the stream in fewer wire frames than logical
-    # messages, and every coalesced message saves header bytes.
-    assert off.batching["enabled"] is False
-    assert off.batching["header_bytes_saved"] == 0
-    assert on.batching["enabled"] is True
-    # Every message either opened a frame or coalesced into one; frames
-    # still open when the clock stops have not flushed yet.
-    assert frames_on <= on.messages_sent - coalesced
-    assert frames_on < on.messages_sent
-    assert coalesced > 0
-    assert saved > 0
-    # The runs diverge in timing but stay the same order of magnitude.
-    assert 0.5 < on.mean_tx / off.mean_tx < 2.0
 
 
 def test_fig9c_id_assignment_insensitivity(benchmark):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -126,7 +127,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     import json
 
-    from repro.core.config import SeaweedConfig
     from repro.harness.overhead import run_overhead_experiment
     from repro.harness.reporting import format_table
     from repro.net.stats import (
@@ -134,7 +134,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         CATEGORY_OVERLAY,
         CATEGORY_QUERY,
     )
-    from repro.net.transport import BatchingConfig
     from repro.obs import JSONLSink, Observer
 
     observer = None
@@ -146,14 +145,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             profile=True,
         )
 
-    config = None
-    if getattr(args, "batching", False):
-        config = SeaweedConfig(batching=BatchingConfig(enabled=True))
-
     print(
         f"running packet-level deployment: {args.population} endsystems, "
-        f"{args.hours:.1f} h, {args.kind} trace"
-        f"{', destination batching' if config is not None else ''}..."
+        f"{args.hours:.1f} h, {args.kind} trace..."
     )
     result = run_overhead_experiment(
         num_endsystems=args.population,
@@ -161,7 +155,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         duration=args.hours * 3600.0,
         seed=args.seed,
         query_sql=args.sql,
-        config=config,
         observer=observer,
     )
     rows = [
@@ -175,14 +168,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                        title="Overhead breakdown (cf. Fig 9a)"))
     print(f"predictor latency: {result.predictor_latency}")
     print(f"completeness samples: {result.completeness}")
-    if result.batching.get("enabled"):
-        stats = result.batching
-        print(
-            f"batching: {result.messages_sent} messages in "
-            f"{stats['batches_flushed']} frames "
-            f"({stats['coalesced_messages']} coalesced, "
-            f"{stats['header_bytes_saved']} header bytes saved)"
-        )
 
     if observer is not None:
         observer.close()
@@ -209,7 +194,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
+def _run_campaign_command(
+    args: argparse.Namespace,
+    audit: bool,
+    columns: list[str],
+    format_row: Callable[[dict], tuple[str, ...]],
+) -> int:
+    """Shared body of ``chaos`` and ``audit``: select, run, print, write.
+
+    ``format_row(section)`` renders one scenario's cells for ``columns``.
+    """
     from repro.faults import builtin_scenarios, report_to_json, run_campaign
     from repro.harness.reporting import format_table
 
@@ -223,93 +217,31 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print(f"unknown scenario {args.scenario!r} (choose from: all, {names})")
         return 2
 
-    print(
-        f"running chaos campaign: {len(selected)} scenario(s), "
-        f"seed {args.seed}..."
-    )
-    report = run_campaign(
-        selected, master_seed=args.seed, population=args.population
-    )
-    rows = []
-    for name, section in sorted(report["scenarios"].items()):
-        drops = section["transport"]["drops_by_reason"]
-        drop_text = (
-            " ".join(f"{reason}={count}" for reason, count in sorted(drops.items()))
-            or "-"
+    if audit:
+        print(
+            f"running audited chaos campaign: {len(selected)} scenario(s) "
+            f"under the ground-truth oracle, seed {args.seed}..."
         )
-        rows.append(
-            (
-                name,
-                f"{section['faults_injected']}",
-                f"{section['query']['completeness']:.3f}",
-                drop_text,
-                f"{section['violation_count']}",
-            )
-        )
-    print(format_table(
-        ["scenario", "faults", "completeness", "drops", "violations"],
-        rows,
-        title="Chaos campaign (seeded, reproducible)",
-    ))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report_to_json(report))
-        print(f"report written to {args.out}")
-    if not report["ok"]:
-        for section in report["scenarios"].values():
-            for violation in section["violations"]:
-                print(f"VIOLATION [{section['name']}] {violation['invariant']}: "
-                      f"{violation['detail']}")
-        return 1
-    print("all invariants held")
-    return 0
-
-
-def _cmd_audit(args: argparse.Namespace) -> int:
-    from repro.faults import builtin_scenarios, report_to_json, run_campaign
-    from repro.harness.reporting import format_table
-
-    available = builtin_scenarios()
-    if args.scenario == "all":
-        selected = list(available.values())
-    elif args.scenario in available:
-        selected = [available[args.scenario]]
     else:
-        names = ", ".join(sorted(available))
-        print(f"unknown scenario {args.scenario!r} (choose from: all, {names})")
-        return 2
-
-    print(
-        f"running audited chaos campaign: {len(selected)} scenario(s) "
-        f"under the ground-truth oracle, seed {args.seed}..."
-    )
-    report = run_campaign(
-        selected, master_seed=args.seed, population=args.population, audit=True
-    )
-    rows = []
-    for name, section in sorted(report["scenarios"].items()):
-        audit_section = section["audit"]
-        queries = audit_section["queries"].values()
-        truth = sum(q["truth_rows_contributed"] for q in queries)
-        final = sum(q["root_rows_final"] for q in queries)
-        calibration = [
-            q["calibration"]["final_error"]
-            for q in queries
-            if q["calibration"] is not None
-        ]
-        rows.append(
-            (
-                name,
-                f"{section['faults_injected']}",
-                f"{final}/{truth}",
-                f"{calibration[0]:+.3f}" if calibration else "-",
-                f"{audit_section['violation_count']}",
-            )
+        print(
+            f"running chaos campaign: {len(selected)} scenario(s), "
+            f"seed {args.seed}..."
         )
+    report = run_campaign(
+        selected, master_seed=args.seed, population=args.population, audit=audit
+    )
+    rows = [
+        (name, f"{section['faults_injected']}", *format_row(section))
+        for name, section in sorted(report["scenarios"].items())
+    ]
     print(format_table(
-        ["scenario", "faults", "root/truth rows", "calib err", "violations"],
+        ["scenario", "faults", *columns],
         rows,
-        title="Ground-truth conformance audit",
+        title=(
+            "Ground-truth conformance audit"
+            if audit
+            else "Chaos campaign (seeded, reproducible)"
+        ),
     ))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -321,12 +253,52 @@ def _cmd_audit(args: argparse.Namespace) -> int:
                 label = violation.get("invariant") or violation.get("check")
                 print(f"VIOLATION [{section['name']}] {label}: "
                       f"{violation['detail']}")
-            for violation in section["audit"]["violations"]:
+            for violation in section["audit"]["violations"] if audit else ():
                 print(f"AUDIT VIOLATION [{section['name']}] "
                       f"{violation['check']}: {violation['detail']}")
         return 1
-    print("all conformance checks held")
+    print("all conformance checks held" if audit else "all invariants held")
     return 0
+
+
+def _cmd_chaos(args: argparse.Namespace) -> int:
+    def format_row(section: dict) -> tuple[str, ...]:
+        drops = section["transport"]["drops_by_reason"]
+        drop_text = (
+            " ".join(f"{reason}={count}" for reason, count in sorted(drops.items()))
+            or "-"
+        )
+        return (
+            f"{section['query']['completeness']:.3f}",
+            drop_text,
+            f"{section['violation_count']}",
+        )
+
+    return _run_campaign_command(
+        args, False, ["completeness", "drops", "violations"], format_row
+    )
+
+
+def _cmd_audit(args: argparse.Namespace) -> int:
+    def format_row(section: dict) -> tuple[str, ...]:
+        audit_section = section["audit"]
+        queries = audit_section["queries"].values()
+        truth = sum(q["truth_rows_contributed"] for q in queries)
+        final = sum(q["root_rows_final"] for q in queries)
+        calibration = [
+            q["calibration"]["final_error"]
+            for q in queries
+            if q["calibration"] is not None
+        ]
+        return (
+            f"{final}/{truth}",
+            f"{calibration[0]:+.3f}" if calibration else "-",
+            f"{audit_section['violation_count']}",
+        )
+
+    return _run_campaign_command(
+        args, True, ["root/truth rows", "calib err", "violations"], format_row
+    )
 
 
 def _cmd_serve_plan(args: argparse.Namespace) -> int:
@@ -439,10 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sql", default="SELECT SUM(Bytes) FROM Flow WHERE SrcPort = 80"
     )
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument(
-        "--batching", action="store_true",
-        help="enable destination batching/coalescing in the transport",
-    )
     run.add_argument(
         "--trace-out", metavar="FILE", default=None,
         help="write a JSONL event trace of the run to FILE",

@@ -27,7 +27,6 @@ exactly-once property of §2.3.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -263,7 +262,7 @@ class ResultAggregator:
         version: int,
         payload: dict,
     ) -> None:
-        self.node.pastry.route_app(
+        self.node.pastry.route(
             vertex_id,
             ResultSubmit(
                 descriptor=descriptor,
@@ -328,9 +327,7 @@ class ResultAggregator:
             return
         if not self.node.pastry.is_closest_to(vertex_id):
             # Stale routing: push it onward; the overlay will converge.
-            self.node.pastry.route_app(
-                vertex_id, dataclasses.replace(message, reroute=True)
-            )
+            self.node.pastry.route(vertex_id, message)
             return
         self._apply_submission(
             descriptor,

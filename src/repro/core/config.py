@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.views import ViewSpec
-from repro.net.transport import BatchingConfig
 from repro.overlay.network import OverlayConfig
 
 
@@ -20,9 +19,6 @@ class SeaweedConfig:
     """All tunables of a Seaweed deployment."""
 
     overlay: OverlayConfig = field(default_factory=OverlayConfig)
-
-    #: Transport-level destination batching/coalescing (off by default).
-    batching: BatchingConfig = field(default_factory=BatchingConfig)
 
     #: Metadata replication factor (k): replicas of each endsystem's
     #: availability model + data summary on its k closest neighbours.

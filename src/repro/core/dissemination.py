@@ -102,7 +102,7 @@ class Disseminator:
     def inject(self, descriptor: QueryDescriptor) -> None:
         """Route the query to its root to start dissemination."""
         self.node.remember_query(descriptor)
-        self.node.pastry.route_app(
+        self.node.pastry.route(
             descriptor.query_id, QueryInject(descriptor=descriptor)
         )
 
@@ -313,7 +313,7 @@ class Disseminator:
             self.node.send_app(target, bcast)
         else:
             midpoint = wrapped_midpoint(child.lo, child.hi)
-            self.node.pastry.route_app(midpoint, bcast)
+            self.node.pastry.route(midpoint, bcast)
 
     def _known_node_in(self, lo: int, hi: int) -> Optional[int]:
         """A live-believed node inside the range, from local routing state.

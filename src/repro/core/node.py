@@ -605,7 +605,7 @@ class SeaweedNode:
 
         ``category`` defaults to the message class's accounting category.
         """
-        self.pastry.send_direct_app(dst_id, app, category)
+        self.pastry.send_direct(dst_id, app, category)
 
     def _deliver(self, key: int, kind: str, payload: Any, hops: int) -> None:
         self._dispatch.dispatch(kind, payload)

@@ -106,7 +106,6 @@ class SeaweedSystem:
             loss_rate=loss_rate,
             loss_rng=self.streams.get("loss") if loss_rate > 0 else None,
             observer=observer,
-            batching=self.config.batching,
         )
         self.overlay = OverlayNetwork(
             self.sim,
@@ -384,12 +383,6 @@ class SeaweedSystem:
                 "dropped_unregistered": self.transport.dropped_unregistered,
                 "dropped_unknown_kind": self.transport.dropped_unknown_kind,
                 "drops_by_reason": dict(self.transport.drops_by_reason),
-            },
-            "batching": {
-                "enabled": self.transport.batching is not None,
-                "batches_flushed": self.transport.batches_flushed,
-                "coalesced_messages": self.transport.coalesced_messages,
-                "header_bytes_saved": self.transport.header_bytes_saved,
             },
             "overlay": {
                 "routing_drops": self.overlay.routing_drops,

@@ -62,11 +62,6 @@ class OverheadResult:
     #: Result-completeness observations: (delay s, rows) samples.
     completeness: list[tuple[float, int]] = field(default_factory=list)
     ground_truth_rows: int = 0
-    #: Logical messages sent over the transport during the run.
-    messages_sent: int = 0
-    #: Transport batching counters (enabled, batches_flushed,
-    #: coalesced_messages, header_bytes_saved).
-    batching: dict = field(default_factory=dict)
     #: :meth:`SeaweedSystem.metrics_snapshot` taken at the end of the run.
     metrics: Optional[dict] = None
 
@@ -182,13 +177,6 @@ def run_overhead_experiment(
         predictor_latency=latency,
         completeness=completeness,
         ground_truth_rows=system.ground_truth_rows(query_sql),
-        messages_sent=accounting.messages,
-        batching={
-            "enabled": system.transport.batching is not None,
-            "batches_flushed": system.transport.batches_flushed,
-            "coalesced_messages": system.transport.coalesced_messages,
-            "header_bytes_saved": system.transport.header_bytes_saved,
-        },
         metrics=system.metrics_snapshot() if observer is not None else None,
     )
 

@@ -10,7 +10,7 @@ from repro.net.stats import (
     percentile,
 )
 from repro.net.topology import Topology, corpnet_like
-from repro.net.transport import MESSAGE_HEADER_BYTES, Message, Transport
+from repro.net.transport import Message, Transport
 
 __all__ = [
     "ALL_CATEGORIES",
@@ -18,7 +18,6 @@ __all__ = [
     "CATEGORY_MAINTENANCE",
     "CATEGORY_OVERLAY",
     "CATEGORY_QUERY",
-    "MESSAGE_HEADER_BYTES",
     "Message",
     "Topology",
     "Transport",

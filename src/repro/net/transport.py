@@ -22,21 +22,11 @@ The classic uniform ``loss_rate`` is itself an interceptor
 (:class:`UniformLossInterceptor`), installed automatically when a loss
 rate is configured, so a run with no fault plan behaves bit-identically
 to the pre-interceptor transport: same RNG draws, same event order.
-
-Destination batching (:class:`BatchingConfig`) coalesces messages with
-the same (source, destination, category) into one wire frame: the first
-message of a batch pays the full fixed header, every coalesced follower
-pays only a small sub-header, and the whole batch is delivered by a
-single simulator event.  Interceptors still rule on every *logical*
-message inside a batch, so loss/duplication fault injection and
-``drops_by_reason`` accounting stay per-message exact.  With batching
-disabled (the default), the send path is bit-identical to the
-pre-batching transport.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional, Protocol
 
 import numpy as np
@@ -50,14 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.observer import Observer
     from repro.proto.messages import ProtoMessage
 
-#: Fixed per-message header overhead in bytes (UDP/IP + overlay header),
-#: matching the order of magnitude MSPastry reports.
-MESSAGE_HEADER_BYTES = 48
-
-# The codec is the single source of truth for framing arithmetic; the
-# transport constant is kept for compatibility and must agree.
-assert MESSAGE_HEADER_BYTES == codec.HEADER
-
 #: Canonical drop reasons used by the transport itself; interceptors may
 #: introduce further reasons (e.g. ``"partition"``, ``"fault_loss"``).
 DROP_LOSS = "loss"
@@ -68,23 +50,20 @@ DROP_UNKNOWN_KIND = "unknown_kind"
 
 @dataclass
 class Message:
-    """An application message on the wire.
+    """A typed protocol message in flight, with its addressing.
+
+    The wire kind and the accounted size are the payload's own
+    (``KIND``, ``body_size()``), so they cannot drift from the codec.
 
     Attributes:
-        kind: Protocol-level message type tag (e.g. ``"SW_BCAST"``).
-        payload: Arbitrary application payload; never serialized, but its
-            logical size must be reflected in ``size``.
-        size: Payload size in bytes (framing added by the transport).
-        src: Sending endsystem name.
+        payload: The typed protocol message.
         category: Traffic category for accounting.
+        src: Sending endsystem name (stamped by :meth:`Transport.send`).
     """
 
-    kind: str
-    payload: Any
-    size: int
+    payload: "ProtoMessage"
+    category: str
     src: str = ""
-    category: str = "query"
-    meta: dict[str, Any] = field(default_factory=dict)
 
     @classmethod
     def of(
@@ -92,82 +71,23 @@ class Message:
     ) -> "Message":
         """Frame a typed protocol message for transmission.
 
-        The wire kind and payload size come from the message itself —
-        ``proto.KIND`` and ``proto.body_size()`` — so call sites cannot
-        drift from the codec.  ``category`` overrides the message
-        class's default accounting category.
+        ``category`` overrides the message class's default accounting
+        category.
         """
-        return cls(
-            kind=proto.KIND,
-            payload=proto,
-            size=proto.body_size(),
-            category=category if category is not None else proto.CATEGORY,
-        )
+        return cls(proto, category if category is not None else proto.CATEGORY)
+
+    @property
+    def kind(self) -> str:
+        """Protocol-level message type tag (e.g. ``"SW_BCAST"``)."""
+        return self.payload.KIND
 
     @property
     def wire_size(self) -> int:
-        """Total on-the-wire size, including the fixed header."""
-        return self.size + MESSAGE_HEADER_BYTES
+        """Total on-the-wire size: the modelled body plus the fixed header."""
+        return self.payload.body_size() + codec.HEADER
 
 
 Handler = Callable[[str, Message], None]
-
-
-@dataclass
-class BatchingConfig:
-    """Per-destination batching/coalescing policy.
-
-    An *open batch* exists per (source, destination, category).  The
-    message that opens it pays the full :data:`MESSAGE_HEADER_BYTES`
-    header and schedules the batch's single delivery event at
-    ``max_delay + latency``; messages sent to the same destination
-    within ``max_delay`` coalesce into the frame for ``sub_header_bytes``
-    each.  A batch stops admitting messages once it holds
-    ``max_messages`` or ``max_bytes`` (the next message opens a fresh
-    batch), so a burst cannot grow a frame without bound.
-    """
-
-    enabled: bool = False
-    #: How long a frame waits at the source for co-destined messages (s).
-    max_delay: float = 0.05
-    #: Close the frame to new messages beyond this many wire bytes.
-    max_bytes: int = 8192
-    #: Close the frame to new messages beyond this many logical messages.
-    max_messages: int = 32
-    #: Per-coalesced-message framing (kind tag + length).
-    sub_header_bytes: int = codec.BATCH_SUBHEADER
-
-    def __post_init__(self) -> None:
-        if self.max_delay < 0:
-            raise ValueError(f"max_delay must be >= 0, got {self.max_delay}")
-        if self.max_messages < 1:
-            raise ValueError(
-                f"max_messages must be >= 1, got {self.max_messages}"
-            )
-        if not 0 <= self.sub_header_bytes <= MESSAGE_HEADER_BYTES:
-            raise ValueError(
-                "sub_header_bytes must be in [0, MESSAGE_HEADER_BYTES], "
-                f"got {self.sub_header_bytes}"
-            )
-
-
-@dataclass
-class _OpenBatch:
-    """One in-flight wire frame accumulating co-destined messages."""
-
-    dst: str
-    category: str
-    #: Simulated time the frame leaves the source (end of coalescing).
-    departs_at: float
-    #: Simulated time the frame arrives (the single delivery event).
-    deliver_at: float
-    #: Messages riding the frame's delivery event (drop/delay/duplicate
-    #: decisions may divert individual messages elsewhere).
-    messages: list[Message] = field(default_factory=list)
-    #: Logical messages admitted (framing paid), regardless of fate.
-    admitted: int = 0
-    #: Wire bytes accumulated, including all framing.
-    bytes: int = 0
 
 
 class Decision:
@@ -259,7 +179,6 @@ class Transport:
         loss_rate: float = 0.0,
         loss_rng: Optional[np.random.Generator] = None,
         observer: Optional["Observer"] = None,
-        batching: Optional[BatchingConfig] = None,
     ) -> None:
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
@@ -278,14 +197,6 @@ class Transport:
             if loss_rng is None:
                 raise ValueError("loss_rate > 0 requires a loss_rng")
             self._interceptors.append(UniformLossInterceptor(loss_rate, loss_rng))
-        #: Active batching policy, or None for the classic per-message path.
-        self.batching = (
-            batching if (batching is not None and batching.enabled) else None
-        )
-        self._open_batches: dict[tuple[str, str, str], _OpenBatch] = {}
-        self.batches_flushed = 0
-        self.coalesced_messages = 0
-        self.header_bytes_saved = 0
         self._obs = observer if (observer is not None and observer.enabled) else None
         if self._obs is not None:
             metrics = self._obs.metrics
@@ -343,13 +254,8 @@ class Transport:
         on the message's fate; a surviving message, and every duplicate
         an interceptor asked for, is handed to :meth:`carry` with the
         delay injected on top of the carrier's own.
-        With batching enabled, the message instead joins (or opens) the
-        open wire frame for its (src, dst, category).
         """
         message.src = src
-        if self.batching is not None:
-            self._send_batched(src, dst, message)
-            return
         self._account(src, dst, message.wire_size, message.category)
         fate = self._run_interceptors(src, dst, message)
         if fate is None:
@@ -419,100 +325,6 @@ class Transport:
                     duplications = []
                 duplications.append(decision)
         return extra_delay, duplications
-
-    # ------------------------------------------------------------------
-    # Batched sending
-    # ------------------------------------------------------------------
-
-    def _send_batched(self, src: str, dst: str, message: Message) -> None:
-        """Admit one logical message to the open frame for its destination.
-
-        The opener pays the full header and schedules the frame's single
-        delivery event; coalesced followers pay the sub-header and ride
-        that event.  Interceptor decisions apply per logical message: a
-        dropped message never boards the frame, a delayed or duplicated
-        one is delivered by its own event relative to the frame's
-        arrival time.
-        """
-        cfg = self.batching
-        key = (src, dst, message.category)
-        now = self.scheduler.now
-        batch = self._open_batches.get(key)
-        if batch is None or now > batch.departs_at:
-            framing = MESSAGE_HEADER_BYTES
-            latency = self.topology.latency(src, dst)
-            batch = _OpenBatch(
-                dst=dst,
-                category=message.category,
-                departs_at=now + cfg.max_delay,
-                deliver_at=now + cfg.max_delay + latency,
-            )
-            self._open_batches[key] = batch
-            self.scheduler.schedule(
-                batch.deliver_at - now, self._flush_batch, key, batch
-            )
-        else:
-            framing = cfg.sub_header_bytes
-            self.coalesced_messages += 1
-            self.header_bytes_saved += MESSAGE_HEADER_BYTES - framing
-            if self._obs is not None:
-                self._obs.batch_header_saved(MESSAGE_HEADER_BYTES - framing)
-        wire = message.size + framing
-        batch.admitted += 1
-        batch.bytes += wire
-        self._account(src, dst, wire, message.category)
-        if batch.admitted >= cfg.max_messages or batch.bytes >= cfg.max_bytes:
-            # Frame is full: stop admitting (its delivery event stands).
-            if self._open_batches.get(key) is batch:
-                del self._open_batches[key]
-        fate = self._run_interceptors(src, dst, message)
-        if fate is None:
-            return
-        extra_delay, duplications = fate
-        if extra_delay > 0:
-            # Can't ride the frame's event; deliver relative to it.
-            self.scheduler.schedule(
-                batch.deliver_at - now + extra_delay, self._deliver, dst, message
-            )
-        else:
-            batch.messages.append(message)
-        if duplications is not None:
-            for decision in duplications:
-                for copy in range(decision.duplicates):
-                    self.scheduler.schedule(
-                        batch.deliver_at
-                        - now
-                        + extra_delay
-                        + (copy + 1) * decision.duplicate_delay,
-                        self._deliver,
-                        dst,
-                        message,
-                    )
-
-    def _flush_batch(self, key: tuple[str, str, str], batch: _OpenBatch) -> None:
-        """The frame arrives: deliver every message riding it, in order."""
-        if self._open_batches.get(key) is batch:
-            del self._open_batches[key]
-        self.batches_flushed += 1
-        if self._obs is not None:
-            self._obs.batch_flush(
-                self.scheduler.now,
-                key[0],
-                batch.dst,
-                batch.category,
-                batch.admitted,
-                batch.bytes,
-            )
-        for message in batch.messages:
-            self._deliver(batch.dst, message)
-
-    def flush_open_batches(self) -> None:
-        """Forget all open frames (their delivery events still fire).
-
-        Test/teardown helper: after this, the next send per destination
-        opens a fresh frame.
-        """
-        self._open_batches.clear()
 
     # ------------------------------------------------------------------
     # Drop accounting and delivery

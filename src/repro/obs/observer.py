@@ -63,9 +63,6 @@ class Observer:
         }
         self._c_faults: dict[str, object] = {}
         self._c_audit: dict[str, object] = {}
-        self._c_batches = m.counter("transport.batches_flushed_total")
-        self._c_coalesced = m.counter("transport.coalesced_messages_total")
-        self._c_header_saved = m.counter("transport.header_bytes_saved_total")
 
     @classmethod
     def disabled(cls) -> "Observer":
@@ -175,29 +172,6 @@ class Observer:
         counter.inc()
         if self.tracer.enabled:
             self.tracer.event(t, "message_drop", dst=dst, kind=kind, reason=reason)
-
-    def batch_flush(
-        self, t: float, src: str, dst: str, category: str,
-        messages: int, wire_bytes: int,
-    ) -> None:
-        """A destination batch departed: one frame carrying ``messages``.
-
-        ``messages`` counts every logical message that paid framing into
-        the batch (including ones later dropped or delayed by
-        interceptors); ``wire_bytes`` is the frame's accounted size.
-        """
-        self._c_batches.inc()
-        if messages > 1:
-            self._c_coalesced.inc(messages - 1)
-        if self.tracer.enabled:
-            self.tracer.event(
-                t, "batch_flush", src=src, dst=dst, category=category,
-                messages=messages, wire_bytes=wire_bytes,
-            )
-
-    def batch_header_saved(self, saved: int) -> None:
-        """Header bytes avoided by coalescing (counter-only, no trace)."""
-        self._c_header_saved.inc(saved)
 
     def fault_injected(self, t: float, kind: str, detail: str) -> None:
         """A declared fault event activated (window opened, burst fired)."""

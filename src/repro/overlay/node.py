@@ -113,19 +113,18 @@ class PastryNode:
         self._neighbour_failed_upcall = upcall
 
     def route(
-        self,
-        key: int,
-        kind: str,
-        payload: Any,
-        size: int,
-        category: str = "query",
+        self, key: int, app: ProtoMessage, category: Optional[str] = None
     ) -> None:
-        """Route an application message to the live node closest to ``key``."""
+        """Route a typed application message to the live node closest to ``key``.
+
+        ``category`` defaults to the message class's accounting category.
+        """
+        if category is None:
+            category = app.CATEGORY
         envelope = RouteEnvelope(
             key=key,
-            app_kind=kind,
-            app_payload=payload,
-            app_size=size,
+            app_payload=app,
+            app_size=app.body_size(),
             hops=0,
             origin=self.node_id,
         )
@@ -133,44 +132,30 @@ class PastryNode:
         # never re-enters the caller synchronously.
         self.network.scheduler.schedule(0.0, self._route_envelope, envelope, category)
 
-    def route_app(
-        self, key: int, app: ProtoMessage, category: Optional[str] = None
-    ) -> None:
-        """Route a typed application message; its size comes from the codec.
-
-        ``category`` defaults to the message class's accounting category.
-        """
-        if category is None:
-            category = app.CATEGORY
-        self.route(key, app.KIND, app, app.body_size(), category)
-
     def send_direct(
-        self,
-        dst_id: int,
-        kind: str,
-        payload: Any,
-        size: int,
-        category: str = "query",
+        self, dst_id: int, app: ProtoMessage, category: Optional[str] = None
     ) -> None:
-        """Send an application message in a single hop to a known node.
+        """Send a typed application message in a single hop to a known node.
 
         Used for replica-set pushes and tree-internal traffic where the
         destination id is already known; no ack, the application layer is
-        responsible for retransmission.
+        responsible for retransmission.  ``category`` defaults to the
+        message class's accounting category.
         """
         if dst_id == self.node_id:
             if self._deliver_upcall is not None:
                 # Deferred: synchronous self-delivery would re-enter the
                 # calling protocol machine.
                 self.network.scheduler.schedule(
-                    0.0, self._deliver_upcall, dst_id, kind, payload, 0
+                    0.0, self._deliver_upcall, dst_id, app.KIND, app, 0
                 )
             return
+        if category is None:
+            category = app.CATEGORY
         envelope = RouteEnvelope(
             key=dst_id,
-            app_kind=kind,
-            app_payload=payload,
-            app_size=size,
+            app_payload=app,
+            app_size=app.body_size(),
             hops=0,
             origin=self.node_id,
             direct=True,
@@ -178,17 +163,6 @@ class PastryNode:
         self.network.transport.send(
             self.name, id_to_hex(dst_id), Message.of(envelope, category)
         )
-
-    def send_direct_app(
-        self, dst_id: int, app: ProtoMessage, category: Optional[str] = None
-    ) -> None:
-        """Single-hop send of a typed application message.
-
-        ``category`` defaults to the message class's accounting category.
-        """
-        if category is None:
-            category = app.CATEGORY
-        self.send_direct(dst_id, app.KIND, app, app.body_size(), category)
 
     def replica_set(self, k: int) -> list[int]:
         """The ``k`` leafset members numerically closest to this node's id.
@@ -321,8 +295,7 @@ class PastryNode:
 
     def _route_envelope(self, envelope: RouteEnvelope, category: str) -> None:
         key = envelope.key
-        hops = envelope.hops
-        if hops >= MAX_HOPS:
+        if envelope.hops >= MAX_HOPS:
             self.network.routing_drops += 1
             if self.network.c_routing_drops is not None:
                 self.network.c_routing_drops.inc()
@@ -338,9 +311,7 @@ class PastryNode:
         if next_hop is None or next_hop == self.node_id:
             self._deliver(envelope)
             return
-        envelope = dataclasses.replace(envelope, hops=hops + 1)
-        message = Message.of(envelope, category)
-        self._forward_with_ack(next_hop, message, envelope, category)
+        self._forward_with_ack(next_hop, envelope, category)
 
     #: Bound on the per-node next-hop memo (cleared wholesale when full).
     ROUTE_CACHE_MAX = 4096
@@ -395,17 +366,16 @@ class PastryNode:
         return best
 
     def _forward_with_ack(
-        self,
-        next_hop: int,
-        message: Message,
-        envelope: RouteEnvelope,
-        category: str,
+        self, next_hop: int, envelope: RouteEnvelope, category: str
     ) -> None:
         msg_id = self._next_msg_id
         self._next_msg_id += 1
-        message.meta["msg_id"] = msg_id
-        message.meta["needs_ack"] = True
-        self.network.transport.send(self.name, id_to_hex(next_hop), message)
+        envelope = dataclasses.replace(
+            envelope, hops=envelope.hops + 1, ack_id=msg_id
+        )
+        self.network.transport.send(
+            self.name, id_to_hex(next_hop), Message.of(envelope, category)
+        )
         self.network.scheduler.schedule(
             HOP_ACK_TIMEOUT, self._on_ack_timeout, next_hop, msg_id, envelope, category
         )
@@ -457,8 +427,8 @@ class PastryNode:
 
     def _handle_route(self, message: Message) -> None:
         envelope: RouteEnvelope = message.payload
-        if message.meta.get("needs_ack"):
-            ack = Message.of(RouteAck(msg_id=message.meta["msg_id"]), message.category)
+        if envelope.ack_id is not None:
+            ack = Message.of(RouteAck(msg_id=envelope.ack_id), message.category)
             self.network.transport.send(self.name, message.src, ack)
         self.routing_table.add(envelope.origin)
         if envelope.direct:

@@ -61,15 +61,10 @@ ROW = 32
 #: costs when the replica already holds the current data generation.
 DELTA_BEACON = 32
 
-#: Fixed per-message wire header (UDP/IP + overlay header).  Kept equal
-#: to :data:`repro.net.transport.MESSAGE_HEADER_BYTES`; the transport
-#: asserts the two agree at import time.
+#: Fixed per-message wire header (UDP/IP + overlay header), matching
+#: the order of magnitude MSPastry reports; the transport adds it to
+#: every message's modelled body.
 HEADER = 48
-
-#: Per-message sub-header inside a destination batch: a kind tag and a
-#: length.  Messages coalesced into an existing batch pay this instead
-#: of the full :data:`HEADER`.
-BATCH_SUBHEADER = 4
 
 
 def ids(count: int) -> int:
@@ -109,12 +104,3 @@ def vertex_children_size(children: Iterable[tuple[int, dict]]) -> int:
         total += ID + result_states_size(payload) + ROW * len(payload["rows"])
     return total
 
-
-def batch_framing(coalesced: bool) -> int:
-    """Framing bytes one message pays on the wire.
-
-    The first message of a batch (or any unbatched message) carries the
-    full fixed header; every message coalesced into an open batch pays
-    only the small sub-header.
-    """
-    return BATCH_SUBHEADER if coalesced else HEADER

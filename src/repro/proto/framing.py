@@ -7,12 +7,12 @@ TCP stream.  This module defines that envelope:
 ``magic "SW" | version u8 | flags u8 | kind len u16 | body len u32 |
 crc32 u32 | kind utf-8 | body``
 
-* the **kind** is the protocol kind tag (``repro.proto`` KIND strings
-  for single messages, :data:`BATCH_KIND` for a destination batch);
+* the **kind** is the protocol kind tag (a ``repro.proto`` KIND string,
+  or :data:`repro.proto.wire.MESSAGE_KIND` for an addressed message);
 * the **crc32** covers the body only, so corruption is detected before
   the payload codec ever runs;
-* a **batch** frame's body is simply the concatenation of its member
-  frames' encodings — the same parser handles both levels.
+* this version defines no **flags**: a frame with any flag bit set is
+  rejected, not ignored.
 
 :class:`FrameDecoder` is an incremental stream parser: feed it byte
 chunks as they arrive and it yields complete frames, rejecting
@@ -25,19 +25,13 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterable
 
 #: Frame preamble: every frame starts with these two bytes.
 MAGIC = b"SW"
 
-#: Envelope format version.
-VERSION = 1
-
-#: Flag bit: the body is a concatenation of member frames.
-FLAG_BATCH = 0x01
-
-#: Reserved kind tag for batch frames.
-BATCH_KIND = "!BATCH"
+#: Envelope format version (2: the ``!MSG`` body is
+#: ``(src, dst, category, payload)``).
+VERSION = 2
 
 #: Fixed part of the envelope, before the kind string and body.
 #: magic(2) + version(1) + flags(1) + kind len(2) + body len(4) + crc(4).
@@ -64,12 +58,6 @@ class Frame:
 
     kind: str
     body: bytes
-    flags: int = 0
-
-    @property
-    def is_batch(self) -> bool:
-        """Whether the body is a concatenation of member frames."""
-        return bool(self.flags & FLAG_BATCH)
 
     def to_bytes(self) -> bytes:
         """Serialize the full envelope."""
@@ -79,7 +67,7 @@ class Frame:
         header = _FIXED.pack(
             MAGIC,
             VERSION,
-            self.flags,
+            0,
             len(kind_bytes),
             len(self.body),
             zlib.crc32(self.body),
@@ -89,13 +77,6 @@ class Frame:
     def wire_size(self) -> int:
         """Total bytes this frame occupies on the stream."""
         return FIXED_HEADER_BYTES + len(self.kind.encode("utf-8")) + len(self.body)
-
-
-def encode_batch(frames: Iterable[Frame]) -> Frame:
-    """Coalesce frames into one batch frame (the live analogue of
-    destination batching in the sim transport)."""
-    body = b"".join(frame.to_bytes() for frame in frames)
-    return Frame(kind=BATCH_KIND, body=body, flags=FLAG_BATCH)
 
 
 def decode_frame(data: bytes) -> Frame:
@@ -111,11 +92,7 @@ def decode_frame(data: bytes) -> Frame:
 
 
 class FrameDecoder:
-    """Incremental frame parser for a byte stream.
-
-    Batch frames are flattened: :meth:`feed` returns their member frames
-    in order, never the batch envelope itself.
-    """
+    """Incremental frame parser for a byte stream."""
 
     def __init__(self, max_frame: int = DEFAULT_MAX_FRAME) -> None:
         self.max_frame = max_frame
@@ -139,10 +116,7 @@ class FrameDecoder:
             frame = self._try_parse()
             if frame is None:
                 return frames
-            if frame.is_batch:
-                frames.extend(_decode_batch_body(frame.body, self.max_frame))
-            else:
-                frames.append(frame)
+            frames.append(frame)
 
     def _try_parse(self) -> "Frame | None":
         if len(self._buffer) < FIXED_HEADER_BYTES:
@@ -154,6 +128,8 @@ class FrameDecoder:
             raise FrameError(f"bad magic {magic!r}")
         if version != VERSION:
             raise FrameError(f"unsupported frame version {version}")
+        if flags:
+            raise FrameError(f"unsupported frame flags 0x{flags:02x}")
         if body_len > self.max_frame:
             raise FrameTooLarge(
                 f"frame body of {body_len} bytes exceeds limit {self.max_frame}"
@@ -163,20 +139,13 @@ class FrameDecoder:
             return None
         kind_start = FIXED_HEADER_BYTES
         body_start = kind_start + kind_len
-        kind = bytes(self._buffer[kind_start:body_start]).decode("utf-8")
+        try:
+            kind = bytes(self._buffer[kind_start:body_start]).decode("utf-8")
+        except UnicodeDecodeError as error:
+            raise FrameError(f"kind tag is not utf-8: {error}") from error
         body = bytes(self._buffer[body_start:total])
         if zlib.crc32(body) != crc:
             raise FrameError(f"checksum mismatch on {kind!r} frame")
         del self._buffer[:total]
-        return Frame(kind=kind, body=body, flags=flags)
+        return Frame(kind=kind, body=body)
 
-
-def _decode_batch_body(body: bytes, max_frame: int) -> list[Frame]:
-    """Split a batch frame's body into its member frames."""
-    inner = FrameDecoder(max_frame=max_frame)
-    frames = inner.feed(body)
-    if inner.pending_bytes:
-        raise FrameError(
-            f"batch body has {inner.pending_bytes} trailing bytes"
-        )
-    return frames

@@ -18,7 +18,7 @@ Construction of a transport frame from a message is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, ClassVar, Optional
+from typing import TYPE_CHECKING, ClassVar, Optional
 
 from repro.proto import codec
 from repro.proto.registry import register
@@ -61,22 +61,29 @@ class ProtoMessage:
 class RouteEnvelope(ProtoMessage):
     """A key-routed (or direct single-hop) application message.
 
-    The envelope wraps an application-level ``(app_kind, app_payload)``
-    pair; ``app_size`` is that payload's serialized size, declared by
-    the application layer (for Seaweed traffic it is a typed message's
-    ``body_size()``).  A direct envelope carries one id (the key); a
-    forwarded one also carries the origin for routing-table seeding.
+    The envelope wraps one typed application message; ``app_size`` is
+    that message's ``body_size()``, computed once when the route starts
+    and carried along so forwarding hops never recompute it.  A direct
+    envelope carries one id (the key); a forwarded one also carries the
+    origin for routing-table seeding.  ``ack_id`` asks the receiving hop
+    for a :class:`RouteAck` with that id (``None``: no ack wanted); it
+    rides in the fixed header and is not charged.
     """
 
     KIND: ClassVar[str] = "P_ROUTE"
 
     key: int
-    app_kind: str
-    app_payload: Any
+    app_payload: ProtoMessage
     app_size: int
     hops: int = 0
     origin: int = 0
     direct: bool = False
+    ack_id: Optional[int] = None
+
+    @property
+    def app_kind(self) -> str:
+        """The wrapped application message's wire kind."""
+        return self.app_payload.KIND
 
     def _accounted_size(self) -> int:
         return self.app_size + (codec.ID if self.direct else 2 * codec.ID)
@@ -258,10 +265,6 @@ class ResultSubmit(ProtoMessage):
 
     ``result`` is a serialized query result
     (:func:`repro.core.aggregation.result_to_payload`).
-
-    ``reroute`` marks a submission forwarded onward by a node that turned
-    out not to be the vertex primary (stale routing).  The copy carries
-    the same aggregate states as the original and is charged the same.
     """
 
     KIND: ClassVar[str] = "SW_RESULT_SUBMIT"
@@ -272,7 +275,6 @@ class ResultSubmit(ProtoMessage):
     submitter: int
     version: int
     result: dict
-    reroute: bool = False
 
     def _accounted_size(self) -> int:
         fixed = 4 * codec.ID + len(self.descriptor.sql)

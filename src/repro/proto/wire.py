@@ -15,13 +15,14 @@ and back:
   :class:`~repro.proto.framing.Frame` keyed by its KIND tag, and
   ``encode_message()``/``decode_message()`` doing the same for a whole
   transport-level :class:`~repro.net.transport.Message` (payload plus
-  src/dst/category/meta addressing, so one process can host many nodes).
+  src/dst/category addressing, so one process can host many nodes).
 
 Round-tripping is exact: ``decode(encode(msg)) == msg`` for every
 registered kind (the hypothesis suite in
-``tests/proto/test_wire_roundtrip.py`` enforces it), and in ``encoded``
-accounting mode ``body_size()`` is *defined* as the length these
-functions produce, making the codec the single source of truth.
+``tests/proto/test_wire_roundtrip.py`` enforces it).  Decoding is the
+trust boundary of a live host: whatever the bytes, :func:`decode_value`
+and everything built on it raise :class:`WireError` and nothing else
+(``tests/proto/test_decoder_fuzz.py``).
 
 Adapters import their target classes lazily so that ``repro.proto``
 stays importable without dragging in ``repro.core``/``repro.db`` (which
@@ -75,6 +76,12 @@ _T_DICT = 0x09
 _T_NDARRAY = 0x0A
 _T_OBJECT = 0x0B
 _T_MESSAGE = 0x0C
+
+#: Deepest value nesting the decoder follows.  A full metadata push
+#: (envelope > message > metadata > summaries > histogram > arrays) is
+#: under 20 levels; hostile input must not reach the interpreter's
+#: recursion limit.
+MAX_DEPTH = 64
 
 _U8 = struct.Struct("!B")
 _U16 = struct.Struct("!H")
@@ -323,7 +330,9 @@ def _encode_into(out: BytesIO, value: Any) -> None:
         _encode_into(out, adapter.to_state(value))
 
 
-def _decode_from(data: bytes, offset: int) -> tuple[Any, int]:
+def _decode_from(data: bytes, offset: int, depth: int) -> tuple[Any, int]:
+    if depth > MAX_DEPTH:
+        raise WireError(f"value nested deeper than {MAX_DEPTH} levels")
     raw, offset = _read_exact(data, offset, 1)
     tag = raw[0]
     if tag == _T_NONE:
@@ -359,16 +368,16 @@ def _decode_from(data: bytes, offset: int) -> tuple[Any, int]:
         (length,) = _U32.unpack(raw)
         raw, offset = _read_exact(data, offset, length)
         try:
-            array = np.frombuffer(raw, dtype=np.dtype(dtype_name))
+            array = np.frombuffer(raw, dtype=np.dtype(dtype_name)).reshape(shape)
         except (TypeError, ValueError) as error:
             raise WireError(f"bad ndarray encoding: {error}") from error
-        return array.reshape(shape).copy(), offset
+        return array.copy(), offset
     if tag == _T_LIST or tag == _T_TUPLE:
         raw, offset = _read_exact(data, offset, _U32.size)
         (count,) = _U32.unpack(raw)
         items = []
         for _ in range(count):
-            item, offset = _decode_from(data, offset)
+            item, offset = _decode_from(data, offset, depth + 1)
             items.append(item)
         return (items if tag == _T_LIST else tuple(items)), offset
     if tag == _T_DICT:
@@ -376,13 +385,13 @@ def _decode_from(data: bytes, offset: int) -> tuple[Any, int]:
         (count,) = _U32.unpack(raw)
         mapping = {}
         for _ in range(count):
-            key, offset = _decode_from(data, offset)
-            item, offset = _decode_from(data, offset)
+            key, offset = _decode_from(data, offset, depth + 1)
+            item, offset = _decode_from(data, offset, depth + 1)
             mapping[key] = item
         return mapping, offset
     if tag == _T_MESSAGE:
         kind, offset = _read_str(data, offset)
-        fields, offset = _decode_from(data, offset)
+        fields, offset = _decode_from(data, offset, depth + 1)
         return _message_from_fields(kind, fields), offset
     if tag == _T_OBJECT:
         raw, offset = _read_exact(data, offset, 1)
@@ -391,7 +400,7 @@ def _decode_from(data: bytes, offset: int) -> tuple[Any, int]:
         adapter = _adapters_by_code.get(code)
         if adapter is None:
             raise WireError(f"unknown object adapter code {code}")
-        state, offset = _decode_from(data, offset)
+        state, offset = _decode_from(data, offset, depth + 1)
         return adapter.from_state(state), offset
     raise WireError(f"unknown value tag 0x{tag:02x} at offset {offset - 1}")
 
@@ -404,8 +413,20 @@ def encode_value(value: Any) -> bytes:
 
 
 def decode_value(data: bytes) -> Any:
-    """Inverse of :func:`encode_value` (must consume all bytes)."""
-    value, offset = _decode_from(data, 0)
+    """Inverse of :func:`encode_value` (must consume all bytes).
+
+    Raises :class:`WireError` on any malformed input, including bytes
+    that parse but make a string, array, dict key or adapted object's
+    constructor fail.
+    """
+    try:
+        value, offset = _decode_from(data, 0, 0)
+    except WireError:
+        raise
+    except Exception as error:  # noqa: BLE001 - hostile bytes reached a constructor
+        raise WireError(
+            f"malformed value: {type(error).__name__}: {error}"
+        ) from error
     if offset != len(data):
         raise WireError(f"{len(data) - offset} trailing bytes after value")
     return value
@@ -475,38 +496,26 @@ MESSAGE_KIND = "!MSG"
 class WireMessage(NamedTuple):
     """A decoded transport-level message: addressing plus the payload.
 
-    ``payload`` is whatever the sender put on the wire — for Seaweed
-    traffic a :class:`~repro.proto.messages.ProtoMessage`; ``size`` is
-    the *modelled* body size (``body_size()``), which is what bandwidth
-    accounting charges and differs from the encoded byte count.
+    The protocol kind is ``payload.KIND``; the modelled size is
+    ``payload.body_size()`` — neither is restated on the wire.
     """
 
-    kind: str
     src: str
     dst: str
     category: str
-    size: int
-    meta: dict
-    payload: Any
+    payload: ProtoMessage
 
 
 def encode_message(
-    kind: str,
-    src: str,
-    dst: str,
-    category: str,
-    size: int,
-    meta: dict,
-    payload: Any,
+    src: str, dst: str, category: str, payload: ProtoMessage
 ) -> Frame:
     """Pack a transport-level message into one frame.
 
     The frame kind is :data:`MESSAGE_KIND`; the logical protocol kind
-    travels in the body so that one TCP connection (and one hosting
+    travels with the payload so that one TCP connection (and one hosting
     process) can carry traffic for many nodes and kinds.
     """
-    body = encode_value((kind, src, dst, category, size, meta, payload))
-    return Frame(kind=MESSAGE_KIND, body=body)
+    return Frame(kind=MESSAGE_KIND, body=encode_value((src, dst, category, payload)))
 
 
 def decode_message(frame: Union[Frame, bytes]) -> WireMessage:
@@ -518,6 +527,11 @@ def decode_message(frame: Union[Frame, bytes]) -> WireMessage:
     if frame.kind != MESSAGE_KIND:
         raise WireError(f"expected a {MESSAGE_KIND} frame, got {frame.kind!r}")
     value = decode_value(frame.body)
-    if not isinstance(value, tuple) or len(value) != 7:
+    if (
+        not isinstance(value, tuple)
+        or len(value) != 4
+        or not all(isinstance(part, str) for part in value[:3])
+        or not isinstance(value[3], ProtoMessage)
+    ):
         raise WireError("malformed transport message body")
     return WireMessage(*value)

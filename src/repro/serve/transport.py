@@ -274,13 +274,7 @@ class AsyncioTransport(Transport):
             return
         try:
             frame = wire.encode_message(
-                message.kind,
-                message.src,
-                dst,
-                message.category,
-                message.size,
-                message.meta,
-                message.payload,
+                message.src, dst, message.category, message.payload
             )
         except wire.WireError:
             log.exception("cannot encode %s for %s", message.kind, dst)
@@ -343,14 +337,8 @@ class AsyncioTransport(Transport):
         self.messages_received += 1
         if self.on_peer_activity is not None and wm.src:
             self.on_peer_activity(wm.src, self.scheduler.now)
-        message = Message(
-            kind=wm.kind,
-            payload=wm.payload,
-            size=wm.size,
-            src=wm.src,
-            category=wm.category,
-            meta=wm.meta,
-        )
+        message = Message.of(wm.payload, wm.category)
+        message.src = wm.src
         try:
             self._deliver(wm.dst, message)
         except Exception:  # noqa: BLE001 - a handler must not kill the host

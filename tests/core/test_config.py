@@ -1,8 +1,45 @@
 """Tests for Seaweed configuration validation."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import SeaweedConfig
+from repro.overlay.network import OverlayConfig
+
+
+def test_knob_surface_is_pinned():
+    """Every tunable, by name.  A new knob is a reviewed edit of this
+    set; a deleted one leaves it (18 + 7 fields)."""
+    assert {field.name for field in dataclasses.fields(SeaweedConfig)} == {
+        "overlay",
+        "metadata_replicas",
+        "vertex_backups",
+        "summary_push_period",
+        "histogram_buckets",
+        "delta_summaries",
+        "down_duration_buckets",
+        "periodic_threshold",
+        "predictor_buckets",
+        "predictor_horizon",
+        "predictor_heartbeat",
+        "predictor_reply_timeout",
+        "predictor_retry_interval",
+        "predictor_retry_limit",
+        "result_refresh_period",
+        "result_retransmit",
+        "vertex_forward_delay",
+        "views",
+    }
+    assert {field.name for field in dataclasses.fields(OverlayConfig)} == {
+        "b",
+        "leafset_size",
+        "heartbeat_period",
+        "heartbeat_bytes",
+        "detection_grace",
+        "stabilize_period",
+        "death_record_ttl",
+    }
 
 
 class TestConfig:

@@ -17,6 +17,7 @@ from repro.faults import (
 )
 from repro.net.topology import Topology
 from repro.net.transport import Message
+from repro.proto.messages import LeafsetProbe
 from repro.traces import AvailabilitySchedule, TraceSet
 
 HORIZON = 1200.0
@@ -30,7 +31,7 @@ def _topology() -> Topology:
 
 
 def _message() -> Message:
-    return Message("HEARTBEAT", None, size=10)
+    return Message.of(LeafsetProbe())
 
 
 class TestWindowLossInterceptor:

@@ -13,12 +13,13 @@ from repro.net.stats import BandwidthAccounting
 from repro.net.topology import Topology
 from repro.net.transport import (
     DECISION_DROP_LOSS,
-    MESSAGE_HEADER_BYTES,
     Decision,
     Message,
     Transport,
     UniformLossInterceptor,
 )
+from repro.proto import codec
+from repro.proto.messages import Cancel, LeafsetState
 from repro.sim import Simulator
 
 
@@ -40,12 +41,12 @@ class TestDelivery:
         transport.register("b", lambda dst, msg: received.append((sim.now, msg)))
         transport.set_online("a", True)
         transport.set_online("b", True)
-        transport.send("a", "b", Message("HELLO", None, size=100))
+        transport.send("a", "b", Message.of(Cancel(query_id=1)))
         sim.run()
         assert len(received) == 1
         time, message = received[0]
         assert time == pytest.approx(0.001 + 0.005 + 0.001)
-        assert message.kind == "HELLO"
+        assert message.kind == Cancel.KIND
         assert message.src == "a"
 
 
@@ -54,17 +55,16 @@ class TestAccounting:
         sim, transport, accounting = setup
         transport.register("b", lambda dst, msg: None)
         transport.set_online("b", True)
-        transport.send("a", "b", Message("X", None, size=100, category="query"))
+        state = LeafsetState(members=list(range(6)))  # 96 body bytes
+        transport.send("a", "b", Message.of(state, "query"))
         sim.run()
-        assert accounting.total_tx == 100 + MESSAGE_HEADER_BYTES
-        assert accounting.totals_by_category("tx") == {
-            "query": 100 + MESSAGE_HEADER_BYTES
-        }
+        assert accounting.total_tx == 96 + codec.HEADER
+        assert accounting.totals_by_category("tx") == {"query": 96 + codec.HEADER}
 
     def test_bytes_recorded_even_when_dropped(self, setup):
         sim, transport, accounting = setup
         transport.set_online("b", False)
-        transport.send("a", "b", Message("X", None, size=10))
+        transport.send("a", "b", Message.of(Cancel(query_id=1)))
         sim.run()
         assert accounting.total_tx > 0  # the sender still used the wire
 
@@ -85,7 +85,7 @@ class TestLoss:
         transport.register("b", lambda dst, msg: received.append(msg))
         transport.set_online("b", True)
         for _ in range(400):
-            transport.send("a", "b", Message("X", None, size=1))
+            transport.send("a", "b", Message.of(Cancel(query_id=1)))
         sim.run()
         assert 130 < len(received) < 270  # ~50% with slack
         assert transport.dropped_loss == 400 - len(received)
@@ -140,7 +140,7 @@ class TestInterceptors:
         late = _Always(Decision(extra_delay=1.0))
         transport.add_interceptor(_Always(DECISION_DROP_LOSS))
         transport.add_interceptor(late)
-        transport.send("a", "b", Message("HELLO", None, size=10))
+        transport.send("a", "b", Message.of(Cancel(query_id=1)))
         sim.run()
         assert transport.dropped_loss == 1
         assert late.seen == 0  # chain stops at the drop
@@ -154,7 +154,7 @@ class TestInterceptors:
         transport.add_interceptor(dropper)
         transport.remove_interceptor(dropper)
         transport.remove_interceptor(dropper)  # second removal is a no-op
-        transport.send("a", "b", Message("HELLO", None, size=10))
+        transport.send("a", "b", Message.of(Cancel(query_id=1)))
         sim.run()
         assert len(received) == 1
 

@@ -4,7 +4,9 @@ Everything above :meth:`Transport.carry` is one implementation, so the
 simulator's :class:`Transport` and the live :class:`AsyncioTransport`
 (here with every node hosted locally: no socket is opened) must deliver
 the same messages and count the same drops for the same sends.  Each
-case runs on both and asserts the same literal outcome.
+case runs on both and asserts the same literal outcome.  The last case
+also crosses the wire on the live carrier (a second transport over
+loopback TCP): the typed hop-ack id has to survive the codec.
 """
 
 import asyncio
@@ -13,6 +15,9 @@ import pytest
 
 from repro.net.topology import Topology
 from repro.net.transport import DECISION_DROP_LOSS, Decision, Message, Transport
+from repro.overlay.ids import id_to_hex
+from repro.overlay.network import OverlayServices
+from repro.proto.messages import Cancel, RouteAck, RouteEnvelope
 from repro.serve.scheduler import AsyncioScheduler
 from repro.serve.transport import AsyncioTransport
 from repro.sim import Simulator
@@ -35,6 +40,11 @@ class SimWorld:
     def advance(self, seconds):
         self.scheduler.run_until(self.scheduler.now + seconds)
 
+    def host_elsewhere(self, name):
+        """The transport hosting ``name``, away from "a": the same one."""
+        self.transport.topology.attach(name, 1)
+        return self.transport
+
     def close(self):
         pass
 
@@ -50,12 +60,26 @@ class LiveWorld:
         self.loop = asyncio.new_event_loop()
         self.scheduler = AsyncioScheduler(loop=self.loop, time_scale=self.time_scale)
         self.transport = AsyncioTransport(self.scheduler, {})
+        self.elsewhere = None
 
     def advance(self, seconds):
         self.loop.run_until_complete(asyncio.sleep(seconds / self.time_scale))
 
+    def host_elsewhere(self, name):
+        """The transport hosting ``name``: a second one, over loopback TCP."""
+        self.elsewhere = AsyncioTransport(self.scheduler, {})
+        here = self.loop.run_until_complete(self.transport.start())
+        there = self.loop.run_until_complete(self.elsewhere.start())
+        self.transport.directory[name] = there
+        self.elsewhere.directory["a"] = here
+        return self.elsewhere
+
     def close(self):
-        assert self.transport.messages_sent == 0  # loop-back only, no socket
+        if self.elsewhere is None:
+            assert self.transport.messages_sent == 0  # loop-back only, no socket
+        else:
+            assert self.transport.messages_sent > 0  # crossed the wire
+            self.loop.run_until_complete(self.elsewhere.drain_and_close())
         self.loop.run_until_complete(self.transport.drain_and_close())
         self.loop.close()
 
@@ -96,16 +120,16 @@ NO_DROPS = {"loss": 0, "offline": 0, "unregistered": 0, "unknown_kind": 0}
 
 
 def send(world, dst="b"):
-    """Send one HELLO from "a"; returns the protocol time of the send."""
+    """Send one Cancel from "a"; returns the protocol time of the send."""
     sent_at = world.scheduler.now
-    world.transport.send("a", dst, Message("HELLO", None, size=10))
+    world.transport.send("a", dst, Message.of(Cancel(query_id=1)))
     return sent_at
 
 
 def assert_delivered(world, sent_at, delays):
     """One delivery per entry of ``delays`` (s after the carrier's own
     latency), in order, none early, none later than the world's slack."""
-    assert [kind for _, kind in world.received] == ["HELLO"] * len(delays)
+    assert [kind for _, kind in world.received] == [Cancel.KIND] * len(delays)
     for (time, _), delay in zip(world.received, delays):
         earliest = sent_at + world.latency + delay
         assert earliest - 1e-9 <= time <= earliest + world.slack
@@ -190,3 +214,40 @@ def test_duplicates_are_spaced_by_duplicate_delay(world):
     world.advance(3.0)
     assert_delivered(world, sent_at, [0.0, 1.0, 2.0])
     assert world.transport.drops_by_reason == {}
+
+
+def test_hop_ack_answers_the_typed_ack_id(world):
+    """A forwarded envelope carrying ``ack_id=7`` is answered by
+    ``RouteAck(msg_id=7)``; a direct one (``ack_id=None``) by nothing."""
+    node_id = 0xB0B
+    name = id_to_hex(node_id)
+    node = OverlayServices(
+        world.scheduler, world.host_elsewhere(name)
+    ).create_node(node_id)
+    delivered = []
+    node.set_deliver(lambda key, kind, payload, hops: delivered.append(payload))
+    node.go_online(None)
+    answers = []
+    world.transport.register("a", lambda dst, msg: answers.append(msg.payload))
+    world.transport.set_online("a", True)
+
+    direct = RouteEnvelope(
+        key=node_id, app_payload=Cancel(query_id=1), app_size=24, direct=True
+    )
+    forwarded = RouteEnvelope(
+        key=node_id, app_payload=Cancel(query_id=2), app_size=24, hops=1, ack_id=7
+    )
+    for envelope in (direct, forwarded):
+        # From inside the scheduler: the live carrier opens its peer
+        # connection on the running loop.
+        world.scheduler.schedule(
+            0.0, world.transport.send, "a", name, Message.of(envelope)
+        )
+    for _ in range(100):
+        world.advance(1.0)
+        if answers:
+            break
+    world.advance(1.0)
+    node.go_offline()
+    assert delivered == [Cancel(query_id=1), Cancel(query_id=2)]
+    assert answers == [RouteAck(msg_id=7)]

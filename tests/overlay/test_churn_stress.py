@@ -13,6 +13,7 @@ from repro.net.topology import corpnet_like
 from repro.net.transport import Transport
 from repro.overlay.ids import random_id, ring_distance
 from repro.overlay.network import OverlayConfig, OverlayNetwork
+from repro.proto.messages import Cancel
 from repro.sim import SimClock, Simulator
 
 
@@ -81,7 +82,7 @@ class TestPostChurnConvergence:
         node_list = list(nodes.values())
         for _ in range(80):
             source = node_list[int(rng.integers(0, len(node_list)))]
-            source.route(random_id(rng), "T", None, 8)
+            source.route(random_id(rng), Cancel(query_id=0))
         sim.run_until(sim.now + 10.0)
         assert len(deliveries) == 80
         for key, node_id in deliveries:

@@ -10,7 +10,7 @@ from repro.obs import MemorySink, Observer
 from repro.overlay.ids import random_id, ring_distance
 from repro.overlay.network import OverlayConfig, OverlayNetwork
 from repro.overlay.node import MAX_HOPS
-from repro.proto.messages import RouteEnvelope
+from repro.proto.messages import Cancel, RouteEnvelope
 from repro.sim import SimClock, Simulator
 
 
@@ -78,7 +78,7 @@ class TestRouting:
         for _ in range(100):
             source = nodes[int(rng.integers(0, len(nodes)))]
             key = random_id(rng)
-            source.route(key, "T", None, 8)
+            source.route(key, Cancel(query_id=0))
         sim.run_until(sim.now + 10.0)
         assert len(deliveries) == 100
         for key, node_id, _ in deliveries:
@@ -95,7 +95,7 @@ class TestRouting:
             )
         rng = np.random.default_rng(9)
         for _ in range(60):
-            nodes[int(rng.integers(0, len(nodes)))].route(random_id(rng), "T", None, 8)
+            nodes[int(rng.integers(0, len(nodes)))].route(random_id(rng), Cancel(query_id=0))
         sim.run_until(sim.now + 10.0)
         assert np.mean(hops) < 4.0  # log16(30) ~ 1.2 plus slack
 
@@ -106,16 +106,16 @@ class TestRouting:
         nodes[5].set_deliver(
             lambda key, kind, payload, hops: received.append((kind, payload, hops))
         )
-        nodes[0].send_direct(nodes[5].node_id, "PING", {"x": 1}, 16)
+        nodes[0].send_direct(nodes[5].node_id, Cancel(query_id=1))
         sim.run_until(sim.now + 1.0)
-        assert received == [("PING", {"x": 1}, 0)]
+        assert received == [(Cancel.KIND, Cancel(query_id=1), 0)]
 
     def test_send_direct_to_self_is_deferred_delivery(self, overlay):
         sim, network, nodes, _ = overlay
         bring_all_online(sim, network, nodes)
         received = []
         nodes[0].set_deliver(lambda *args: received.append(args))
-        nodes[0].send_direct(nodes[0].node_id, "SELF", None, 8)
+        nodes[0].send_direct(nodes[0].node_id, Cancel(query_id=1))
         assert received == []  # not synchronous
         sim.run_until(sim.now + 0.1)
         assert len(received) == 1
@@ -137,7 +137,7 @@ class TestFailure:
                     node.node_id
                 )
             )
-        nodes[0].route(key, "T", None, 8)
+        nodes[0].route(key, Cancel(query_id=0))
         sim.run_until(sim.now + 5.0)
         assert len(deliveries) == 1
         live = [i for i in ids if i != victim.node_id]
@@ -234,7 +234,7 @@ class TestHopCapDrop:
         node, peer = nodes[:2]
         node.leafset.add(peer.node_id)
         envelope = RouteEnvelope(
-            key=peer.node_id, app_kind="T", app_payload=None, app_size=8,
+            key=peer.node_id, app_payload=Cancel(query_id=0), app_size=24,
             hops=MAX_HOPS,
         )
         node._route_envelope(envelope, "query")
@@ -247,7 +247,7 @@ class TestHopCapDrop:
         (event,) = sink.of_kind("routing_drop")
         assert event["node"] == node.name
         assert event["key"] == peer.name
-        assert event["app_kind"] == "T"
+        assert event["app_kind"] == Cancel.KIND
         assert event["next_hop"] == peer.name
         assert event["leafset"] == [peer.name]
 

@@ -198,12 +198,12 @@ CASES: dict[str, tuple] = {
         st.builds(
             RouteEnvelope,
             key=overlay_ids,
-            app_kind=st.just("X"),
             app_payload=st.none(),
             app_size=st.integers(min_value=0, max_value=4096),
             hops=st.integers(min_value=0, max_value=64),
             origin=overlay_ids,
             direct=st.booleans(),
+            ack_id=st.none() | versions,
         ),
         _encode_route_envelope,
     ),
@@ -286,7 +286,6 @@ CASES: dict[str, tuple] = {
             submitter=overlay_ids,
             version=versions,
             result=result_payloads,
-            reroute=st.booleans(),
         ),
         _encode_result_submit,
     ),

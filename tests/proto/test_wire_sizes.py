@@ -6,9 +6,9 @@ Before the typed protocol layer, every call site carried a hand-written
 the seed tree) so the codec cannot drift from the byte accounting the
 experiments were calibrated against.
 
-The one deliberate deviation — a re-routed :class:`ResultSubmit` is
-charged for the states it carries, which the seed tree omitted — is
-pinned by ``tests/proto/test_reroute_accounting.py``.
+The one deliberate deviation: a re-routed :class:`ResultSubmit` is
+forwarded as is, so it is charged for the states it carries (the seed
+tree omitted them).
 """
 
 from __future__ import annotations
@@ -79,12 +79,16 @@ def result_payload(states: int, rows: int) -> dict:
 
 class TestOverlaySizes:
     def test_route_forwarded(self):
-        env = RouteEnvelope(key=7, app_kind="X", app_payload=None, app_size=100)
+        env = RouteEnvelope(key=7, app_payload=None, app_size=100)
+        assert env.body_size() == 100 + 2 * ID_BYTES
+
+    def test_route_ack_id_rides_in_the_header(self):
+        env = RouteEnvelope(key=7, app_payload=None, app_size=100, ack_id=3)
         assert env.body_size() == 100 + 2 * ID_BYTES
 
     def test_route_direct(self):
         env = RouteEnvelope(
-            key=7, app_kind="X", app_payload=None, app_size=100, direct=True
+            key=7, app_payload=None, app_size=100, direct=True
         )
         assert env.body_size() == 100 + ID_BYTES
 
@@ -228,9 +232,10 @@ class TestMaintenanceSizes:
 
 class TestCodecConstants:
     def test_header_matches_transport(self):
-        from repro.net.transport import MESSAGE_HEADER_BYTES
+        from repro.net.transport import Message
 
-        assert codec.HEADER == MESSAGE_HEADER_BYTES == 48
+        # An empty body: what the transport charges is the header alone.
+        assert Message.of(RouteAck(msg_id=1)).wire_size == codec.HEADER == 48
 
     def test_every_kind_covered(self):
         """Every registered kind has a size test in this module."""

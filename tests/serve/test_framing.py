@@ -1,4 +1,4 @@
-"""The frame envelope: header layout, checksums, batches, stream reassembly."""
+"""The frame envelope: header layout, checksums, flags, stream reassembly."""
 
 import struct
 
@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.proto import framing
 from repro.proto.framing import (
-    BATCH_KIND,
     DEFAULT_MAX_FRAME,
     FIXED_HEADER_BYTES,
     Frame,
@@ -15,7 +14,6 @@ from repro.proto.framing import (
     FrameError,
     FrameTooLarge,
     decode_frame,
-    encode_batch,
 )
 
 bodies = st.binary(max_size=2048)
@@ -96,28 +94,32 @@ def test_small_max_frame_enforced():
         decoder.feed(frame.to_bytes())
 
 
-def test_batch_flattens_in_order():
-    members = [Frame(kind=f"k{i}", body=bytes([i]) * i) for i in range(5)]
-    batch = encode_batch(members)
-    assert batch.is_batch
-    assert batch.kind == BATCH_KIND
-    out = FrameDecoder().feed(batch.to_bytes())
-    assert [(f.kind, f.body) for f in out] == [
-        (f.kind, f.body) for f in members
-    ]
+@pytest.mark.parametrize("flags", [0x01, 0x80, 0xFF])
+def test_any_flag_bit_rejected(raw_frame, flags):
+    """This version defines no flags: a set bit is an error, not ignored."""
+    with pytest.raises(FrameError, match="flags"):
+        FrameDecoder().feed(raw_frame(b"X", b"hello", flags=flags))
 
 
-def test_batch_with_trailing_garbage_rejected():
-    batch = encode_batch([Frame(kind="a", body=b"1")])
-    inner_plus_junk = batch.body + b"junk"
-    bad = Frame(kind=BATCH_KIND, body=inner_plus_junk, flags=framing.FLAG_BATCH)
-    with pytest.raises(FrameError):
-        FrameDecoder().feed(bad.to_bytes())
+def test_deeply_nested_flagged_frames_rejected_at_outer_header(raw_frame):
+    """1,200 frames nested under the old batch flag (0x01) never recurse."""
+    data = b""
+    for _ in range(1200):
+        data = raw_frame(b"!BATCH", data, flags=0x01)
+    with pytest.raises(FrameError, match="flags"):
+        FrameDecoder().feed(data)
 
 
-def test_empty_batch_decodes_to_nothing():
-    batch = encode_batch([])
-    assert FrameDecoder().feed(batch.to_bytes()) == []
+def test_non_utf8_kind_tag_rejected(raw_frame):
+    with pytest.raises(FrameError, match="utf-8"):
+        FrameDecoder().feed(raw_frame(b"\xff\xfe", b"hello"))
+
+
+def test_previous_version_rejected(raw_frame):
+    data = bytearray(raw_frame(b"X", b"hello"))
+    data[2] = framing.VERSION - 1
+    with pytest.raises(FrameError, match="version"):
+        FrameDecoder().feed(bytes(data))
 
 
 def test_header_size_constant_matches_struct():

@@ -68,7 +68,9 @@ def test_build_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="overlay.bogus"):
         build_config({"overlay.bogus": 1})
     # Options that no longer exist fail as loudly as typos do.
-    for retired in ("retransmit_backoff", "wire_accounting", "overlay.route_cache"):
+    for retired in (
+        "retransmit_backoff", "batching", "wire_accounting", "overlay.route_cache"
+    ):
         with pytest.raises(ValueError, match=retired):
             build_config({retired: True})
 

@@ -23,8 +23,8 @@ from repro.serve.transport import (
 )
 
 
-def _message(kind: str = Cancel.KIND) -> Message:
-    return Message(kind=kind, payload=Cancel(query_id=7), size=16, src="a")
+def _message() -> Message:
+    return Message.of(Cancel(query_id=7))
 
 
 async def _eventually(predicate, timeout: float = 5.0, what: str = "") -> None:
@@ -92,9 +92,7 @@ def test_peer_crash_mid_stream_discards_partial_frame():
         # Crash mid-frame: send half the bytes, then cut the connection.
         from repro.proto import wire
 
-        data = wire.encode_message(
-            Cancel.KIND, "a", "b", "query", 16, {}, Cancel(query_id=1)
-        ).to_bytes()
+        data = wire.encode_message("a", "b", "query", Cancel(query_id=1)).to_bytes()
         _, writer = await asyncio.open_connection(
             transport.listen_host, transport.listen_port
         )
@@ -244,9 +242,7 @@ def test_corrupt_frame_rejected():
         transport = AsyncioTransport(scheduler, {})
         await transport.start()
         data = bytearray(
-            wire.encode_message(
-                Cancel.KIND, "a", "b", "query", 16, {}, Cancel(query_id=1)
-            ).to_bytes()
+            wire.encode_message("a", "b", "query", Cancel(query_id=1)).to_bytes()
         )
         data[-1] ^= 0xFF  # corrupt the body; crc32 mismatch
         reader, writer = await asyncio.open_connection(
@@ -260,6 +256,40 @@ def test_corrupt_frame_rejected():
             what="bad-frame count",
         )
         writer.close()
+        await transport.drain_and_close()
+
+    asyncio.run(main())
+
+
+def test_hostile_frame_is_counted_once_and_the_host_keeps_serving(hostile_frame):
+    """A malformed frame — bad envelope, or a well-framed body the value
+    codec chokes on — is one ``bad_frame`` drop, never an unhandled
+    exception, and a fresh connection's valid traffic still delivers."""
+
+    async def main():
+        from repro.proto import wire
+
+        transport = AsyncioTransport(AsyncioScheduler(), {})
+        await transport.start()
+        received = []
+        transport.register("b", lambda dst, msg: received.append(msg.kind))
+        transport.set_online("b", True)
+        valid = wire.encode_message("a", "b", "query", Cancel(query_id=1))
+        for data in (hostile_frame, valid.to_bytes()):
+            _, writer = await asyncio.open_connection(
+                transport.listen_host, transport.listen_port
+            )
+            writer.write(data)
+            await writer.drain()
+            await _eventually(
+                lambda: transport.drops_by_reason.get(DROP_BAD_FRAME, 0) == 1,
+                what="bad-frame count",
+            )
+            writer.close()
+        await _eventually(lambda: received, what="delivery after hostile input")
+        assert received == [Cancel.KIND]
+        assert transport.drops_by_reason == {DROP_BAD_FRAME: 1}
+        assert transport.messages_received == 1
         await transport.drain_and_close()
 
     asyncio.run(main())

@@ -9,7 +9,7 @@ samples the root's view of the result during and after the cut, showing
 the result stuck below the ground truth while the cut holds and climbing
 back to *exactly* the ground truth after the heal (every endsystem
 counted once, nobody counted twice), with the overlay's leafsets
-re-converged.
+re-converged — as checked by the ground-truth oracle.
 
 Run with:  PYTHONPATH=src python examples/chaos_partition.py
 """
@@ -17,8 +17,7 @@ Run with:  PYTHONPATH=src python examples/chaos_partition.py
 import numpy as np
 
 from repro.core import SeaweedSystem
-from repro.faults import FaultPlan, LinkPartition, run_standard_checks
-from repro.obs import MemorySink, Observer
+from repro.faults import FaultPlan, LinkPartition
 from repro.traces import AvailabilitySchedule, TraceSet
 from repro.workload import QUERY_HTTP_BYTES
 from repro.workload.anemone import AnemoneDataset, AnemoneParams
@@ -44,16 +43,15 @@ def main() -> None:
         rng=np.random.default_rng(11),
     )
     schedules = [AvailabilitySchedule.always_on(HORIZON) for _ in range(POPULATION)]
-    sink = MemorySink()
     system = SeaweedSystem(
         TraceSet(schedules, HORIZON),
         dataset,
         num_endsystems=POPULATION,
         master_seed=7,
         startup_stagger=30.0,
-        observer=Observer(trace_sink=sink),
         fault_plan=plan,
     )
+    oracle = system.enable_audit()
 
     system.run_until(160.0)
     _, query = system.inject_query(QUERY_HTTP_BYTES)
@@ -74,13 +72,13 @@ def main() -> None:
     print(f"\nfinal result: {status.rows_processed}/{truth} rows "
           f"({'exactly once' if status.rows_processed == truth else 'INCOMPLETE'})")
 
-    violations = run_standard_checks(system, [query], trace=sink.events)
-    if violations:
-        for violation in violations:
-            print(f"VIOLATION {violation.invariant}: {violation.detail}")
+    report = oracle.finalize()
+    if not report["ok"]:
+        for violation in report["violations"]:
+            print(f"VIOLATION {violation['check']}: {violation['detail']}")
         raise SystemExit(1)
-    print("all invariants held: exactly-once, predictor monotonicity, "
-          "leafset reconvergence, no orphaned vertex state")
+    print("all conformance checks held: contribution bound, final equality, "
+          "leafsets repaired, vertex state released")
 
 
 if __name__ == "__main__":

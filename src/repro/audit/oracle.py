@@ -3,22 +3,36 @@
 The oracle sits outside the protocol.  It sees every endsystem's local
 database directly (something no real deployment could), so it can state
 exactly what a query *should* return and compare that against what the
-aggregation tree actually delivers:
+aggregation tree actually delivers.  It is the repository's one
+conformance checker.
+
+Checked on every root flush:
 
 * **contribution bound** — every result streamed from the root must be
   explainable as a merge of true local contributions with each
   endsystem counted at most once, so the root's row count may never
-  exceed the sum of its contributors' true row counts;
-* **final equality** — at audit end the root's aggregate must *exactly*
-  equal the merge of the latest true contribution from every endsystem
-  that learned the query while online (row counts equal, aggregate and
+  exceed the sum of its contributors' true row counts (which is at most
+  the population truth).
+
+Checked once, at :meth:`GroundTruthOracle.finalize`:
+
+* **final equality** — the root's aggregate must *exactly* equal the
+  merge of the latest true contribution from every endsystem that
+  learned the query while online (row counts equal, aggregate and
   per-group values equal to float tolerance — merge order may permute
   float additions);
-* **predictor calibration** — the completeness the predictor claimed at
-  each streamed result is compared against the completeness actually
-  realized; the per-query signed final error and mean absolute error
-  are exported through :mod:`repro.obs` gauges (calibration is a
-  measurement, not a violation).
+* **leafset repaired** — every online node's leafset is full (when the
+  population exceeds the leafset size) and holds only online members;
+* **vertex state released** — no node holds aggregation-tree vertex
+  state for a query that expired more than one ``result_refresh_period``
+  ago.
+
+Measured, not gated (per query, in the report): **predictor
+calibration** — the completeness the predictor claimed at each streamed
+result against the completeness actually realized, also exported
+through :mod:`repro.obs` gauges; **publishers** — how many distinct
+nodes published root results; **row regressions** — root flushes of a
+one-shot query whose row count fell below the previous flush.
 
 Hook discipline: every hook is read-only with respect to the simulation
 — no events scheduled, no RNG drawn, no protocol state touched — so an
@@ -56,6 +70,14 @@ AUDIT_VALUE_MISMATCH = "value_mismatch"
 #: Final GROUP BY keys or per-group values differ from truth.
 AUDIT_GROUP_MISMATCH = "group_mismatch"
 
+#: At the end of the run an online node's leafset is short or holds an
+#: offline member.
+AUDIT_LEAFSET_REPAIRED = "leafset_repaired"
+
+#: At the end of the run a node still holds vertex state for a query
+#: that expired more than one refresh sweep ago.
+AUDIT_VERTEX_STATE_RELEASED = "vertex_state_released"
+
 #: Relative/absolute tolerance for float aggregate comparison: merge
 #: order permutes float additions, so exact bit equality is not owed.
 _REL_TOL = 1e-9
@@ -67,19 +89,20 @@ def _hx(value: int) -> str:
 
 
 @dataclass(frozen=True)
-class AuditViolation:
+class Violation:
     """One observed breach of a conformance check."""
 
     check: str
-    query_id: int
     detail: str
     t: float
+    #: The query concerned; ``None`` for deployment-wide checks.
+    query_id: Optional[int] = None
 
     def to_dict(self) -> dict[str, Any]:
         """Plain-dict form for JSON reports."""
         return {
             "check": self.check,
-            "query_id": _hx(self.query_id),
+            "query_id": None if self.query_id is None else _hx(self.query_id),
             "detail": self.detail,
             "t": self.t,
         }
@@ -99,8 +122,9 @@ class QueryAudit:
     #: database, so re-executions (continuous queries, live updates)
     #: supersede the injection-time snapshot.
     contributions: dict[int, tuple[int, QueryResult]] = field(default_factory=dict)
-    #: (time, row_count) per root-published result, in stream order.
-    root_flushes: list[tuple[float, int]] = field(default_factory=list)
+    #: (time, publishing node_id, row_count) per root-published result,
+    #: in stream order.
+    root_flushes: list[tuple[float, int, int]] = field(default_factory=list)
     #: The most recent root-published merged result.
     last_root_result: Optional[QueryResult] = None
 
@@ -127,15 +151,25 @@ class QueryAudit:
             expected = result if expected is None else expected.merge(result)
         return expected
 
+    def row_regressions(self) -> Optional[int]:
+        """Root flushes whose row count fell below the previous flush.
+
+        ``None`` for a continuous query, whose re-executions may
+        legitimately shrink the result.
+        """
+        if self.descriptor.continuous_period is not None:
+            return None
+        rows = [row_count for _, _, row_count in self.root_flushes]
+        return sum(later < earlier for earlier, later in zip(rows, rows[1:]))
+
 
 class GroundTruthOracle:
     """Omniscient conformance oracle attached to one deployment.
 
     Construct via :meth:`repro.core.system.SeaweedSystem.enable_audit`;
     hooks are invoked by the system and its nodes.  Call
-    :meth:`finalize` once the run is over (ideally after every audited
-    query expired) to run the final-equality checks and obtain the
-    report.
+    :meth:`finalize` once, at the end of the run, for the end-state
+    checks and the report.
     """
 
     def __init__(
@@ -144,7 +178,7 @@ class GroundTruthOracle:
         self.system = system
         self._obs = active(observer)
         self.audits: dict[int, QueryAudit] = {}
-        self.violations: list[AuditViolation] = []
+        self.violations: list[Violation] = []
         #: Availability bookkeeping, seeded from the current state so the
         #: oracle can be attached to a deployment that already ran.
         self.online_now: set[int] = {
@@ -206,16 +240,16 @@ class GroundTruthOracle:
         audit = self.audits.get(descriptor.query_id)
         if audit is None:
             return
-        audit.root_flushes.append((t, merged.row_count))
+        audit.root_flushes.append((t, node_id, merged.row_count))
         audit.last_root_result = merged
         bound = audit.contributed_truth_rows()
         if merged.row_count > bound:
             self._violation(
                 AUDIT_CONTRIBUTION_BOUND,
-                audit,
                 f"root streamed {merged.row_count} rows but contributors "
                 f"truly hold {bound} — an endsystem was double-counted",
-                t=t,
+                t,
+                descriptor.query_id,
             )
 
     def on_transition(self, t: float, node_id: int, goes_up: bool) -> None:
@@ -234,6 +268,12 @@ class GroundTruthOracle:
     def finalize(self) -> dict:
         """Run the end-state checks and return the audit report.
 
+        Call at quiescence: after the last fault, once the failure
+        detector, leafset repair and a stabilization round have had time
+        to run (one heartbeat period plus detection grace plus one
+        stabilization period is enough in practice).  Earlier, the
+        leafset check reports repair still in progress.
+
         Idempotent: a second call returns the same report without
         re-running checks or re-emitting violations.
         """
@@ -244,6 +284,8 @@ class GroundTruthOracle:
         for query_id in sorted(self.audits):
             audit = self.audits[query_id]
             queries[_hx(query_id)] = self._finalize_query(audit, now)
+        self._check_leafset_repair(now)
+        self._check_vertex_state_release(now)
         report = {
             "queries": queries,
             "endsystems_ever_online": len(self.ever_online),
@@ -265,10 +307,10 @@ class GroundTruthOracle:
         if actual_rows != expected_rows:
             self._violation(
                 AUDIT_FINAL_EQUALITY,
-                audit,
                 f"final root rows {actual_rows} != truth {expected_rows} over "
                 f"{len(audit.contributions)} contributing endsystem(s)",
-                t=now,
+                now,
+                descriptor.query_id,
             )
         elif expected is not None and actual is not None:
             self._check_values(audit, expected, actual, now)
@@ -282,6 +324,8 @@ class GroundTruthOracle:
             "learned_endsystems": len(audit.learned),
             "root_rows_final": actual_rows,
             "root_flushes": len(audit.root_flushes),
+            "publishers": len({node_id for _, node_id, _ in audit.root_flushes}),
+            "row_regressions": audit.row_regressions(),
             "calibration": calibration,
         }
 
@@ -289,13 +333,14 @@ class GroundTruthOracle:
         self, audit: QueryAudit, expected: QueryResult, actual: QueryResult, now: float
     ) -> None:
         """Final aggregate and per-group values must match to tolerance."""
+        query_id = audit.descriptor.query_id
         for index, (want, got) in enumerate(zip(expected.values(), actual.values())):
             if not _close(want, got):
                 self._violation(
                     AUDIT_VALUE_MISMATCH,
-                    audit,
                     f"aggregate #{index} final value {got!r} != truth {want!r}",
-                    t=now,
+                    now,
+                    query_id,
                 )
         want_groups = expected.group_values()
         got_groups = actual.group_values()
@@ -304,10 +349,10 @@ class GroundTruthOracle:
             spurious = len(set(got_groups) - set(want_groups))
             self._violation(
                 AUDIT_GROUP_MISMATCH,
-                audit,
                 f"final GROUP BY keys differ from truth "
                 f"({missing} missing, {spurious} spurious)",
-                t=now,
+                now,
+                query_id,
             )
             return
         for key in want_groups:
@@ -317,10 +362,49 @@ class GroundTruthOracle:
                 if not _close(want, got):
                     self._violation(
                         AUDIT_GROUP_MISMATCH,
-                        audit,
                         f"group {key!r} aggregate #{index} final value "
                         f"{got!r} != truth {want!r}",
-                        t=now,
+                        now,
+                        query_id,
+                    )
+
+    def _check_leafset_repair(self, now: float) -> None:
+        """Every online leafset is full (population permitting) and all-online."""
+        online = set(self.system.overlay.online_ids)
+        must_be_full = len(online) > self.system.config.overlay.leafset_size
+        for node in self.system.nodes:
+            if not node.pastry.online:
+                continue
+            leafset = node.pastry.leafset
+            if must_be_full and not leafset.is_full():
+                self._violation(
+                    AUDIT_LEAFSET_REPAIRED,
+                    f"node {_hx(node.node_id)[:8]} leafset not full "
+                    f"({len(leafset)} members, population {len(online)})",
+                    now,
+                )
+            dead = [member for member in leafset.members if member not in online]
+            if dead:
+                self._violation(
+                    AUDIT_LEAFSET_REPAIRED,
+                    f"node {_hx(node.node_id)[:8]} leafset holds "
+                    f"{len(dead)} offline member(s)",
+                    now,
+                )
+
+    def _check_vertex_state_release(self, now: float) -> None:
+        """No vertex state survives a refresh sweep past its query's expiry."""
+        grace = self.system.config.result_refresh_period
+        for node in self.system.nodes:
+            for query_id, vertex_id, role in node.aggregator.vertex_inventory():
+                descriptor = node.known_query(query_id)
+                if descriptor is not None and now > descriptor.expires_at + grace:
+                    self._violation(
+                        AUDIT_VERTEX_STATE_RELEASED,
+                        f"node {_hx(node.node_id)[:8]} still holds {role} state "
+                        f"for expired query (vertex {_hx(vertex_id)[:8]})",
+                        now,
+                        query_id,
                     )
 
     def _calibrate(
@@ -333,11 +417,11 @@ class GroundTruthOracle:
             return None
         injected_at = audit.descriptor.injected_at
         errors = []
-        for t, rows in audit.root_flushes:
+        for t, _, rows in audit.root_flushes:
             claimed = predictor.completeness_at(t - injected_at)
             realized = min(1.0, rows / truth_rows) if truth_rows else 1.0
             errors.append(claimed - realized)
-        final_rows = audit.root_flushes[-1][1]
+        final_rows = audit.root_flushes[-1][2]
         final_claimed = predictor.completeness_at(now - injected_at)
         final_realized = min(1.0, final_rows / truth_rows) if truth_rows else 1.0
         final_error = final_claimed - final_realized
@@ -359,14 +443,12 @@ class GroundTruthOracle:
     # ------------------------------------------------------------------
 
     def _violation(
-        self, check: str, audit: QueryAudit, detail: str, t: float
+        self, check: str, detail: str, t: float, query_id: Optional[int] = None
     ) -> None:
-        violation = AuditViolation(
-            check=check, query_id=audit.descriptor.query_id, detail=detail, t=t
-        )
+        violation = Violation(check=check, detail=detail, t=t, query_id=query_id)
         self.violations.append(violation)
         if self._obs is not None:
-            self._obs.audit_violation(t, check, audit.descriptor.query_id, detail)
+            self._obs.audit_violation(t, check, query_id, detail)
 
 
 def _close(want: Optional[float], got: Optional[float]) -> bool:

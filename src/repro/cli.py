@@ -6,8 +6,7 @@ Subcommands::
     seaweed-repro trace   [--kind --population]   trace statistics (Fig 1)
     seaweed-repro predict [--sql --population]    completeness prediction
     seaweed-repro run     [--population --hours]  packet-level deployment
-    seaweed-repro chaos   [--scenario --seed]     fault-injection campaign
-    seaweed-repro audit   [--scenario --seed]     chaos under the truth oracle
+    seaweed-repro chaos   [--scenario --seed]     audited fault-injection campaign
     seaweed-repro serve-plan [--hosts --nodes]    plan a live cluster spec
     seaweed-repro serve   --spec FILE --index N   run one live host process
     seaweed-repro serve-query --port P --sql ...  query a live cluster
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable
 
 import numpy as np
 
@@ -194,16 +192,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_campaign_command(
-    args: argparse.Namespace,
-    audit: bool,
-    columns: list[str],
-    format_row: Callable[[dict], tuple[str, ...]],
-) -> int:
-    """Shared body of ``chaos`` and ``audit``: select, run, print, write.
-
-    ``format_row(section)`` renders one scenario's cells for ``columns``.
-    """
+def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults import builtin_scenarios, report_to_json, run_campaign
     from repro.harness.reporting import format_table
 
@@ -217,31 +206,40 @@ def _run_campaign_command(
         print(f"unknown scenario {args.scenario!r} (choose from: all, {names})")
         return 2
 
-    if audit:
-        print(
-            f"running audited chaos campaign: {len(selected)} scenario(s) "
-            f"under the ground-truth oracle, seed {args.seed}..."
-        )
-    else:
-        print(
-            f"running chaos campaign: {len(selected)} scenario(s), "
-            f"seed {args.seed}..."
-        )
-    report = run_campaign(
-        selected, master_seed=args.seed, population=args.population, audit=audit
+    print(
+        f"running chaos campaign: {len(selected)} scenario(s) under the "
+        f"ground-truth oracle, seed {args.seed}..."
     )
-    rows = [
-        (name, f"{section['faults_injected']}", *format_row(section))
-        for name, section in sorted(report["scenarios"].items())
-    ]
+    report = run_campaign(selected, master_seed=args.seed, population=args.population)
+    rows = []
+    for name, section in sorted(report["scenarios"].items()):
+        queries = section["audit"]["queries"].values()
+        truth = sum(q["truth_rows_contributed"] for q in queries)
+        final = sum(q["root_rows_final"] for q in queries)
+        calibration = [
+            q["calibration"]["final_error"]
+            for q in queries
+            if q["calibration"] is not None
+        ]
+        drops = section["transport"]["drops_by_reason"]
+        drop_text = (
+            " ".join(f"{reason}={count}" for reason, count in sorted(drops.items()))
+            or "-"
+        )
+        rows.append((
+            name,
+            f"{section['faults_injected']}",
+            f"{section['query']['completeness']:.3f}",
+            f"{final}/{truth}",
+            f"{calibration[0]:+.3f}" if calibration else "-",
+            drop_text,
+            f"{section['violation_count']}",
+        ))
     print(format_table(
-        ["scenario", "faults", *columns],
+        ["scenario", "faults", "completeness", "root/truth rows", "calib err",
+         "drops", "violations"],
         rows,
-        title=(
-            "Ground-truth conformance audit"
-            if audit
-            else "Chaos campaign (seeded, reproducible)"
-        ),
+        title="Chaos campaign under the ground-truth oracle (seeded, reproducible)",
     ))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -250,55 +248,11 @@ def _run_campaign_command(
     if not report["ok"]:
         for section in report["scenarios"].values():
             for violation in section["violations"]:
-                label = violation.get("invariant") or violation.get("check")
-                print(f"VIOLATION [{section['name']}] {label}: "
+                print(f"VIOLATION [{section['name']}] {violation['check']}: "
                       f"{violation['detail']}")
-            for violation in section["audit"]["violations"] if audit else ():
-                print(f"AUDIT VIOLATION [{section['name']}] "
-                      f"{violation['check']}: {violation['detail']}")
         return 1
-    print("all conformance checks held" if audit else "all invariants held")
+    print("all conformance checks held")
     return 0
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    def format_row(section: dict) -> tuple[str, ...]:
-        drops = section["transport"]["drops_by_reason"]
-        drop_text = (
-            " ".join(f"{reason}={count}" for reason, count in sorted(drops.items()))
-            or "-"
-        )
-        return (
-            f"{section['query']['completeness']:.3f}",
-            drop_text,
-            f"{section['violation_count']}",
-        )
-
-    return _run_campaign_command(
-        args, False, ["completeness", "drops", "violations"], format_row
-    )
-
-
-def _cmd_audit(args: argparse.Namespace) -> int:
-    def format_row(section: dict) -> tuple[str, ...]:
-        audit_section = section["audit"]
-        queries = audit_section["queries"].values()
-        truth = sum(q["truth_rows_contributed"] for q in queries)
-        final = sum(q["root_rows_final"] for q in queries)
-        calibration = [
-            q["calibration"]["final_error"]
-            for q in queries
-            if q["calibration"] is not None
-        ]
-        return (
-            f"{final}/{truth}",
-            f"{calibration[0]:+.3f}" if calibration else "-",
-            f"{audit_section['violation_count']}",
-        )
-
-    return _run_campaign_command(
-        args, True, ["root/truth rows", "calib err", "violations"], format_row
-    )
 
 
 def _cmd_serve_plan(args: argparse.Namespace) -> int:
@@ -422,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=_cmd_run)
 
     chaos = sub.add_parser(
-        "chaos", help="seeded fault-injection campaign with invariant checks"
+        "chaos",
+        help="seeded fault-injection campaign under the ground-truth oracle",
     )
     chaos.add_argument(
         "--scenario", default="all",
@@ -438,25 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the JSON campaign report to FILE",
     )
     chaos.set_defaults(func=_cmd_chaos)
-
-    audit = sub.add_parser(
-        "audit",
-        help="chaos campaign with the ground-truth conformance oracle attached",
-    )
-    audit.add_argument(
-        "--scenario", default="all",
-        help="scenario name, or 'all' (default) for the full campaign",
-    )
-    audit.add_argument("--seed", type=int, default=0)
-    audit.add_argument(
-        "--population", type=int, default=None,
-        help="override every scenario's endsystem population",
-    )
-    audit.add_argument(
-        "--out", metavar="FILE", default=None,
-        help="write the JSON campaign+audit report to FILE",
-    )
-    audit.set_defaults(func=_cmd_audit)
 
     serve_plan = sub.add_parser(
         "serve-plan", help="plan a live cluster spec (repro.serve)"

@@ -569,7 +569,7 @@ class ResultAggregator:
         """Yield ``(query_id, vertex_id, role)`` for every held state.
 
         ``role`` is ``"primary"`` or ``"backup"``.  Used by the
-        fault-injection invariant checkers to find orphaned state.
+        ground-truth oracle to find state kept past its query's expiry.
         """
         for query_id, vertex_id in self._vertices:
             yield query_id, vertex_id, "primary"

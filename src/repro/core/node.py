@@ -186,7 +186,7 @@ class SeaweedNode:
         now = self.scheduler.now
         # Garbage-collect expired queries before repairing live ones, so
         # no vertex or dissemination state outlives a query by more than
-        # one sweep (the "no orphaned VertexState" invariant).
+        # one sweep (the oracle's "vertex state released" check).
         self.aggregator.expire(now)
         self.disseminator.expire(now)
         # Re-ask a neighbour for active queries: the join-time request may
@@ -532,15 +532,11 @@ class SeaweedNode:
         status = self.query_statuses.setdefault(
             descriptor.query_id, QueryStatus(descriptor)
         )
-        if status.predictor is None or predictor.endsystems >= status.predictor.endsystems:
-            status.predictor = predictor
-            if status.predictor_ready_at is None:
-                status.predictor_ready_at = self.scheduler.now
-            if self._obs is not None:
-                self._obs.predictor_update(
-                    self.scheduler.now, descriptor.query_id, self.node_id,
-                    "root", predictor.endsystems,
-                )
+        if status.offer_predictor(predictor, self.scheduler.now) and self._obs is not None:
+            self._obs.predictor_update(
+                self.scheduler.now, descriptor.query_id, self.node_id,
+                "root", predictor.endsystems,
+            )
 
     def on_root_result(
         self, descriptor: QueryDescriptor, merged: QueryResult
@@ -581,15 +577,11 @@ class SeaweedNode:
             descriptor.query_id, QueryStatus(descriptor)
         )
         incoming = message.predictor
-        if status.predictor is None or incoming.endsystems >= status.predictor.endsystems:
-            status.predictor = incoming
-            if status.predictor_ready_at is None:
-                status.predictor_ready_at = self.scheduler.now
-            if self._obs is not None:
-                self._obs.predictor_update(
-                    self.scheduler.now, descriptor.query_id, self.node_id,
-                    "origin", incoming.endsystems,
-                )
+        if status.offer_predictor(incoming, self.scheduler.now) and self._obs is not None:
+            self._obs.predictor_update(
+                self.scheduler.now, descriptor.query_id, self.node_id,
+                "origin", incoming.endsystems,
+            )
 
     # ------------------------------------------------------------------
     # Overlay hooks and message dispatch

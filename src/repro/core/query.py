@@ -117,6 +117,20 @@ class QueryStatus:
             return 1.0
         return min(1.0, self.rows_processed / expected_total)
 
+    def offer_predictor(self, predictor: CompletenessPredictor, now: float) -> bool:
+        """Keep ``predictor`` unless the held one covers more endsystems.
+
+        Refinement passes may deliver several predictors; accepted
+        coverage never decreases.  ``predictor_ready_at`` is stamped at
+        the first acceptance only.  Returns whether it was accepted.
+        """
+        if self.predictor is not None and predictor.endsystems < self.predictor.endsystems:
+            return False
+        self.predictor = predictor
+        if self.predictor_ready_at is None:
+            self.predictor_ready_at = now
+        return True
+
     def record(self, time: float) -> None:
         """Append a history sample at ``time``."""
         self.history.append((time, self.rows_processed))

@@ -15,6 +15,7 @@ used for the prediction experiments (Figs. 5-8) lives in
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -292,7 +293,8 @@ class SeaweedSystem:
         incremental result) with the originator's (which holds the
         predictor pushed at dissemination time): the returned status has
         the most-complete result of the two and a predictor whenever
-        either view has one.
+        either view has one.  The merge is a copy: no node's status is
+        written.
         """
         root_id = self.overlay.true_closest_online(descriptor.query_id)
         candidates = []
@@ -312,9 +314,11 @@ class SeaweedSystem:
         if best.predictor is None:
             for status in statuses:
                 if status.predictor is not None:
-                    best.predictor = status.predictor
-                    best.predictor_ready_at = status.predictor_ready_at
-                    break
+                    return replace(
+                        best,
+                        predictor=status.predictor,
+                        predictor_ready_at=status.predictor_ready_at,
+                    )
         return best
 
     def cancel_query(self, descriptor: QueryDescriptor) -> None:

@@ -9,12 +9,11 @@ into a chaos-testing harness:
 * :mod:`repro.faults.injector` — applies a plan to a live
   :class:`~repro.core.system.SeaweedSystem` through transport
   interceptors and dynamic topology link state;
-* :mod:`repro.faults.invariants` — checkers for what must survive any
-  fault schedule: exactly-once contribution, predictor monotonicity,
-  leafset reconvergence, no orphaned vertex state;
 * :mod:`repro.faults.scenarios` / :mod:`repro.faults.campaign` — named
   built-in scenarios and the runner behind the ``chaos`` CLI
-  subcommand, emitting a deterministic JSON report.
+  subcommand: every scenario runs under the ground-truth oracle
+  (:mod:`repro.audit`), which checks what must survive any fault
+  schedule, and emits a deterministic JSON report.
 
 Quick use::
 
@@ -33,18 +32,6 @@ from repro.faults.injector import (
     PartitionInterceptor,
     SlowNodeInterceptor,
     WindowLossInterceptor,
-)
-from repro.faults.invariants import (
-    EXACTLY_ONCE,
-    LEAFSET_RECONVERGENCE,
-    NO_ORPHANED_VERTEX_STATE,
-    PREDICTOR_MONOTONE,
-    Violation,
-    check_exactly_once,
-    check_leafset_reconvergence,
-    check_no_orphaned_vertex_state,
-    check_predictor_monotonicity,
-    run_standard_checks,
 )
 from repro.faults.plan import (
     CrashBurst,
@@ -69,16 +56,6 @@ __all__ = [
     "PartitionInterceptor",
     "SlowNodeInterceptor",
     "WindowLossInterceptor",
-    "EXACTLY_ONCE",
-    "LEAFSET_RECONVERGENCE",
-    "NO_ORPHANED_VERTEX_STATE",
-    "PREDICTOR_MONOTONE",
-    "Violation",
-    "check_exactly_once",
-    "check_leafset_reconvergence",
-    "check_no_orphaned_vertex_state",
-    "check_predictor_monotonicity",
-    "run_standard_checks",
     "ChaosScenario",
     "builtin_scenarios",
     "CrashBurst",

@@ -3,9 +3,9 @@
 A campaign runs one or more :class:`~repro.faults.scenarios.ChaosScenario`
 deployments end to end: build a fresh system seeded from
 ``(master_seed, scenario name)``, attach the scenario's fault plan
-through a :class:`~repro.faults.injector.FaultInjector`, inject the
-scenario's query, run to the scenario horizon, then hand the final state
-and the collected trace to the invariant checkers.
+through a :class:`~repro.faults.injector.FaultInjector` and the
+ground-truth oracle (:mod:`repro.audit`), inject the scenario's query,
+run to the scenario horizon, then finalize the oracle.
 
 The report contains only simulation-deterministic quantities (no
 wall-clock times), so two campaigns with the same ``(master_seed,
@@ -24,10 +24,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.core.system import SeaweedSystem
-from repro.faults.invariants import run_standard_checks
 from repro.faults.scenarios import ChaosScenario, builtin_scenarios
-from repro.obs.observer import Observer
-from repro.obs.tracing import MemorySink
 from repro.sim.randomness import derive_seed
 from repro.traces.availability import AvailabilitySchedule, TraceSet
 from repro.workload.anemone import AnemoneDataset, AnemoneParams
@@ -46,15 +43,12 @@ def run_scenario(
     scenario: ChaosScenario,
     master_seed: int = 0,
     dataset: Optional[AnemoneDataset] = None,
-    audit: bool = False,
 ) -> dict:
-    """Run one scenario and return its report section (a plain dict).
+    """Run one scenario under the oracle and return its report section.
 
-    With ``audit=True`` a :class:`~repro.audit.oracle.GroundTruthOracle`
-    rides along: the report gains an ``"audit"`` section and the
-    scenario's ``violation_count`` includes conformance violations.  The
-    oracle's hooks are read-only, so the simulation itself (event
-    counts, byte totals, completeness) is unchanged either way.
+    The section's ``violations`` are the oracle's; its ``"audit"``
+    section holds the oracle's per-query measurements (truth, root rows,
+    publishers, row regressions, predictor calibration).
     """
     if dataset is None:
         dataset = _campaign_dataset(master_seed)
@@ -65,36 +59,28 @@ def run_scenario(
         for _ in range(scenario.population)
     ]
     trace = TraceSet(schedules, horizon)
-    sink = MemorySink()
-    observer = Observer(trace_sink=sink)
     system = SeaweedSystem(
         trace,
         dataset,
         num_endsystems=scenario.population,
         master_seed=seed,
         startup_stagger=30.0,
-        observer=observer,
         fault_plan=scenario.plan,
     )
-    oracle = system.enable_audit(observer) if audit else None
+    oracle = system.enable_audit()
     system.run_until(scenario.inject_at)
     _, descriptor = system.inject_query(
         scenario.query_sql, lifetime=scenario.query_lifetime
     )
     system.run_until(scenario.duration)
 
-    violations = run_standard_checks(
-        system,
-        [descriptor],
-        trace=sink.events,
-        check_leafsets=scenario.check_leafsets,
-    )
+    audit = oracle.finalize()
     status = system.status_of(descriptor)
     truth = system.ground_truth_rows(descriptor.sql, descriptor.now_binding)
     rows = status.rows_processed if status is not None else 0
     predictor = status.predictor if status is not None else None
     snapshot = system.metrics_snapshot()
-    report = {
+    return {
         "name": scenario.name,
         "description": scenario.description,
         "population": scenario.population,
@@ -121,29 +107,25 @@ def run_scenario(
             "drops_by_reason": snapshot["transport"]["drops_by_reason"],
         },
         "online_at_end": system.online_count,
-        "violation_count": len(violations),
-        "violations": [violation.to_dict() for violation in violations],
+        "violation_count": audit["violation_count"],
+        "violations": audit["violations"],
+        "audit": {
+            key: audit[key]
+            for key in ("queries", "endsystems_ever_online", "transitions_observed")
+        },
     }
-    if oracle is not None:
-        audit_report = oracle.finalize()
-        report["audit"] = audit_report
-        report["violation_count"] += audit_report["violation_count"]
-    observer.close()
-    return report
 
 
 def run_campaign(
     scenarios: Optional[Iterable[ChaosScenario]] = None,
     master_seed: int = 0,
     population: Optional[int] = None,
-    audit: bool = False,
 ) -> dict:
     """Run a set of scenarios (default: all built-ins) into one report.
 
     The report dict is deterministic for a given ``(master_seed,
     scenarios)`` and JSON-serializable as-is; ``population`` overrides
-    every scenario's population (the CLI's ``--population``);
-    ``audit=True`` attaches the ground-truth oracle to every scenario.
+    every scenario's population (the CLI's ``--population``).
     """
     if scenarios is None:
         scenarios = builtin_scenarios().values()
@@ -152,9 +134,7 @@ def run_campaign(
         scenarios = [scenario.scaled(population) for scenario in scenarios]
     dataset = _campaign_dataset(master_seed)
     sections = {
-        scenario.name: run_scenario(
-            scenario, master_seed, dataset=dataset, audit=audit
-        )
+        scenario.name: run_scenario(scenario, master_seed, dataset=dataset)
         for scenario in scenarios
     }
     total = sum(section["violation_count"] for section in sections.values())

@@ -1,8 +1,8 @@
 """Built-in chaos scenarios: canned fault plans with deployment shapes.
 
 Each :class:`ChaosScenario` pairs a :class:`~repro.faults.plan.FaultPlan`
-with the deployment it should run against (population, duration, query)
-and with check configuration.  The four built-ins cover the adverse
+with the deployment it should run against (population, duration,
+query).  The four built-ins cover the adverse
 conditions the paper leans on:
 
 * ``lossy-wan`` — a long window of heavy uniform loss plus WAN-wide
@@ -17,13 +17,13 @@ conditions the paper leans on:
 
 Scenario durations leave room after the last fault for the repair
 machinery (ack-driven retransmission every 10 s, leafset stabilization
-every 60 s, refresh sweeps every 15 min) to quiesce, so the invariant
-checkers measure steady state, not a race.
+every 60 s, refresh sweeps every 15 min) to quiesce, so the oracle's
+end-of-run checks measure steady state, not a race.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from repro.faults.plan import (
     CrashBurst,
@@ -49,23 +49,10 @@ class ChaosScenario:
     inject_at: float = 120.0
     query_sql: str = QUERY_HTTP_BYTES
     query_lifetime: float = 48 * 3600.0
-    #: Whether leafset reconvergence should be checked (meaningless for
-    #: scenarios that never perturb membership or reachability).
-    check_leafsets: bool = True
 
     def scaled(self, population: int) -> "ChaosScenario":
         """A copy with a different population (CLI ``--population``)."""
-        return ChaosScenario(
-            name=self.name,
-            description=self.description,
-            plan=self.plan,
-            population=population,
-            duration=self.duration,
-            inject_at=self.inject_at,
-            query_sql=self.query_sql,
-            query_lifetime=self.query_lifetime,
-            check_leafsets=self.check_leafsets,
-        )
+        return replace(self, population=population)
 
 
 def lossy_wan() -> ChaosScenario:
@@ -145,7 +132,6 @@ def slow_node() -> ChaosScenario:
         population=20,
         duration=1500.0,
         inject_at=120.0,
-        check_leafsets=True,
     )
 
 

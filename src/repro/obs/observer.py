@@ -184,9 +184,12 @@ class Observer:
             self.tracer.event(t, "fault_injected", kind=kind, detail=detail)
 
     def audit_violation(
-        self, t: float, check: str, query_id: int, detail: str
+        self, t: float, check: str, query_id: Optional[int], detail: str
     ) -> None:
-        """The ground-truth oracle observed a conformance violation."""
+        """The ground-truth oracle observed a conformance violation.
+
+        ``query_id`` is ``None`` for deployment-wide checks.
+        """
         counter = self._c_audit.get(check)
         if counter is None:
             # Audit checks are few and named at run time; bind lazily
@@ -196,7 +199,8 @@ class Observer:
         counter.inc()
         if self.tracer.enabled:
             self.tracer.event(
-                t, "audit_violation", check=check, query_id=_hx(query_id),
+                t, "audit_violation", check=check,
+                query_id=None if query_id is None else _hx(query_id),
                 detail=detail,
             )
 

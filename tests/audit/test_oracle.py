@@ -3,7 +3,8 @@
 A stable deployment audited end to end must produce zero violations with
 the final root aggregate exactly equal to the oracle's truth — and the
 oracle must actually *fire* when fed a double-counted or corrupted
-result, otherwise a clean report proves nothing.
+result, an unrepaired leafset or vertex state kept past expiry,
+otherwise a clean report proves nothing.
 """
 
 import pytest
@@ -11,7 +12,9 @@ import pytest
 from repro.audit import (
     AUDIT_CONTRIBUTION_BOUND,
     AUDIT_FINAL_EQUALITY,
+    AUDIT_LEAFSET_REPAIRED,
     AUDIT_VALUE_MISMATCH,
+    AUDIT_VERTEX_STATE_RELEASED,
     GroundTruthOracle,
 )
 from repro.core import SeaweedSystem
@@ -76,6 +79,12 @@ class TestCleanRunConformance:
         assert calibration["final_realized"] == pytest.approx(1.0)
         # Everyone is online, so the predictor's claim is near-exact.
         assert abs(calibration["final_error"]) < 0.05
+
+    def test_single_publisher_and_monotone_stream(self, audited_run):
+        _, _, descriptor, report = audited_run
+        section = report["queries"][format(descriptor.query_id, "032x")]
+        assert section["publishers"] == 1
+        assert section["row_regressions"] == 0
 
     def test_finalize_idempotent(self, audited_run):
         _, oracle, _, report = audited_run
@@ -152,6 +161,22 @@ class TestViolationDetection:
         assert not report["ok"]
         assert AUDIT_VALUE_MISMATCH in [v["check"] for v in report["violations"]]
 
+    def test_second_publisher_and_lower_flush_are_counted(self, small_dataset):
+        system, oracle, descriptor, _ = self._fresh_oracle(small_dataset, 73)
+        audit = oracle.audits[descriptor.query_id]
+        root_id, final = audit.root_flushes[-1][1], audit.last_root_result
+        impostor = next(n.node_id for n in system.nodes if n.node_id != root_id)
+        # A second node publishes a smaller result, then the root resumes.
+        oracle.on_root_result(
+            system.sim.now, impostor, descriptor, QueryResult(row_count=1)
+        )
+        oracle.on_root_result(system.sim.now, root_id, descriptor, final)
+        section = oracle.finalize()["queries"][format(descriptor.query_id, "032x")]
+        assert section["publishers"] == 2
+        assert section["row_regressions"] == 1
+        # Measurements, not violations: the final result is still exact.
+        assert oracle.violations == []
+
     def test_unaudited_query_ignored(self, small_dataset):
         system = build_system(small_dataset, count=8, seed=71)
         system.run_until(120.0)
@@ -177,3 +202,42 @@ class TestAvailabilityTracking:
         assert victim.node_id not in oracle.online_now
         assert victim.node_id in oracle.ever_online
         assert oracle.transitions >= 1
+
+
+class TestEndStateChecks:
+    def test_leafsets_repaired_after_a_crash(self, small_dataset):
+        system = build_system(small_dataset, count=16, seed=3)
+        system.run_until(300.0)
+        assert system.enable_audit().finalize()["ok"]
+        # Straight after a crash its neighbours still list it...
+        system.force_transition(3, goes_up=False)
+        report = system.enable_audit().finalize()
+        assert report["violations"]
+        assert {v["check"] for v in report["violations"]} == {AUDIT_LEAFSET_REPAIRED}
+        assert all(v["query_id"] is None for v in report["violations"])
+        # ...and once repair has run, every leafset is full and all-online.
+        system.run_until(600.0)
+        assert system.enable_audit().finalize()["ok"]
+
+    def test_vertex_state_released_after_expiry(self, small_dataset, monkeypatch):
+        system = build_system(small_dataset, count=16, seed=4)
+        system.run_until(120.0)
+        _, descriptor = system.inject_query(QUERY_HTTP_BYTES, lifetime=300.0)
+        system.run_until(180.0)
+        # State held while the query is live is fine.
+        assert system.enable_audit().finalize()["ok"]
+        holders = [
+            node for node in system.nodes
+            if any(q == descriptor.query_id for q, _, _ in node.aggregator.vertex_inventory())
+        ]
+        assert holders
+        stuck = holders[0]
+        monkeypatch.setattr(stuck.aggregator, "expire", lambda now: None)
+        # One full refresh sweep past expiry every other node has dropped it.
+        system.run_until(300.0 + 120.0 + system.config.result_refresh_period + 60.0)
+        report = system.enable_audit().finalize()
+        assert report["violations"]
+        for violation in report["violations"]:
+            assert violation["check"] == AUDIT_VERTEX_STATE_RELEASED
+            assert violation["query_id"] == format(descriptor.query_id, "032x")
+            assert format(stuck.node_id, "032x")[:8] in violation["detail"]

@@ -91,6 +91,26 @@ class TestStatus:
         status.result = self._result(5)
         assert status.observed_completeness() == 0.0
 
+    def test_offer_predictor_keeps_coverage_monotone(self):
+        def predictor(endsystems: int) -> CompletenessPredictor:
+            made = CompletenessPredictor(16, 86400.0)
+            for _ in range(endsystems):
+                made.add_immediate(1.0)
+            return made
+
+        status = QueryStatus(make_descriptor())
+        first, equal, smaller, larger = predictor(5), predictor(5), predictor(3), predictor(8)
+        assert status.offer_predictor(first, now=10.0)
+        assert status.offer_predictor(equal, now=20.0)
+        assert status.predictor is equal
+        # A refinement covering fewer endsystems is refused.
+        assert not status.offer_predictor(smaller, now=30.0)
+        assert status.predictor is equal
+        assert status.offer_predictor(larger, now=40.0)
+        assert status.predictor is larger
+        # The ready time is the first acceptance, never restamped.
+        assert status.predictor_ready_at == 10.0
+
     def test_history(self):
         status = QueryStatus(make_descriptor())
         status.result = self._result(10)

@@ -90,6 +90,35 @@ class TestRunning:
         with pytest.raises(RuntimeError):
             built.inject_query(QUERY_HTTP_BYTES, origin_index=offline_index)
 
+    def test_status_of_writes_no_node_state(self, small_dataset):
+        trace = TraceSet([AvailabilitySchedule.always_on(HORIZON)] * 12, HORIZON)
+        built = SeaweedSystem(
+            trace, small_dataset, num_endsystems=12, master_seed=6, startup_stagger=10.0
+        )
+        built.run_until(120.0)
+        origin, descriptor = built.inject_query(QUERY_HTTP_BYTES, origin_index=0)
+        built.run_until(400.0)
+        root = built.node_by_id(built.overlay.true_closest_online(descriptor.query_id))
+        assert root is not origin
+        # The root's own view lacks a predictor, so status_of must borrow
+        # the originator's.
+        root_status = root.query_statuses[descriptor.query_id]
+        root_status.predictor = None
+        root_status.predictor_ready_at = None
+
+        def views():
+            return {
+                node.node_id: (status.predictor, status.predictor_ready_at)
+                for node in built.nodes
+                if (status := node.query_statuses.get(descriptor.query_id)) is not None
+            }
+
+        before = views()
+        merged = built.status_of(descriptor)
+        assert merged.predictor is not None
+        assert merged.rows_processed == root_status.rows_processed
+        assert views() == before
+
     def test_status_of_unknown_query_none(self, system, small_dataset):
         from repro.core.query import QueryDescriptor
 

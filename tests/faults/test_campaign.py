@@ -58,6 +58,9 @@ class TestRunScenario:
         assert report["name"] == "quick"
         assert report["violation_count"] == 0
         assert report["violations"] == []
+        assert set(report["audit"]) == {
+            "queries", "endsystems_ever_online", "transitions_observed",
+        }
         assert report["faults_injected"] >= 2
         assert report["query"]["ground_truth_rows"] > 0
         assert 0.0 <= report["query"]["completeness"] <= 1.0

@@ -10,15 +10,9 @@ every endsystem counted — without ever counting anyone twice.
 
 import pytest
 
+from repro.audit import AUDIT_CONTRIBUTION_BOUND
 from repro.core import SeaweedSystem
-from repro.faults import (
-    Duplication,
-    FaultPlan,
-    LinkPartition,
-    check_exactly_once,
-    run_standard_checks,
-)
-from repro.obs import MemorySink, Observer
+from repro.faults import Duplication, FaultPlan, LinkPartition
 from repro.traces import AvailabilitySchedule, TraceSet
 from repro.workload import QUERY_HTTP_BYTES
 
@@ -41,16 +35,15 @@ def partitioned_run(small_dataset):
     )
     schedules = [AvailabilitySchedule.always_on(HORIZON) for _ in range(20)]
     trace = TraceSet(schedules, HORIZON)
-    sink = MemorySink()
     system = SeaweedSystem(
         trace, small_dataset, num_endsystems=20, master_seed=13,
-        startup_stagger=30.0, observer=Observer(trace_sink=sink),
-        fault_plan=plan,
+        startup_stagger=30.0, fault_plan=plan,
     )
+    oracle = system.enable_audit()
     system.run_until(120.0)
     _, descriptor = system.inject_query(QUERY_HTTP_BYTES)
     system.run_until(1500.0)
-    return system, descriptor, sink
+    return system, descriptor, oracle
 
 
 class TestExactlyOnceUnderPartition:
@@ -67,12 +60,14 @@ class TestExactlyOnceUnderPartition:
         assert status.rows_processed == truth
 
     def test_no_root_flush_ever_overcounted(self, partitioned_run):
-        system, descriptor, sink = partitioned_run
-        assert check_exactly_once(system, [descriptor], sink.events) == []
+        _, descriptor, oracle = partitioned_run
+        assert oracle.audits[descriptor.query_id].root_flushes
+        checks = [violation.check for violation in oracle.violations]
+        assert AUDIT_CONTRIBUTION_BOUND not in checks
 
     def test_all_invariants_hold_after_heal(self, partitioned_run):
-        system, descriptor, sink = partitioned_run
-        assert run_standard_checks(system, [descriptor], sink.events) == []
+        _, _, oracle = partitioned_run
+        assert oracle.finalize()["violations"] == []
 
     def test_leafsets_full_again(self, partitioned_run):
         system, _, _ = partitioned_run

@@ -1,19 +1,17 @@
-"""Tests for the invariant checkers."""
+"""The invariants a chaos run must keep, checked where they are enforced.
+
+Exactly-once counting and the end-state checks are the ground-truth
+oracle's (:mod:`repro.audit`); predictor monotonicity is the acceptance
+rule of :meth:`repro.core.query.QueryStatus.offer_predictor`.
+"""
 
 import pytest
 
+from repro.audit import AUDIT_CONTRIBUTION_BOUND
 from repro.core import SeaweedSystem
-from repro.faults import (
-    EXACTLY_ONCE,
-    NO_ORPHANED_VERTEX_STATE,
-    PREDICTOR_MONOTONE,
-    Violation,
-    check_exactly_once,
-    check_leafset_reconvergence,
-    check_no_orphaned_vertex_state,
-    check_predictor_monotonicity,
-    run_standard_checks,
-)
+from repro.core.predictor import CompletenessPredictor
+from repro.core.query import QueryDescriptor, QueryStatus
+from repro.db.executor import QueryResult
 from repro.traces import AvailabilitySchedule, TraceSet
 from repro.workload import QUERY_HTTP_BYTES
 
@@ -32,109 +30,72 @@ def stable_system(small_dataset):
     return system
 
 
-class TestViolation:
-    def test_to_dict(self):
-        violation = Violation("exactly_once", "boom", t=4.5)
-        assert violation.to_dict() == {
-            "invariant": "exactly_once", "detail": "boom", "t": 4.5,
-        }
-        assert Violation("x", "y").to_dict() == {"invariant": "x", "detail": "y"}
+def audited_query(system):
+    """Attach a fresh oracle, inject one query and let it complete."""
+    oracle = system.enable_audit()
+    _, descriptor = system.inject_query(QUERY_HTTP_BYTES)
+    system.run_until(system.sim.now + 60.0)
+    return oracle, descriptor
 
 
 class TestExactlyOnce:
     def test_clean_run_has_no_violations(self, stable_system):
-        _, descriptor = stable_system.inject_query(QUERY_HTTP_BYTES)
-        stable_system.run_until(stable_system.sim.now + 60.0)
-        assert check_exactly_once(stable_system, [descriptor]) == []
-
-    def test_overcount_in_trace_is_flagged(self, stable_system):
-        _, descriptor = stable_system.inject_query(QUERY_HTTP_BYTES)
-        stable_system.run_until(stable_system.sim.now + 60.0)
+        oracle, descriptor = audited_query(stable_system)
+        assert oracle.violations == []
         truth = stable_system.ground_truth_rows(
             descriptor.sql, descriptor.now_binding
         )
-        fake = {
-            "event": "aggregation_flush",
-            "root": True,
-            "query_id": format(descriptor.query_id, "032x"),
-            "rows": truth + 1,
-            "t": 99.0,
-        }
-        violations = check_exactly_once(stable_system, [descriptor], [fake])
-        assert len(violations) == 1
-        assert violations[0].invariant == EXACTLY_ONCE
-        assert violations[0].t == 99.0
+        assert oracle.audits[descriptor.query_id].last_root_result.row_count == truth
 
-    def test_non_root_flushes_ignored(self, stable_system):
-        _, descriptor = stable_system.inject_query(QUERY_HTTP_BYTES)
-        stable_system.run_until(stable_system.sim.now + 60.0)
-        fake = {
-            "event": "aggregation_flush",
-            "root": False,
-            "query_id": format(descriptor.query_id, "032x"),
-            "rows": 10**9,
-        }
-        assert check_exactly_once(stable_system, [descriptor], [fake]) == []
+    def test_overcount_in_trace_is_flagged(self, stable_system):
+        oracle, descriptor = audited_query(stable_system)
+        truth = stable_system.ground_truth_rows(
+            descriptor.sql, descriptor.now_binding
+        )
+        root = stable_system.nodes[0].node_id
+        oracle.on_root_result(99.0, root, descriptor, QueryResult(row_count=truth + 1))
+        assert len(oracle.violations) == 1
+        assert oracle.violations[0].check == AUDIT_CONTRIBUTION_BOUND
+        assert oracle.violations[0].query_id == descriptor.query_id
+        assert oracle.violations[0].t == 99.0
 
 
 class TestPredictorMonotonicity:
     @staticmethod
-    def _record(endsystems, node="n1", t=1.0):
-        return {
-            "event": "predictor_update", "query_id": "q", "node": node,
-            "role": "root", "endsystems": endsystems, "t": t,
-        }
+    def _predictor(endsystems):
+        predictor = CompletenessPredictor(16, 86400.0)
+        for _ in range(endsystems):
+            predictor.add_immediate(1.0)
+        return predictor
+
+    @staticmethod
+    def _status():
+        return QueryStatus(
+            QueryDescriptor.create(
+                sql="SELECT COUNT(*) FROM Flow", origin=42, injected_at=0.0
+            )
+        )
 
     def test_increasing_is_fine(self):
-        trace = [self._record(3), self._record(5), self._record(5)]
-        assert check_predictor_monotonicity(trace) == []
+        status = self._status()
+        offered = [self._predictor(3), self._predictor(5), self._predictor(5)]
+        for t, predictor in enumerate(offered, start=1):
+            assert status.offer_predictor(predictor, now=float(t))
+        assert status.predictor is offered[-1]
 
     def test_decrease_is_flagged(self):
-        trace = [self._record(5), self._record(3, t=2.0)]
-        violations = check_predictor_monotonicity(trace)
-        assert len(violations) == 1
-        assert violations[0].invariant == PREDICTOR_MONOTONE
-
-    def test_tracked_per_node(self):
-        trace = [self._record(5, node="n1"), self._record(3, node="n2")]
-        assert check_predictor_monotonicity(trace) == []
-
-
-class TestLeafsetReconvergence:
-    def test_stable_system_is_converged(self, stable_system):
-        assert check_leafset_reconvergence(stable_system) == []
-
-
-class TestNoOrphanedVertexState:
-    def test_state_before_expiry_is_fine(self, small_dataset):
-        schedules = [AvailabilitySchedule.always_on(HORIZON) for _ in range(16)]
-        trace = TraceSet(schedules, HORIZON)
-        system = SeaweedSystem(
-            trace, small_dataset, num_endsystems=16, master_seed=4,
-            startup_stagger=30.0,
-        )
-        system.run_until(120.0)
-        _, descriptor = system.inject_query(QUERY_HTTP_BYTES, lifetime=300.0)
-        system.run_until(180.0)
-        assert check_no_orphaned_vertex_state(system) == []
-
-        # Just past expiry the state is still held (the sweep has not run)
-        # — with zero grace the checker flags it.
-        system.run_until(600.0)
-        violations = check_no_orphaned_vertex_state(system, grace=0.0)
-        assert violations
-        assert all(
-            violation.invariant == NO_ORPHANED_VERTEX_STATE
-            for violation in violations
-        )
-
-        # After one full refresh sweep of grace, every node has dropped it.
-        system.run_until(300.0 + 120.0 + system.config.result_refresh_period + 60.0)
-        assert check_no_orphaned_vertex_state(system) == []
+        status = self._status()
+        held = self._predictor(5)
+        assert status.offer_predictor(held, now=1.0)
+        assert not status.offer_predictor(self._predictor(3), now=2.0)
+        assert status.predictor is held
+        assert status.predictor.endsystems == 5
 
 
 class TestRunStandardChecks:
     def test_clean_system_passes_all(self, stable_system):
-        _, descriptor = stable_system.inject_query(QUERY_HTTP_BYTES)
-        stable_system.run_until(stable_system.sim.now + 60.0)
-        assert run_standard_checks(stable_system, [descriptor]) == []
+        oracle, _ = audited_query(stable_system)
+        report = oracle.finalize()
+        assert report["ok"]
+        assert report["violation_count"] == 0
+        assert report["violations"] == []

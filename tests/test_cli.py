@@ -26,6 +26,10 @@ class TestParser:
         assert args.trace_out is None
         assert args.metrics_out is None
 
+    def test_audit_is_not_a_subcommand(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["audit"])
+
     def test_chaos_defaults(self):
         args = build_parser().parse_args(["chaos"])
         assert args.scenario == "all"
@@ -118,7 +122,8 @@ class TestCommands:
         )
         out = capsys.readouterr().out
         assert "Chaos campaign" in out
-        assert "all invariants held" in out
+        assert "root/truth rows" in out
+        assert "all conformance checks held" in out
 
         report = json.loads(report_path.read_text())
         assert report["ok"] is True
@@ -127,6 +132,11 @@ class TestCommands:
         assert section["violation_count"] == 0
         assert section["faults_injected"] >= 1
         assert "drops_by_reason" in section["transport"]
+        queries = section["audit"]["queries"].values()
+        assert queries
+        for query in queries:
+            assert query["publishers"] >= 1
+            assert query["row_regressions"] >= 0
 
     def test_chaos_unknown_scenario_rejected(self, capsys):
         assert main(["chaos", "--scenario", "meteor"]) == 2

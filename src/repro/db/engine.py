@@ -96,8 +96,10 @@ class LocalDatabase:
         return count_matching(query, self.table(query.table))
 
     def clone(self) -> "LocalDatabase":
-        """An independent deep copy of all tables.
+        """A copy-on-write copy of all tables (see :meth:`Table.clone`).
 
+        The clone shares every column array with this database until one
+        side writes, so it costs a dict per table, not a copy of the data.
         Used when each simulated endsystem must own private, mutable data
         (e.g. live update feeds) instead of sharing a profile database.
         """

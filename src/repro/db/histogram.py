@@ -18,6 +18,7 @@ paper's "<0.5% total row-count error" claim; the tests quantify ours.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Optional, Union
 
@@ -75,16 +76,26 @@ class EquiDepthHistogram:
         total = len(arr)
         if total == 0:
             return cls(np.array([0.0, 0.0]), np.array([0.0]), np.array([0.0]), 0)
+        # One sort yields the distinct values, their run lengths and (with
+        # the heavy runs dropped) the sorted residual.
+        ordered = np.sort(arr)
+        starts = np.empty(total, dtype=bool)
+        starts[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+        run_starts = np.flatnonzero(starts)
+        unique = ordered[run_starts]
+        unique_counts = np.diff(np.append(run_starts, total))
         # Pull out heavy hitters: values deeper than one equi-depth bucket.
-        unique, unique_counts = np.unique(arr, return_counts=True)
         depth_threshold = max(2.0, total / max(1, num_buckets))
         heavy = unique_counts >= depth_threshold
         mcv = {
             float(value): float(count)
             for value, count in zip(unique[heavy], unique_counts[heavy])
         }
-        residual_mask = ~np.isin(arr, unique[heavy]) if mcv else np.ones(total, bool)
-        ordered = np.sort(arr[residual_mask])
+        if mcv:
+            keep = np.repeat(~heavy, unique_counts)
+            ordered = ordered[keep]
+            run_starts = np.flatnonzero(starts[keep])
         if len(ordered) == 0:
             return cls(
                 np.array([unique[0], unique[-1]]),
@@ -101,16 +112,17 @@ class EquiDepthHistogram:
         boundaries = np.unique(boundaries)
         if len(boundaries) < 2:
             boundaries = np.array([boundaries[0], boundaries[0]])
-        counts = np.zeros(len(boundaries) - 1)
-        distincts = np.zeros(len(boundaries) - 1)
-        # Right-closed final bucket so the maximum is included.
-        indices = np.searchsorted(boundaries, ordered, side="right") - 1
-        indices = np.clip(indices, 0, len(counts) - 1)
-        for bucket in range(len(counts)):
-            mask = indices == bucket
-            counts[bucket] = mask.sum()
-            if counts[bucket]:
-                distincts[bucket] = len(np.unique(ordered[mask]))
+        # Bucket i holds boundaries[i] <= v < boundaries[i + 1]; the final
+        # bucket is right-closed so the maximum is included.  ``ordered`` is
+        # sorted, so each bucket is the slice between two of these edges.
+        edges = np.empty(len(boundaries), dtype=np.intp)
+        edges[0] = 0
+        edges[-1] = len(ordered)
+        edges[1:-1] = np.searchsorted(ordered, boundaries[1:-1], side="left")
+        counts = np.diff(edges)
+        # A value's whole run lands in one bucket, so the run starts
+        # between a bucket's edges are its distinct values.
+        distincts = np.diff(np.searchsorted(run_starts, edges))
         return cls(boundaries, counts, distincts, total, mcv)
 
     def estimate_le(self, value: float, inclusive: bool = True) -> float:
@@ -218,14 +230,14 @@ class FrequencyHistogram:
         cls, values: np.ndarray, mcv_limit: int = DEFAULT_MCV_LIMIT
     ) -> "FrequencyHistogram":
         """Build from a column, keeping the ``mcv_limit`` most common values."""
-        unique, counts = np.unique(np.asarray(values), return_counts=True)
-        total = int(counts.sum()) if len(counts) else 0
+        # Hash-count the Python values, then sort only the distinct ones:
+        # sorting a whole object column costs a Python comparison per step.
+        tally = Counter(np.asarray(values).tolist())
+        unique = sorted(tally)
+        counts = np.array([tally[value] for value in unique], dtype=np.int64)
+        total = int(counts.sum())
         order = np.argsort(counts)[::-1]
-        kept = {}
-        for position in order[:mcv_limit]:
-            kept[unique[position].item() if hasattr(unique[position], "item") else unique[position]] = int(
-                counts[position]
-            )
+        kept = {unique[position]: int(counts[position]) for position in order[:mcv_limit]}
         truncated = len(unique) > mcv_limit
         return cls(kept, total, truncated)
 

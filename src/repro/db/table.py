@@ -8,6 +8,12 @@ databases.
 Tables support bulk loads (the common path: the workload generator
 produces whole columns) and incremental row appends (buffered, merged on
 the next read).
+
+Stored column arrays are read-only: a write replaces a column with a new
+array and never modifies one in place.  That makes :meth:`Table.clone`
+copy-on-write — a clone shares its source's arrays until its own next
+write, so a simulated endsystem costs one table reference plus its own
+inserts, not a copy of its profile's data.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ class Table:
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
         self._columns: dict[str, np.ndarray] = {
-            column.name.lower(): np.empty(0, dtype=_DTYPES[column.type])
+            column.name.lower(): _frozen(np.empty(0, dtype=_DTYPES[column.type]))
             for column in schema
         }
         self._pending: dict[str, list[Any]] = {
@@ -66,31 +72,40 @@ class Table:
                 f"bulk load columns {sorted(provided)} != schema {sorted(expected)}"
             )
         self._flush_pending()
-        for name, values in columns.items():
-            key = name.lower()
-            dtype = self._columns[key].dtype
-            incoming = np.asarray(values, dtype=dtype)
-            self._columns[key] = np.concatenate([self._columns[key], incoming])
+        self._append({name.lower(): values for name, values in columns.items()})
 
     def insert_row(self, row: Mapping[str, Any]) -> None:
         """Append one row (buffered; merged lazily on next column read)."""
+        values = {}
         for column in self.schema:
             key = column.name.lower()
             if column.name not in row and key not in row:
                 raise SchemaError(f"row missing column {column.name!r}")
-            value = row.get(column.name, row.get(key))
+            values[key] = row.get(column.name, row.get(key))
+        for key, value in values.items():
             self._pending[key].append(value)
         self._pending_rows += 1
 
     def _flush_pending(self) -> None:
         if self._pending_rows == 0:
             return
-        for key, buffered in self._pending.items():
-            dtype = self._columns[key].dtype
-            incoming = np.asarray(buffered, dtype=dtype)
-            self._columns[key] = np.concatenate([self._columns[key], incoming])
+        self._append(self._pending)
+        for buffered in self._pending.values():
             buffered.clear()
         self._pending_rows = 0
+
+    def _append(self, columns: Mapping[str, Sequence[Any]]) -> None:
+        """Append to every column as new read-only arrays.
+
+        All columns are converted before any is committed, so a bad value
+        leaves the table untouched rather than half-written.
+        """
+        incoming = {
+            key: np.asarray(values, dtype=self._columns[key].dtype)
+            for key, values in columns.items()
+        }
+        for key, values in incoming.items():
+            self._columns[key] = _frozen(np.concatenate([self._columns[key], values]))
 
     def column(self, name: str) -> np.ndarray:
         """The full column array (flushes buffered rows first)."""
@@ -107,10 +122,14 @@ class Table:
         return list(zip(*arrays)) if arrays and len(arrays[0]) else []
 
     def clone(self) -> "Table":
-        """An independent deep copy (own column arrays)."""
+        """A copy-on-write copy: shares the read-only column arrays.
+
+        Either side's next write builds that side new arrays; the other
+        keeps the shared ones.
+        """
         self._flush_pending()
         copy = Table(self.schema)
-        copy._columns = {name: array.copy() for name, array in self._columns.items()}
+        copy._columns = dict(self._columns)
         return copy
 
     def estimated_bytes(self) -> int:
@@ -124,3 +143,8 @@ class Table:
             else:
                 total += array.nbytes
         return total
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array

@@ -33,6 +33,31 @@ class TestTables:
         db.insert("t", {"a": 2})
         assert db.generation == start + 2
 
+    def test_failed_load_leaves_table_and_generation(self):
+        db = LocalDatabase()
+        db.create_table(
+            make_schema("t", [("a", ColumnType.INT), ("b", ColumnType.INT)])
+        )
+        start = db.generation
+        with pytest.raises(ValueError):
+            db.load("t", {"a": [1, 2], "b": [1, "zz"]})
+        assert db.generation == start
+        assert db.total_rows("t") == 0
+        assert len(db.table("t").column("a")) == len(db.table("t").column("b")) == 0
+
+    def test_rejected_insert_keeps_columns_aligned(self):
+        db = LocalDatabase()
+        db.create_table(
+            make_schema("t", [("a", ColumnType.INT), ("s", ColumnType.STR)])
+        )
+        db.load("t", {"a": [1, 2, 3], "s": ["x", "y", "z"]})
+        with pytest.raises(SchemaError):
+            db.insert("t", {"a": 4})
+        db.insert("t", {"a": 5, "s": "w"})
+        table = db.table("t")
+        assert table.num_rows == len(table.column("a")) == len(table.column("s")) == 4
+        assert list(table.column("a")) == [1, 2, 3, 5]
+
 
 class TestExecution:
     def test_execute_sql(self, flow_db):

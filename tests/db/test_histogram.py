@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.db.expressions import And, Comparison, Not, Or, TruePredicate
 from repro.db.histogram import (
@@ -64,6 +66,102 @@ class TestEquiDepth:
             EquiDepthHistogram(
                 np.array([0.0, 1.0]), np.array([1.0, 2.0]), np.array([1.0, 1.0]), 3
             )
+
+
+def _reference_build(values, num_buckets):
+    """The per-bucket loop ``EquiDepthHistogram.build`` must reproduce."""
+    arr = np.asarray(values, dtype=float)
+    total = len(arr)
+    if total == 0:
+        return EquiDepthHistogram(
+            np.array([0.0, 0.0]), np.array([0.0]), np.array([0.0]), 0
+        )
+    unique, unique_counts = np.unique(arr, return_counts=True)
+    depth_threshold = max(2.0, total / max(1, num_buckets))
+    heavy = unique_counts >= depth_threshold
+    mcv = {
+        float(value): float(count)
+        for value, count in zip(unique[heavy], unique_counts[heavy])
+    }
+    residual_mask = ~np.isin(arr, unique[heavy]) if mcv else np.ones(total, bool)
+    ordered = np.sort(arr[residual_mask])
+    if len(ordered) == 0:
+        return EquiDepthHistogram(
+            np.array([unique[0], unique[-1]]),
+            np.array([0.0]),
+            np.array([0.0]),
+            total,
+            mcv,
+        )
+    num_buckets = max(1, min(num_buckets, len(ordered)))
+    boundaries = np.unique(np.quantile(ordered, np.linspace(0.0, 1.0, num_buckets + 1)))
+    if len(boundaries) < 2:
+        boundaries = np.array([boundaries[0], boundaries[0]])
+    counts = np.zeros(len(boundaries) - 1)
+    distincts = np.zeros(len(boundaries) - 1)
+    indices = np.searchsorted(boundaries, ordered, side="right") - 1
+    indices = np.clip(indices, 0, len(counts) - 1)
+    for bucket in range(len(counts)):
+        mask = indices == bucket
+        counts[bucket] = mask.sum()
+        if counts[bucket]:
+            distincts[bucket] = len(np.unique(ordered[mask]))
+    return EquiDepthHistogram(boundaries, counts, distincts, total, mcv)
+
+
+@st.composite
+def _columns(draw):
+    """Int or float columns drawn from a small value pool, so duplicates,
+    heavy hitters and runs straddling a bucket edge are common."""
+    if draw(st.booleans()):
+        pool, dtype = st.integers(min_value=-10**6, max_value=10**6), np.int64
+    else:
+        pool, dtype = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), float
+    pool_size = draw(st.sampled_from([1, 3, 40, 400]))
+    distinct = draw(st.lists(pool, min_size=1, max_size=pool_size))
+    picks = draw(
+        st.lists(st.integers(min_value=0, max_value=len(distinct) - 1), max_size=600)
+    )
+    return np.array([distinct[i] for i in picks], dtype=dtype)
+
+
+class TestBuildMatchesReference:
+    @given(_columns(), st.integers(min_value=1, max_value=200))
+    @example(np.array([]), 64)
+    @example(np.full(50, 7.0), 64)
+    @example(np.array([3.0]), 1)
+    @example(np.array([-2] * 30 + [5] * 30, dtype=np.int64), 8)
+    @example(np.array([1, 2, 2, 2, 3, 3, 4, 5, 5, 6], dtype=np.int64), 3)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_per_bucket_loop(self, values, num_buckets):
+        built = EquiDepthHistogram.build(values, num_buckets)
+        assert built == _reference_build(values, num_buckets)
+
+
+def _reference_frequency_build(values, mcv_limit):
+    """The ``np.unique`` construction ``FrequencyHistogram.build`` must reproduce."""
+    unique, counts = np.unique(np.asarray(values), return_counts=True)
+    total = int(counts.sum()) if len(counts) else 0
+    order = np.argsort(counts)[::-1]
+    kept = {}
+    for position in order[:mcv_limit]:
+        value = unique[position]
+        kept[value.item() if hasattr(value, "item") else value] = int(counts[position])
+    return FrequencyHistogram(kept, total, len(unique) > mcv_limit)
+
+
+class TestFrequencyBuildMatchesReference:
+    @given(
+        st.lists(st.sampled_from(["http", "smb", "dns", "ssh", "", "x" * 9]), max_size=300),
+        st.booleans(),
+        st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_np_unique_build(self, picks, as_object, mcv_limit):
+        # Small limits make count ties at the truncation edge common.
+        values = np.array(picks, dtype=object if as_object else str)
+        built = FrequencyHistogram.build(values, mcv_limit=mcv_limit)
+        assert built == _reference_frequency_build(values, mcv_limit)
 
 
 class TestFrequency:

@@ -40,6 +40,13 @@ class TestBulkLoad:
         table.load_columns({"A": [1], "B": [2.0], "C": ["z"]})
         assert list(table.column("a")) == [1]
 
+    def test_failed_load_changes_nothing(self, table):
+        table.load_columns({"a": [1], "b": [1.0], "c": ["x"]})
+        with pytest.raises(ValueError):
+            table.load_columns({"a": [2, 3], "b": [2.0, "zz"], "c": ["y", "z"]})
+        assert table.num_rows == 1
+        assert [len(table.column(name)) for name in "abc"] == [1, 1, 1]
+
     def test_dtype_enforced(self, table):
         table.load_columns({"a": [1.9], "b": [1.0], "c": ["x"]})
         assert table.column("a").dtype == np.int64
@@ -57,6 +64,21 @@ class TestRowInsert:
     def test_insert_missing_column_rejected(self, table):
         with pytest.raises(SchemaError):
             table.insert_row({"a": 1, "b": 2.0})
+
+    def test_rejected_insert_leaves_no_partial_row(self, table):
+        table.load_columns({"a": [1], "b": [1.0], "c": ["x"]})
+        with pytest.raises(SchemaError):
+            table.insert_row({"a": 2, "b": 2.0})
+        table.insert_row({"a": 3, "b": 3.0, "c": "z"})
+        assert table.num_rows == 2
+        assert [len(table.column(name)) for name in "abc"] == [2, 2, 2]
+        assert list(table.column("a")) == [1, 3]
+
+    def test_stored_columns_are_read_only(self, table):
+        table.load_columns({"a": [1], "b": [1.0], "c": ["x"]})
+        table.insert_row({"a": 2, "b": 2.0, "c": "y"})
+        for name in "abc":
+            assert not table.column(name).flags.writeable
 
     def test_mixed_insert_and_load(self, table):
         table.load_columns({"a": [1], "b": [1.0], "c": ["x"]})

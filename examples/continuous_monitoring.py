@@ -1,21 +1,16 @@
 #!/usr/bin/env python3
-"""Extensions demo: continuous queries, live updates, selective replication.
+"""Extensions demo: continuous queries over live updates.
 
 Sets up a deployment where endsystems keep generating new flow records
-(live updates), then:
-
-* registers a **continuous query** (§3.4 extension) whose answer tracks
-  the growing data through the persistent result tree;
-* configures a **replicated view** (§3.2.2 selective replication) and
-  shows the instant, slightly-stale neighbourhood answer any node can
-  produce without touching the network.
+(live updates), then registers a **continuous query** (§3.4 extension)
+whose answer tracks the growing data through the persistent result tree.
 
 Run with:  python examples/continuous_monitoring.py
 """
 
 import numpy as np
 
-from repro.core import SeaweedConfig, SeaweedSystem, ViewSpec
+from repro.core import SeaweedSystem
 from repro.traces import AvailabilitySchedule, TraceSet
 from repro.workload import AnemoneDataset, LiveAnemoneFeed
 
@@ -29,12 +24,10 @@ def main() -> None:
     trace = TraceSet(schedules, horizon)
     dataset = AnemoneDataset(num_profiles=10, rng=np.random.default_rng(2))
 
-    config = SeaweedConfig(views=(ViewSpec("http-traffic", SQL),))
     system = SeaweedSystem(
         trace,
         dataset,
         num_endsystems=40,
-        config=config,
         master_seed=11,
         startup_stagger=30.0,
         private_databases=True,  # each endsystem owns mutable data
@@ -55,20 +48,6 @@ def main() -> None:
             f"t+{step * 0.5:3.1f} h  {count:>10,.0f}  {total:>14,.0f}   "
             f"{feed.rows_inserted:>8,}"
         )
-
-    # Selective replication: instant neighbourhood answers from metadata.
-    print("\nreplicated view 'http-traffic': instant neighbourhood answers")
-    for node in system.nodes[:3]:
-        answer, contributors = node.answer_view_locally("http-traffic")
-        count, total = answer.values()
-        print(
-            f"  node {node.pastry.name[:8]}…: COUNT={count:,.0f} "
-            f"SUM={total:,.0f} over {contributors} endsystems, zero messages"
-        )
-    print(
-        "\n(The view answers are bounded-stale: they refresh with each "
-        "metadata push cycle.)"
-    )
 
 
 if __name__ == "__main__":

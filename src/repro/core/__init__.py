@@ -24,7 +24,6 @@ from repro.core.node import SeaweedNode
 from repro.core.predictor import CompletenessPredictor, PredictorConfig, log_bucket_edges
 from repro.core.query import DEFAULT_LIFETIME, QueryDescriptor, QueryStatus
 from repro.core.system import SeaweedSystem
-from repro.core.views import ViewResult, ViewSpec, materialize_views, normalize_sql
 
 __all__ = [
     "AVAILABILITY_MODEL_BYTES",
@@ -44,12 +43,8 @@ __all__ = [
     "SeaweedNode",
     "SeaweedSystem",
     "VertexState",
-    "ViewResult",
-    "ViewSpec",
     "leaf_vertex",
     "log_bucket_edges",
-    "materialize_views",
-    "normalize_sql",
     "parent_vertex",
     "vertex_chain",
 ]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.views import ViewSpec
 from repro.overlay.network import OverlayConfig
 
 
@@ -39,12 +38,6 @@ class SeaweedConfig:
     #: local data has not changed since the last push to a replica, send
     #: a small freshness beacon instead of the full histogram set.
     delta_summaries: bool = False
-
-    #: Selective replication (§3.2.2): materialized views whose results
-    #: each endsystem includes in its replicated metadata.  Matching
-    #: queries get exact completeness predictions for offline endsystems
-    #: and instant (stale) neighbourhood answers.
-    views: tuple[ViewSpec, ...] = ()
 
     #: Dissemination: how long a parent waits for a child subtree's
     #: predictor before reissuing the broadcast for that subrange.

@@ -14,10 +14,9 @@ This module holds the data structures; the message protocol lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Optional
 
 from repro.core.availability_model import AvailabilityModel
-from repro.core.views import ViewResult, ViewSpec, materialize_views, normalize_sql
 from repro.db.engine import LocalDatabase
 from repro.db.histogram import Histogram, SelectivityCache
 from repro.db.sql import ParsedQuery
@@ -40,10 +39,6 @@ class EndsystemMetadata:
     row_counts: dict[str, int]
     availability: AvailabilityModel
     version: int = 0
-    #: Materialized view results keyed by view name (selective replication).
-    views: dict[str, ViewResult] = field(default_factory=dict)
-    #: Normalized view SQL -> view name, for query matching.
-    view_index: dict[str, str] = field(default_factory=dict)
     #: Selectivity memo scoped to ``summaries`` (shared by every record
     #: built from the same database generation).  None disables memoing.
     estimate_cache: Optional["SelectivityCache"] = field(
@@ -57,7 +52,6 @@ class EndsystemMetadata:
             for histogram in per_column.values():
                 total += histogram.size_bytes()
         total += 12 * len(self.row_counts)
-        total += sum(view.wire_size() for view in self.views.values())
         return total
 
     def wire_size(self) -> int:
@@ -66,18 +60,10 @@ class EndsystemMetadata:
 
     def estimate_rows(self, query: ParsedQuery) -> float:
         """Estimated rows relevant to ``query`` on behalf of an
-        *unavailable* endsystem.
-
-        If the query matches a replicated view, the answer is the view's
-        exact stored row count; otherwise the standard histogram-based
-        selectivity estimate.
+        *unavailable* endsystem: the histogram-based selectivity estimate.
         """
         from repro.db.histogram import estimate_row_count
 
-        if query.text:
-            view_name = self.view_index.get(normalize_sql(query.text))
-            if view_name is not None:
-                return float(self.views[view_name].row_count)
         table = query.table.lower()
         histograms = dict(self.summaries.get(table, {}))
         total_rows = self.row_counts.get(table, 0)
@@ -93,8 +79,6 @@ class EndsystemMetadata:
         availability: AvailabilityModel,
         version: int = 0,
         histogram_buckets: int = 64,
-        view_specs: tuple[ViewSpec, ...] = (),
-        now: float = 0.0,
     ) -> "EndsystemMetadata":
         """Construct fresh metadata from an endsystem's local state."""
         summaries, estimate_cache = database.summary_state(
@@ -103,16 +87,12 @@ class EndsystemMetadata:
         row_counts = {
             name.lower(): database.total_rows(name) for name in database.table_names
         }
-        views = materialize_views(view_specs, database, now) if view_specs else {}
-        view_index = {spec.key: spec.name for spec in view_specs}
         return cls(
             owner=owner,
             summaries=summaries,
             row_counts=row_counts,
             availability=availability,
             version=version,
-            views=views,
-            view_index=view_index,
             estimate_cache=estimate_cache,
         )
 

@@ -225,8 +225,6 @@ class SeaweedNode:
             ),
             version=self._metadata_version,
             histogram_buckets=self.config.histogram_buckets,
-            view_specs=self.config.views,
-            now=self.scheduler.now,
         )
         replicas = self.pastry.replica_set(self.config.metadata_replicas)
         self._last_replica_set = replicas
@@ -490,32 +488,6 @@ class SeaweedNode:
     def believes_online(self, owner: int) -> bool:
         """Whether this node believes endsystem ``owner`` is currently up."""
         return owner in self.pastry.leafset
-
-    def answer_view_locally(self, view_name: str):
-        """Instant (stale) answer for a replicated view over this node's
-        metadata neighbourhood: its own data plus every held record.
-
-        Returns ``(merged QueryResult, contributing endsystem count)``.
-        Selective replication's low-latency path: no network round trips,
-        staleness bounded by the replication push period.
-        """
-        spec = next(
-            (view for view in self.config.views if view.name == view_name), None
-        )
-        if spec is None:
-            raise KeyError(f"no replicated view named {view_name!r}")
-        merged = self.database.execute(spec.parse())
-        contributors = 1
-        for owner in self.metadata_store.owners():
-            if owner == self.node_id:
-                continue
-            record = self.metadata_store.get(owner)
-            view = record.metadata.views.get(view_name)
-            if view is None:
-                continue
-            merged = merged.merge(view.to_query_result())
-            contributors += 1
-        return merged, contributors
 
     # ------------------------------------------------------------------
     # Root/originator callbacks

@@ -106,7 +106,6 @@ class ParsedQuery:
     projection: list[str] = field(default_factory=list)
     predicate: Predicate = field(default_factory=TruePredicate)
     group_by: list[str] = field(default_factory=list)
-    text: str = ""
 
     @property
     def is_aggregate(self) -> bool:
@@ -288,6 +287,4 @@ def parse(text: str, now: Optional[float] = None) -> ParsedQuery:
     Raises:
         SQLSyntaxError: on any lexical or grammatical error.
     """
-    query = _Parser(tokenize(text), now).parse_query()
-    query.text = text
-    return query
+    return _Parser(tokenize(text), now).parse_query()

@@ -30,8 +30,9 @@ from dataclasses import dataclass
 MAGIC = b"SW"
 
 #: Envelope format version (2: the ``!MSG`` body is
-#: ``(src, dst, category, payload)``).
-VERSION = 2
+#: ``(src, dst, category, payload)``; 3: a replicated metadata record is
+#: ``(owner, summaries, row_counts, availability, version)``).
+VERSION = 3
 
 #: Fixed part of the envelope, before the kind string and body.
 #: magic(2) + version(1) + flags(1) + kind len(2) + body len(4) + crc(4).

@@ -136,7 +136,6 @@ def _build_adapters() -> dict[type, _Adapter]:
     from repro.core.metadata import EndsystemMetadata
     from repro.core.predictor import CompletenessPredictor
     from repro.core.query import QueryDescriptor
-    from repro.core.views import ViewResult
     from repro.db.aggregates import AggregateSpec, AggregateState
     from repro.db.executor import QueryResult
     from repro.db.histogram import EquiDepthHistogram, FrequencyHistogram
@@ -182,20 +181,16 @@ def _build_adapters() -> dict[type, _Adapter]:
             m.row_counts,
             m.availability,
             m.version,
-            m.views,
-            m.view_index,
         )
 
     def metadata_from(state: tuple) -> EndsystemMetadata:
-        owner, summaries, row_counts, availability, version, views, index = state
+        owner, summaries, row_counts, availability, version = state
         return EndsystemMetadata(
             owner=owner,
             summaries=summaries,
             row_counts=row_counts,
             availability=availability,
             version=version,
-            views=views,
-            view_index=index,
             estimate_cache=None,
         )
 
@@ -241,12 +236,6 @@ def _build_adapters() -> dict[type, _Adapter]:
             lambda st: FrequencyHistogram(st[0], st[1], st[2]),
         ),
         _Adapter(9, EndsystemMetadata, metadata_state, metadata_from),
-        _Adapter(
-            10,
-            ViewResult,
-            lambda v: (v.spec_name, v.result_payload, v.row_count, v.computed_at),
-            lambda st: ViewResult(st[0], st[1], st[2], st[3]),
-        ),
     ]
     return {adapter.cls: adapter for adapter in adapters}
 

@@ -39,7 +39,6 @@ from repro.proto import framing, wire
 from repro.serve.scheduler import AsyncioScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.net.stats import BandwidthAccounting
     from repro.obs.observer import Observer
 
 log = logging.getLogger("repro.serve.transport")
@@ -153,32 +152,30 @@ class _Peer:
 class AsyncioTransport(Transport):
     """Live transport: the shared :class:`Transport` carried over TCP."""
 
+    #: Largest frame body accepted from a peer.
+    max_frame = framing.DEFAULT_MAX_FRAME
+    #: Frames one peer's write queue holds before sends to it are dropped.
+    max_queue_depth = 4096
+    #: First and largest reconnect backoff to an unreachable peer (s).
+    reconnect_initial = 0.1
+    reconnect_cap = 5.0
+
     def __init__(
         self,
         scheduler: AsyncioScheduler,
         directory: Mapping[str, tuple[str, int]],
         listen_host: str = "127.0.0.1",
         listen_port: int = 0,
-        accounting: Optional["BandwidthAccounting"] = None,
         observer: Optional["Observer"] = None,
-        max_frame: int = framing.DEFAULT_MAX_FRAME,
-        max_queue_depth: int = 4096,
-        reconnect_initial: float = 0.1,
-        reconnect_cap: float = 5.0,
-        on_peer_activity: Optional[Callable[[str, float], None]] = None,
     ) -> None:
-        super().__init__(scheduler, None, accounting=accounting, observer=observer)
+        super().__init__(scheduler, None, observer=observer)
         #: node name -> (host, port) of the process hosting it.
         self.directory = dict(directory)
         self.listen_host = listen_host
         self.listen_port = listen_port
-        self.max_frame = max_frame
-        self.max_queue_depth = max_queue_depth
-        self.reconnect_initial = reconnect_initial
-        self.reconnect_cap = reconnect_cap
         #: Called with (src name, protocol now) for every inbound message —
         #: the live failure detector's evidence stream.
-        self.on_peer_activity = on_peer_activity
+        self.on_peer_activity: Optional[Callable[[str, float], None]] = None
         self._peers: dict[tuple[str, int], _Peer] = {}
         self._inbound: set[asyncio.StreamWriter] = set()
         self._server: Optional[asyncio.AbstractServer] = None
@@ -223,6 +220,13 @@ class AsyncioTransport(Transport):
             await peer.close()
         self._peers.clear()
         if self._server is not None:
+            # Stop accepting, then give a connection accepted in this loop
+            # turn one turn to attach to the server.  Closing the server
+            # first orphans it: asyncio cannot attach a socket to a closed
+            # server, and leaves it open with nobody to close it.
+            for sock in self._server.sockets:
+                loop.remove_reader(sock.fileno())
+            await asyncio.sleep(0)
             self._server.close()
             await self._server.wait_closed()
             self._server = None

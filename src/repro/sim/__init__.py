@@ -5,7 +5,7 @@ Provides the deterministic event loop (:class:`Simulator`), calendar clock
 random streams (:class:`RandomStreams`) used by every other subsystem.
 """
 
-from repro.sim.events import Event, EventHandle
+from repro.sim.events import Event
 from repro.sim.randomness import RandomStreams, derive_seed
 from repro.sim.simulator import (
     SECONDS_PER_DAY,
@@ -20,7 +20,6 @@ from repro.sim.simulator import (
 
 __all__ = [
     "Event",
-    "EventHandle",
     "PeriodicTimer",
     "RandomStreams",
     "SECONDS_PER_DAY",

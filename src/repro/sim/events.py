@@ -1,77 +1,56 @@
 """Event primitives for the discrete-event simulator.
 
-An :class:`Event` couples a firing time with a callback.  Events are
-totally ordered by ``(time, seq)`` where ``seq`` is a monotonically
-increasing tie-breaker assigned by the simulator, which makes execution
+An :class:`Event` couples a firing time with a callback; it is what
+:meth:`repro.sim.simulator.Simulator.schedule` returns, so the caller
+can cancel it.  Events carry no ordering of their own: the simulator's
+heap orders ``(time, seq, event)`` tuples, where ``seq`` is a
+monotonically increasing tie-breaker, which makes execution
 deterministic even when many events share a timestamp.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 
-@dataclass(order=True)
 class Event:
     """A scheduled callback in the simulation.
 
     Attributes:
         time: Simulated time (seconds since simulation epoch) at which the
             event fires.
-        seq: Monotonic tie-breaker assigned at scheduling time.  Two events
-            scheduled for the same instant fire in scheduling order.
         callback: Zero-argument callable invoked when the event fires.
-            Arguments are bound at scheduling time (see
-            :meth:`repro.sim.simulator.Simulator.schedule`).
-        cancelled: Set by :meth:`EventHandle.cancel`; cancelled events are
-            skipped by the event loop.
-    """
-
-    time: float
-    seq: int
-    callback: Callable[[], Any] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
-class EventHandle:
-    """Handle returned by scheduling calls; allows cancellation.
+            Arguments are bound at scheduling time.
+        cancelled: Set by :meth:`cancel`; cancelled events are skipped by
+            the event loop.
 
     Cancellation is O(1): the event is flagged and lazily discarded when
-    it reaches the head of the queue (or when its timer-wheel bucket is
-    cascaded — cancelled wheel entries never enter the heap at all).
-    The optional ``on_cancel`` callback lets the owning simulator keep an
-    exact count of dead-but-resident entries for the
-    ``sim.cancelled_events`` gauge and for compaction decisions.
+    it reaches the head of the queue.  The optional ``on_cancel``
+    callback lets the owning simulator keep an exact count of
+    dead-but-resident entries for the ``sim.cancelled_events`` gauge and
+    for compaction decisions.
     """
 
-    __slots__ = ("_event", "_on_cancel")
+    __slots__ = ("time", "callback", "cancelled", "_on_cancel")
 
     def __init__(
         self,
-        event: Event,
-        on_cancel: Optional[Callable[[Event], None]] = None,
+        time: float,
+        callback: Callable[[], Any],
+        on_cancel: Optional[Callable[[], None]] = None,
     ) -> None:
-        self._event = event
+        self.time = time
+        self.callback = callback
+        self.cancelled = False
         self._on_cancel = on_cancel
-
-    @property
-    def time(self) -> float:
-        """The simulated time at which the event is due to fire."""
-        return self._event.time
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` has been called on this handle."""
-        return self._event.cancelled
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent."""
-        if not self._event.cancelled:
-            self._event.cancelled = True
+        if not self.cancelled:
+            self.cancelled = True
             if self._on_cancel is not None:
-                self._on_cancel(self._event)
+                self._on_cancel()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
-        return f"EventHandle(time={self.time!r}, {state})"
+        return f"Event(time={self.time!r}, {state})"

@@ -1,29 +1,24 @@
 """A deterministic discrete-event simulator.
 
 The simulator is the substrate on which the Pastry overlay, the network
-transport, and the Seaweed protocols all run.  The event index is a
-two-level structure tuned for overlay workloads:
-
-* a lazy-deletion binary heap (:mod:`heapq`) holds the near-term events;
-* a sparse *timer wheel* — a dict of per-second buckets — holds far-out
-  events, which in a Seaweed deployment are overwhelmingly the periodic
-  heartbeat/refresh timers (30 s - 17.5 min periods).  Buckets are
-  *cascaded* into the heap in deterministic ``(time, seq)`` order just
-  before the loop could reach them, so wheel placement is invisible to
-  execution order.
-
-The split matters at scale: with N endsystems the heap would otherwise
-carry O(N) long-period timers at all times, charging every push and pop
-an O(log N) sift through entries that are minutes away.  Cancelled
-timers (a node goes offline, a pending ack is satisfied) are flagged,
-counted in :attr:`Simulator.cancelled_events`, skipped for free at
-cascade time if still in the wheel, and compacted away when they would
-otherwise dominate the index.
+transport, and the Seaweed protocols all run.  Its event index is one
+lazy-deletion binary heap (:mod:`heapq`) of ``(time, seq, event)``
+tuples:
 
 * events are ordered by ``(time, seq)`` so same-instant events fire in
   scheduling order, making runs bit-reproducible for a fixed seed;
 * callbacks may schedule further events, including at the current time;
+* cancelled events (a node goes offline, a pending ack is satisfied) are
+  flagged, counted in :attr:`Simulator.cancelled_events`, skipped when
+  popped, and compacted away when they would otherwise dominate the
+  heap;
 * periodic timers are provided as a convenience and may be cancelled.
+
+A Seaweed deployment keeps three periodic timers per online endsystem
+(stabilization, result refresh, metadata push), so at 2,000 endsystems
+the heap holds ~4k entries, about 12 levels deep.  ``seq`` is unique,
+so heap comparisons never reach the :class:`Event` itself and run as C
+tuple comparisons.
 
 Time is a float number of seconds since the *simulation epoch*.  A
 :class:`SimClock` maps simulated seconds onto wall-clock structure
@@ -37,9 +32,9 @@ import functools
 import heapq
 import math
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Optional, Protocol
 
-from repro.sim.events import Event, EventHandle
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.profiling import SimProfiler
@@ -152,7 +147,7 @@ class Simulator:
     """
 
     #: Compaction threshold: once more than this many cancelled entries
-    #: are resident *and* they outnumber live ones, the index is drained.
+    #: are resident *and* they outnumber live ones, the heap is compacted.
     #: The halving rule keeps compaction amortized O(1) per cancellation.
     COMPACT_MIN_CANCELLED = 64
 
@@ -161,24 +156,14 @@ class Simulator:
         clock: Optional[SimClock] = None,
         profiler: Optional["SimProfiler"] = None,
     ) -> None:
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._now = 0.0
         self._seq = 0
         self._events_processed = 0
-        self._running = False
         self._profiler = profiler
         self.clock = clock if clock is not None else SimClock()
-        # Timer wheel: sparse one-second buckets of far-out events, plus
-        # a heap of bucket indices so the earliest pending bucket is
-        # O(1) to find.  ``_watermark`` is the highest bucket index ever
-        # cascaded; events landing at or below it go straight to the
-        # heap, so a bucket index is never re-created after cascading.
-        self._wheel: dict[int, list[Event]] = {}
-        self._bucket_heap: list[int] = []
-        self._wheel_len = 0
-        self._watermark = -1
-        # Dead-but-resident entries (heap + wheel), kept exact via the
-        # EventHandle cancel notification.
+        # Dead-but-resident heap entries, kept exact via the Event
+        # cancel notification.
         self._cancelled_resident = 0
 
     @property
@@ -209,31 +194,31 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of live (non-cancelled) events awaiting execution."""
-        return len(self._queue) + self._wheel_len - self._cancelled_resident
+        return len(self._queue) - self._cancelled_resident
 
     @property
     def cancelled_events(self) -> int:
-        """Cancelled entries still resident in the heap or the wheel.
+        """Cancelled entries still resident in the heap.
 
         These are the lazy-deletion tombstones: O(1) to create, reclaimed
-        when popped/cascaded past or by :meth:`drain_cancelled` (which
+        when popped past or by :meth:`drain_cancelled` (which
         also runs automatically when they outnumber live entries).
         """
         return self._cancelled_resident
 
-    def _note_cancel(self, event: Event) -> None:
-        # EventHandle cancel notification: count the tombstone, and
-        # compact once dead entries dominate the index.
+    def _note_cancel(self) -> None:
+        # Event cancel notification: count the tombstone, and compact
+        # once dead entries dominate the heap.
         self._cancelled_resident += 1
         if (
             self._cancelled_resident > self.COMPACT_MIN_CANCELLED
-            and self._cancelled_resident * 2 > len(self._queue) + self._wheel_len
+            and self._cancelled_resident * 2 > len(self._queue)
         ):
             self.drain_cancelled()
 
     def schedule(
         self, delay: float, callback: Callable[..., Any], *args: Any, **kwargs: Any
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``callback(*args, **kwargs)`` to fire ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} s in the past")
@@ -241,7 +226,7 @@ class Simulator:
 
     def schedule_at(
         self, time: float, callback: Callable[..., Any], *args: Any, **kwargs: Any
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``callback(*args, **kwargs)`` to fire at absolute time ``time``."""
         if time < self._now:
             raise SimulationError(
@@ -255,22 +240,10 @@ class Simulator:
             bound = functools.partial(callback, *args, **kwargs)
         else:
             bound = callback
-        event = Event(time=time, seq=self._seq, callback=bound)
+        event = Event(time, bound, self._note_cancel)
+        heapq.heappush(self._queue, (time, self._seq, event))
         self._seq += 1
-        bucket = int(time)
-        if bucket > self._watermark:
-            # Far-out event: O(1) append, no heap sift.  It reaches
-            # the heap (in order) when its bucket cascades.
-            entries = self._wheel.get(bucket)
-            if entries is None:
-                self._wheel[bucket] = [event]
-                heapq.heappush(self._bucket_heap, bucket)
-            else:
-                entries.append(event)
-            self._wheel_len += 1
-            return EventHandle(event, self._note_cancel)
-        heapq.heappush(self._queue, event)
-        return EventHandle(event, self._note_cancel)
+        return event
 
     def schedule_periodic(
         self,
@@ -288,44 +261,11 @@ class Simulator:
             raise SimulationError(f"period must be positive, got {period}")
         return PeriodicTimer(self, period, callback, first_delay)
 
-    def _cascade(self) -> None:
-        """Move due wheel buckets into the heap.
-
-        A bucket must be in the heap before any event at or after its
-        start executes — an entry in bucket B can precede a heap head at
-        time >= B (same instant, lower seq).  Cascading
-        whole buckets keeps the check to two comparisons per event while
-        preserving exact ``(time, seq)`` order, because the heap re-sorts
-        the bucket's (unordered) entries.  Cancelled entries are dropped
-        here without ever touching the heap.
-        """
-        buckets = self._bucket_heap
-        if not buckets:
-            return
-        queue = self._queue
-        while buckets and (not queue or buckets[0] <= queue[0].time):
-            bucket = heapq.heappop(buckets)
-            self._watermark = bucket
-            entries = self._wheel.pop(bucket, None)
-            if entries is None:
-                # Bucket emptied by drain_cancelled; only its index was
-                # left behind in the bucket heap.
-                continue
-            self._wheel_len -= len(entries)
-            for event in entries:
-                if event.cancelled:
-                    self._cancelled_resident -= 1
-                else:
-                    heapq.heappush(queue, event)
-
     def step(self) -> bool:
         """Execute the next pending event.  Returns False if the queue is empty."""
-        while True:
-            if self._wheel_len:
-                self._cascade()
-            if not self._queue:
-                return False
-            event = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            event = heapq.heappop(queue)[2]
             if event.cancelled:
                 self._cancelled_resident -= 1
                 continue
@@ -340,28 +280,23 @@ class Simulator:
                 profiler.record(
                     handler_label(event.callback),
                     perf_counter() - start,
-                    len(self._queue) + self._wheel_len,
+                    len(queue),
                 )
             return True
+        return False
 
     def run_until(self, time: float) -> None:
         """Run all events with firing time <= ``time``, then advance the clock to it."""
         if time < self._now:
             raise SimulationError(f"cannot run backwards to {time} from {self._now}")
-        while True:
-            if self._wheel_len:
-                self._cascade()
-            if not self._queue:
-                break
-            head = self._queue[0]
+        queue = self._queue
+        while queue:
+            head_time, _, head = queue[0]
             if head.cancelled:
-                heapq.heappop(self._queue)
+                heapq.heappop(queue)
                 self._cancelled_resident -= 1
                 continue
-            if head.time > time:
-                # Wheel entries are all in buckets starting after
-                # ``head.time`` (else they would have cascaded), so
-                # nothing pending anywhere is due by ``time``.
+            if head_time > time:
                 break
             self.step()
         self._now = time
@@ -376,26 +311,15 @@ class Simulator:
         return count
 
     def drain_cancelled(self) -> None:
-        """Compact the index by dropping cancelled events.
+        """Compact the heap by dropping cancelled events.
 
         Called automatically when tombstones outnumber live entries (see
-        :meth:`_note_cancel`); harmless to call at any time.
+        :meth:`_note_cancel`); harmless to call at any time.  The heap is
+        rebuilt in place, so a loop holding it never sees a stale list.
         """
-        live = [e for e in self._queue if not e.cancelled]
-        heapq.heapify(live)
-        self._queue = live
-        if self._wheel_len:
-            for bucket in list(self._wheel):
-                entries = [e for e in self._wheel[bucket] if not e.cancelled]
-                removed = len(self._wheel[bucket]) - len(entries)
-                if removed:
-                    self._wheel_len -= removed
-                    if entries:
-                        self._wheel[bucket] = entries
-                    else:
-                        del self._wheel[bucket]
-                        # The stale index stays in _bucket_heap; cascade
-                        # tolerates missing buckets via pop-with-default.
+        queue = self._queue
+        queue[:] = [entry for entry in queue if not entry[2].cancelled]
+        heapq.heapify(queue)
         self._cancelled_resident = 0
 
 
@@ -460,16 +384,3 @@ def handler_label(callback: Callable[[], Any]) -> str:
         inner = getattr(inner, "func", inner)
     return getattr(inner, "__qualname__", None) or repr(inner)
 
-
-def merge_timelines(*timelines: Iterable[tuple[float, Any]]) -> list[tuple[float, Any]]:
-    """Merge several ``(time, value)`` sequences into one time-sorted list.
-
-    Utility for combining per-endsystem event streams (e.g. availability
-    transitions) into a global schedule before loading them into the
-    simulator.
-    """
-    merged: list[tuple[float, Any]] = []
-    for timeline in timelines:
-        merged.extend(timeline)
-    merged.sort(key=lambda pair: pair[0])
-    return merged

@@ -10,7 +10,7 @@ from repro.overlay.network import OverlayConfig
 
 def test_knob_surface_is_pinned():
     """Every tunable, by name.  A new knob is a reviewed edit of this
-    set; a deleted one leaves it (18 + 7 fields)."""
+    set; a deleted one leaves it (17 + 7 fields)."""
     assert {field.name for field in dataclasses.fields(SeaweedConfig)} == {
         "overlay",
         "metadata_replicas",
@@ -29,7 +29,6 @@ def test_knob_surface_is_pinned():
         "result_refresh_period",
         "result_retransmit",
         "vertex_forward_delay",
-        "views",
     }
     assert {field.name for field in dataclasses.fields(OverlayConfig)} == {
         "b",

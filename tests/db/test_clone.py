@@ -74,15 +74,3 @@ class TestClone:
         assert len(clones) == 400
         assert allocated < 5 * 2**20
 
-
-class TestMergeTimelines:
-    def test_merge_sorts_by_time(self):
-        from repro.sim.simulator import merge_timelines
-
-        merged = merge_timelines([(3.0, "c"), (1.0, "a")], [(2.0, "b")])
-        assert merged == [(1.0, "a"), (2.0, "b"), (3.0, "c")]
-
-    def test_merge_empty(self):
-        from repro.sim.simulator import merge_timelines
-
-        assert merge_timelines([], []) == []

@@ -8,7 +8,9 @@ path the ``serve-smoke`` CI job drives at scale.
 """
 
 import asyncio
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -229,6 +231,30 @@ def test_metrics_snapshot_includes_pool_gauges(tmp_path):
                 await host.stop()
 
     asyncio.run(main())
+
+
+def test_hosts_stopping_in_turn_leave_no_socket_open():
+    """Host 1's join connects to host 0 in the loop turn host 0 stops:
+    that accepted connection must be closed too, not left for the
+    garbage collector to warn about."""
+
+    async def main():
+        spec = plan_cluster(num_hosts=2, nodes_per_host=1, seed=31)
+        hosts = [NodeHost(spec, 0), NodeHost(spec, 1)]
+        try:
+            for host in hosts:
+                await host.start()
+            await _wait_all_online(hosts)
+        finally:
+            for host in hosts:
+                await host.stop()
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        asyncio.run(main())
+        gc.collect()
+    leaks = [str(w.message) for w in caught if w.category is ResourceWarning]
+    assert leaks == []
 
 
 # ----------------------------------------------------------------------

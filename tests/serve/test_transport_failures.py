@@ -169,7 +169,8 @@ def test_half_open_destination_queues_until_listener_appears():
         from repro.serve.cluster import free_port
 
         scheduler = AsyncioScheduler()
-        a = AsyncioTransport(scheduler, {}, reconnect_initial=0.05)
+        a = AsyncioTransport(scheduler, {})
+        a.reconnect_initial = 0.05
         await a.start()
         port = free_port()
         a.directory["b"] = ("127.0.0.1", port)
@@ -199,7 +200,8 @@ def test_backpressure_drops_when_queue_full():
         from repro.serve.cluster import free_port
 
         scheduler = AsyncioScheduler()
-        transport = AsyncioTransport(scheduler, {}, max_queue_depth=3)
+        transport = AsyncioTransport(scheduler, {})
+        transport.max_queue_depth = 3
         await transport.start()
         transport.directory["b"] = ("127.0.0.1", free_port())  # dead port
         for _ in range(5):
@@ -214,7 +216,8 @@ def test_backpressure_drops_when_queue_full():
 def test_oversized_frame_rejected_and_connection_cut():
     async def main():
         scheduler = AsyncioScheduler()
-        transport = AsyncioTransport(scheduler, {}, max_frame=1024)
+        transport = AsyncioTransport(scheduler, {})
+        transport.max_frame = 1024
         await transport.start()
         reader, writer = await asyncio.open_connection(
             transport.listen_host, transport.listen_port

@@ -1,35 +1,22 @@
 """Tests for event primitives."""
 
-from repro.sim.events import Event, EventHandle
+from repro.sim import Simulator
+from repro.sim.events import Event
 
 
-class TestEventOrdering:
-    def test_ordered_by_time(self):
-        early = Event(time=1.0, seq=5, callback=lambda: None)
-        late = Event(time=2.0, seq=1, callback=lambda: None)
-        assert early < late
-
-    def test_tie_broken_by_seq(self):
-        first = Event(time=1.0, seq=1, callback=lambda: None)
-        second = Event(time=1.0, seq=2, callback=lambda: None)
-        assert first < second
-
-    def test_callback_not_compared(self):
-        # Different callbacks with identical (time, seq) compare equal.
-        a = Event(time=1.0, seq=1, callback=lambda: 1)
-        b = Event(time=1.0, seq=1, callback=lambda: 2)
-        assert not a < b and not b < a
-
-
-class TestEventHandle:
+class TestEvent:
     def test_exposes_time(self):
-        handle = EventHandle(Event(time=3.5, seq=0, callback=lambda: None))
-        assert handle.time == 3.5
+        assert Simulator().schedule(3.5, lambda: None).time == 3.5
 
     def test_cancel_sets_flag(self):
-        event = Event(time=1.0, seq=0, callback=lambda: None)
-        handle = EventHandle(event)
-        assert not handle.cancelled
-        handle.cancel()
-        assert handle.cancelled
+        event = Event(1.0, lambda: None)
+        assert not event.cancelled
+        event.cancel()
         assert event.cancelled
+
+    def test_cancel_notifies_owner_once(self):
+        notified = []
+        event = Event(1.0, lambda: None, lambda: notified.append(1))
+        event.cancel()
+        event.cancel()
+        assert notified == [1]

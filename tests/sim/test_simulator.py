@@ -140,65 +140,105 @@ class TestCancellation:
         assert sim.pending_events == 0
 
 
-class TestTimerWheel:
+class TestEventQueue:
     @settings(max_examples=200, deadline=None)
     @given(
         plan=st.lists(
             st.tuples(
-                # Sub-second (heap), wheel-bound, and whole-second delays
-                # (same-instant ties across the two tiers).
+                # Sub-second, longer, and whole-second delays
+                # (same-instant ties).
                 st.one_of(
                     st.floats(0.0, 0.9),
                     st.floats(1.0, 120.0),
                     st.sampled_from([0.0, 1.0, 30.0, 31.0]),
                 ),
-                # Delays the callback schedules from inside the run —
-                # zero and sub-second ones land in already-cascaded
-                # buckets.
+                # Delays the callback schedules from inside the run,
+                # including zero (the current instant).
                 st.lists(
                     st.one_of(
                         st.floats(0.0, 0.9), st.sampled_from([0.0, 1.0, 30.0])
                     ),
                     max_size=3,
                 ),
+                # Pending events the callback cancels (indices into the
+                # pending list, taken modulo its length).
+                st.lists(st.integers(0, 10**6), max_size=4),
+                # Cancelled before the run starts.
+                st.booleans(),
             ),
             min_size=1,
             max_size=25,
-        )
+        ),
+        # Far-out filler that one callback cancels in bulk mid-run; above
+        # COMPACT_MIN_CANCELLED the bulk cancel compacts the heap while
+        # the loop is running.
+        filler=st.integers(0, 250),
+        purge_at=st.floats(0.0, 120.0),
     )
-    def test_firing_order_is_time_then_scheduling_order(self, plan):
-        # Wheel placement must be invisible: events fire exactly in a
-        # stable sort by (time, scheduling order).
-        sim = Simulator()
-        scheduled = []  # (time, scheduling order) of every event
-        fired = []
+    def test_firing_order_is_time_then_scheduling_order(self, plan, filler, purge_at):
+        # Events fire exactly in a stable sort by (time, scheduling
+        # order), skipping every cancelled one.
+        compactions = []  # simulated time of each compaction
 
-        def schedule(delay, followups=()):
+        class CountingSimulator(Simulator):
+            def drain_cancelled(self):
+                compactions.append(self.now)
+                super().drain_cancelled()
+
+        sim = CountingSimulator()
+        scheduled = []  # (time, scheduling order) of every event
+        handles = {}  # entry -> Event, for entries not yet fired or cancelled
+        cancelled = set()
+        fired = []
+        purged = []
+
+        def schedule(delay, followups=(), cancels=()):
             entry = (sim.now + delay, len(scheduled))
             scheduled.append(entry)
-            sim.schedule(delay, fire, entry, followups)
+            handles[entry] = sim.schedule(delay, fire, entry, followups, cancels)
+            return entry
 
-        def fire(entry, followups):
+        def cancel(entry):
+            handles.pop(entry).cancel()
+            cancelled.add(entry)
+
+        def fire(entry, followups, cancels):
             assert sim.now == entry[0]
+            del handles[entry]
             fired.append(entry)
             for delay in followups:
                 schedule(delay)
+            for index in cancels:
+                if handles:
+                    cancel(sorted(handles)[index % len(handles)])
+            assert sim.pending_events == len(handles) + (not purged)
 
-        for delay, followups in plan:
-            schedule(delay, followups)
-        sim.run()
-        assert fired == sorted(scheduled)
+        def purge():
+            purged.append(sim.now)
+            for entry in filler_entries:
+                if entry in handles:
+                    cancel(entry)
 
-    def test_far_events_park_in_wheel(self):
-        sim = Simulator()
-        sim.schedule(45.0, lambda: None)
-        sim.schedule(60.0, lambda: None)
-        assert sim.pending_events == 2
-        assert len(sim._queue) == 0  # both parked, no heap churn yet
+        for delay, followups, cancels, cancel_now in plan:
+            entry = schedule(delay, followups, cancels)
+            if cancel_now:
+                cancel(entry)
+        filler_entries = [schedule(200.0 + i) for i in range(filler)]
+        sim.schedule(purge_at, purge)
+        assert sim.pending_events == len(handles) + 1
+        assert sim.cancelled_events == len(cancelled)
 
-    def test_callback_scheduling_into_cascaded_region_fires(self):
-        # An event scheduled *during* the run into an already-cascaded
-        # bucket must go straight to the heap and still fire in order.
+        sim.run_until(1000.0)  # past every event
+        assert fired == sorted(set(scheduled) - cancelled)
+        assert sim.pending_events == 0
+        assert sim.cancelled_events == 0
+        if filler > max(Simulator.COMPACT_MIN_CANCELLED, len(scheduled) - filler):
+            # The bulk cancel alone tips the compaction rule mid-run.
+            assert any(t <= purged[0] for t in compactions)
+
+    def test_callback_scheduling_at_the_current_instant_fires(self):
+        # An event scheduled *during* the run at the current instant
+        # fires after its already-queued same-instant sibling.
         sim = Simulator()
         fired = []
         sim.schedule(40.0, lambda: sim.schedule(0.0, fired.append, "same-instant"))
@@ -206,7 +246,7 @@ class TestTimerWheel:
         sim.run()
         assert fired == ["sibling", "same-instant"]
 
-    def test_cancelled_wheel_entries_never_reach_heap(self):
+    def test_cancelled_far_events_never_fire(self):
         sim = Simulator()
         fired = []
         handle = sim.schedule(90.0, fired.append, "dead")
@@ -217,7 +257,7 @@ class TestTimerWheel:
         assert fired == ["live"]
         assert sim.cancelled_events == 0
 
-    def test_periodic_timer_rides_the_wheel(self):
+    def test_periodic_timer_fires_on_period(self):
         sim = Simulator()
         fired = []
         timer = sim.schedule_periodic(30.0, lambda: fired.append(sim.now))
@@ -225,7 +265,7 @@ class TestTimerWheel:
         timer.cancel()
         assert fired == [30.0, 60.0, 90.0]
 
-    def test_drain_cancelled_compacts_wheel_buckets(self):
+    def test_drain_cancelled_compacts_far_events(self):
         sim = Simulator()
         handles = [sim.schedule(100.0 + i, lambda: None) for i in range(10)]
         for handle in handles[:6]:
@@ -233,7 +273,6 @@ class TestTimerWheel:
         sim.drain_cancelled()
         assert sim.pending_events == 4
         assert sim.cancelled_events == 0
-        # The emptied buckets' stale indices must not break cascading.
         fired = sim.run()
         assert fired == 4
 

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from repro.cli import build_parser
 from repro.core.config import SeaweedConfig
+from repro.core.system import SeaweedSystem
 from repro.net.transport import Transport
 from repro.overlay.network import OverlayConfig
 from repro.serve.transport import AsyncioTransport
@@ -27,7 +28,7 @@ def main() -> None:
     print(f"src/repro: {len(text)} files, {sum(t.count(chr(10)) for t in text)} lines")
     for config in (SeaweedConfig, OverlayConfig):
         print(f"{config.__name__}: {len(dataclasses.fields(config))} fields")
-    for cls in (Transport, Simulator, AsyncioTransport):
+    for cls in (SeaweedSystem, Transport, Simulator, AsyncioTransport):
         count = len(inspect.signature(cls.__init__).parameters) - 1  # not self
         print(f"{cls.__name__}.__init__: {count} parameters")
     subparsers = next(

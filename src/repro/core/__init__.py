@@ -21,7 +21,7 @@ from repro.core.config import SeaweedConfig
 from repro.core.dissemination import Disseminator
 from repro.core.metadata import EndsystemMetadata, MetadataRecord, MetadataStore
 from repro.core.node import SeaweedNode
-from repro.core.predictor import CompletenessPredictor, PredictorConfig, log_bucket_edges
+from repro.core.predictor import CompletenessPredictor, log_bucket_edges
 from repro.core.query import DEFAULT_LIFETIME, QueryDescriptor, QueryStatus
 from repro.core.system import SeaweedSystem
 
@@ -35,7 +35,6 @@ __all__ = [
     "EndsystemMetadata",
     "MetadataRecord",
     "MetadataStore",
-    "PredictorConfig",
     "QueryDescriptor",
     "QueryStatus",
     "ResultAggregator",

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.query import QueryDescriptor
-from repro.db.aggregates import AggregateState
 from repro.db.executor import QueryResult
 from repro.overlay.ids import common_suffix_len, replace_suffix
 from repro.proto.messages import ResultAck, ResultSubmit, VertexRepl
@@ -93,79 +92,40 @@ def leaf_vertex(
     raise RuntimeError("vertex chain failed to converge")
 
 
-def result_to_payload(result: QueryResult) -> dict:
-    """Serialize a query result for transmission."""
-    return {
-        "specs": [(spec.func, spec.column) for spec in result.specs],
-        "states": [state.to_tuple() for state in result.states],
-        "rows": list(result.rows),
-        "row_count": result.row_count,
-        "groups": {
-            key: [state.to_tuple() for state in states]
-            for key, states in result.groups.items()
-        },
-    }
-
-
-def result_from_payload(payload: dict) -> QueryResult:
-    """Inverse of :func:`result_to_payload`."""
-    from repro.db.aggregates import AggregateSpec
-
-    return QueryResult(
-        specs=[AggregateSpec(func, column) for func, column in payload["specs"]],
-        states=[AggregateState.from_tuple(data) for data in payload["states"]],
-        rows=[tuple(row) for row in payload["rows"]],
-        row_count=payload["row_count"],
-        groups={
-            key: [AggregateState.from_tuple(data) for data in states]
-            for key, states in payload.get("groups", {}).items()
-        },
-    )
-
-
 @dataclass
 class VertexState:
-    """A primary's (or backup's) state for one tree vertex."""
+    """A primary's (or backup's) state for one tree vertex.
+
+    Results are held by reference — in the simulator the very objects
+    other nodes hold — which is safe because nothing mutates a
+    :class:`QueryResult` in place: :meth:`QueryResult.merge` builds a
+    new one.
+    """
 
     query_id: int
     vertex_id: int
-    #: {contributor key: (version, result payload)} — contributor keys are
+    #: {contributor key: (version, result)} — contributor keys are
     #: endsystem ids for leaf submissions and child vertexIds for interior.
-    children: dict[int, tuple[int, dict]] = field(default_factory=dict)
+    children: dict[int, tuple[int, QueryResult]] = field(default_factory=dict)
     #: Version counter for this vertex's own upward submissions.
     up_version: int = 0
     #: Whether an upward forward is pending (coalescing flag).
     forward_scheduled: bool = False
 
-    def update_child(self, contributor: int, version: int, payload: dict) -> bool:
+    def update_child(self, contributor: int, version: int, result: QueryResult) -> bool:
         """Install a child result if newer.  Returns True if state changed."""
         existing = self.children.get(contributor)
         if existing is not None and existing[0] >= version:
             return False
-        self.children[contributor] = (version, payload)
+        self.children[contributor] = (version, result)
         return True
 
     def merged_result(self) -> Optional[QueryResult]:
         """Fold all child results into one (exactly-once by construction)."""
         merged: Optional[QueryResult] = None
-        for _, payload in self.children.values():
-            result = result_from_payload(payload)
+        for _, result in self.children.values():
             merged = result if merged is None else merged.merge(result)
         return merged
-
-    def wire_size(self) -> int:
-        """Approximate replication payload size.
-
-        Counts the ungrouped aggregate-state vector, materialized rows,
-        and — per GROUP BY group — the group key plus its state vector,
-        mirroring :meth:`repro.db.executor.QueryResult.wire_size`.
-        """
-        size = 32
-        for _, payload in self.children.values():
-            size += 16 + 8 * len(payload["states"]) * 4 + 32 * len(payload["rows"])
-            for states in payload.get("groups", {}).values():
-                size += 16 + 8 * len(states) * 4
-        return size
 
 
 @dataclass
@@ -175,7 +135,7 @@ class PendingSubmission:
     vertex_id: int
     contributor: int
     version: int
-    payload: dict
+    result: QueryResult
     descriptor: QueryDescriptor
     #: Retransmissions so far.
     attempts: int = 0
@@ -223,7 +183,6 @@ class ResultAggregator:
                 b=b,
             )
             self._leaf_targets[descriptor.query_id] = target
-        payload = result_to_payload(result)
         version = self._leaf_versions.get(descriptor.query_id, 0) + 1
         self._leaf_versions[descriptor.query_id] = version
         auditor = self.node.auditor
@@ -234,10 +193,10 @@ class ResultAggregator:
         if target == descriptor.query_id and self.node.pastry.is_closest_to(target):
             # We are the root: feed our contribution into the root vertex.
             self._apply_submission(
-                descriptor, target, self.node.node_id, version, payload
+                descriptor, target, self.node.node_id, version, result
             )
             return
-        self._send_submission(descriptor, target, self.node.node_id, version, payload)
+        self._send_submission(descriptor, target, self.node.node_id, version, result)
 
     def _send_submission(
         self,
@@ -245,13 +204,13 @@ class ResultAggregator:
         vertex_id: int,
         contributor: int,
         version: int,
-        payload: dict,
+        result: QueryResult,
     ) -> None:
         key = (descriptor.query_id, vertex_id, contributor)
         self._pending[key] = PendingSubmission(
-            vertex_id, contributor, version, payload, descriptor
+            vertex_id, contributor, version, result, descriptor
         )
-        self._transmit(descriptor, vertex_id, contributor, version, payload)
+        self._transmit(descriptor, vertex_id, contributor, version, result)
         self._ensure_retransmit_timer()
 
     def _transmit(
@@ -260,7 +219,7 @@ class ResultAggregator:
         vertex_id: int,
         contributor: int,
         version: int,
-        payload: dict,
+        result: QueryResult,
     ) -> None:
         self.node.pastry.route(
             vertex_id,
@@ -270,7 +229,7 @@ class ResultAggregator:
                 contributor=contributor,
                 submitter=self.node.node_id,
                 version=version,
-                result=payload,
+                result=result,
             ),
         )
 
@@ -307,7 +266,7 @@ class ResultAggregator:
                 pending.vertex_id,
                 pending.contributor,
                 pending.version,
-                pending.payload,
+                pending.result,
             )
         for key in expired:
             del self._pending[key]
@@ -353,7 +312,7 @@ class ResultAggregator:
         vertex_id: int,
         contributor: int,
         version: int,
-        result_payload: dict,
+        result: QueryResult,
     ) -> None:
         key = (descriptor.query_id, vertex_id)
         # Register the descriptor: a primary can be handed a submission
@@ -368,7 +327,7 @@ class ResultAggregator:
                 descriptor.query_id, vertex_id
             )
             self._vertices[key] = state
-        changed = state.update_child(contributor, version, result_payload)
+        changed = state.update_child(contributor, version, result)
         if not changed:
             return
         self._replicate(descriptor, state)
@@ -393,11 +352,7 @@ class ResultAggregator:
             descriptor.query_id, state.vertex_id, self.node.config.overlay.b
         )
         self._send_submission(
-            descriptor,
-            parent,
-            state.vertex_id,
-            state.up_version,
-            result_to_payload(merged),
+            descriptor, parent, state.vertex_id, state.up_version, merged
         )
 
     def _replicate(self, descriptor: QueryDescriptor, state: VertexState) -> None:
@@ -408,10 +363,7 @@ class ResultAggregator:
             vertex_id=state.vertex_id,
             primary=self.node.node_id,
             up_version=state.up_version,
-            children={
-                str(contributor): (version, result)
-                for contributor, (version, result) in state.children.items()
-            },
+            children=dict(state.children),
         )
         for backup in backups:
             self.node.send_app(backup, repl)
@@ -432,10 +384,7 @@ class ResultAggregator:
         vertex_id = message.vertex_id
         state = VertexState(descriptor.query_id, vertex_id)
         state.up_version = message.up_version
-        state.children = {
-            int(contributor): (version, result)
-            for contributor, (version, result) in message.children.items()
-        }
+        state.children = dict(message.children)
         key = (descriptor.query_id, vertex_id)
         self.node.remember_query(descriptor)
         if key in self._vertices:
@@ -502,10 +451,7 @@ class ResultAggregator:
                 vertex_id=state.vertex_id,
                 primary=new_primary,
                 up_version=state.up_version,
-                children={
-                    str(contributor): (version, result)
-                    for contributor, (version, result) in state.children.items()
-                },
+                children=dict(state.children),
             )
             self.node.send_app(new_primary, handover)
             # Demote ourselves to backup for the group.

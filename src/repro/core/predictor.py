@@ -10,8 +10,6 @@ in-tree aggregation keeps message sizes O(1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 #: Serialized bytes per bucket (float row count).
@@ -221,15 +219,3 @@ class CompletenessPredictor:
             f"immediate={self.immediate_rows:.0f}, "
             f"endsystems={self.endsystems}, unknown={self.unknown_endsystems})"
         )
-
-
-@dataclass
-class PredictorConfig:
-    """Bucketing parameters shared by every predictor of one deployment."""
-
-    num_buckets: int = 48
-    horizon: float = 14 * 86400.0
-
-    def make(self) -> CompletenessPredictor:
-        """A fresh empty predictor with this bucketing."""
-        return CompletenessPredictor(self.num_buckets, self.horizon)

@@ -67,29 +67,6 @@ class QueryDescriptor:
         """Absolute time after which the query is dead."""
         return self.injected_at + self.lifetime
 
-    def wire_size(self) -> int:
-        """Serialized size on the wire."""
-        return len(self.sql) + 48
-
-    def to_payload(self) -> dict:
-        """Plain-dict form for message payloads."""
-        return {
-            "query_id": self.query_id,
-            "sql": self.sql,
-            "now_binding": self.now_binding,
-            "origin": self.origin,
-            "injected_at": self.injected_at,
-            "lifetime": self.lifetime,
-            "continuous_period": self.continuous_period,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "QueryDescriptor":
-        """Inverse of :meth:`to_payload`."""
-        payload = dict(payload)
-        payload.setdefault("continuous_period", None)
-        return cls(**payload)
-
 
 @dataclass
 class QueryStatus:

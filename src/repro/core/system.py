@@ -25,7 +25,7 @@ from repro.core.node import SeaweedNode
 from repro.core.query import QueryDescriptor, QueryStatus
 from repro.db.engine import LocalDatabase
 from repro.net.stats import BandwidthAccounting
-from repro.net.topology import Topology, corpnet_like
+from repro.net.topology import corpnet_like
 from repro.net.transport import Transport
 from repro.obs.observer import Observer
 from repro.overlay.ids import random_id
@@ -53,8 +53,6 @@ class SeaweedSystem:
         master_seed: int = 0,
         loss_rate: float = 0.0,
         startup_stagger: float = 300.0,
-        topology: Optional[Topology] = None,
-        bandwidth_bucket: float = 3600.0,
         id_seed: Optional[int] = None,
         private_databases: bool = False,
         observer: Optional[Observer] = None,
@@ -72,8 +70,6 @@ class SeaweedSystem:
             startup_stagger: Endsystems up at t=0 join uniformly at random
                 within this window, modelling a deployment rollout rather
                 than a thundering herd.
-            topology: Router topology (a CorpNet-like default is built).
-            bandwidth_bucket: Accounting bucket width in seconds.
             id_seed: Separate seed for endsystemId assignment — vary this
                 (only) to rerun with different id assignments (Fig. 9c).
             private_databases: Give each endsystem its own mutable copy
@@ -96,13 +92,11 @@ class SeaweedSystem:
         self.obs.set_clock(lambda: self.sim.now)
         if self.obs.profiler is not None:
             self.sim.set_profiler(self.obs.profiler)
-        self.accounting = BandwidthAccounting(bucket_seconds=bandwidth_bucket)
-        if topology is None:
-            topology = corpnet_like(self.streams.get("topology"))
-        self.topology = topology
+        self.accounting = BandwidthAccounting()
+        self.topology = corpnet_like(self.streams.get("topology"))
         self.transport = Transport(
             self.sim,
-            topology,
+            self.topology,
             accounting=self.accounting,
             loss_rate=loss_rate,
             loss_rng=self.streams.get("loss") if loss_rate > 0 else None,

@@ -130,12 +130,8 @@ class AggregateState:
             return self.minimum
         return self.maximum
 
-    def wire_size(self) -> int:
-        """Serialized size of the state (count + total + min + max)."""
-        return 32
-
     def to_tuple(self) -> tuple[str, int, float, Optional[float], Optional[float]]:
-        """Plain-data form, used when replicating vertex state."""
+        """Plain-data form: the state that crosses the wire."""
         return (self.func, self.count, self.total, self.minimum, self.maximum)
 
     @classmethod

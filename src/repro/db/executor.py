@@ -77,15 +77,6 @@ class QueryResult:
             for key, states in self.groups.items()
         }
 
-    def wire_size(self) -> int:
-        """Approximate serialized size when sent up the result tree."""
-        size = 8  # row_count
-        size += sum(state.wire_size() for state in self.states)
-        size += 32 * len(self.rows)
-        for states in self.groups.values():
-            size += 16 + sum(state.wire_size() for state in states)
-        return size
-
     @classmethod
     def empty_like(cls, specs: list[AggregateSpec]) -> "QueryResult":
         """The identity result for a given aggregate signature."""

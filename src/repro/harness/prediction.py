@@ -28,8 +28,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.availability_model import AvailabilityModel
+from repro.core.config import SeaweedConfig
 from repro.core.metadata import EndsystemMetadata
-from repro.core.predictor import CompletenessPredictor, PredictorConfig
+from repro.core.predictor import CompletenessPredictor
 from repro.db.sql import ParsedQuery, parse
 from repro.sim.simulator import SimClock
 from repro.traces.availability import TraceSet
@@ -83,7 +84,6 @@ class PredictionSimulator:
         dataset: AnemoneDataset,
         assignment: Optional[np.ndarray] = None,
         clock: Optional[SimClock] = None,
-        predictor_config: Optional[PredictorConfig] = None,
         rng: Optional[np.random.Generator] = None,
         min_uptime: float = 60.0,
     ) -> None:
@@ -94,7 +94,6 @@ class PredictionSimulator:
             dataset: Data profiles; one is assigned per endsystem.
             assignment: Profile index per endsystem (random if omitted).
             clock: Calendar anchor for diurnal logic.
-            predictor_config: Completeness predictor bucketing.
             rng: Random stream for profile assignment.
             min_uptime: An endsystem must stay up this long after coming
                 back to receive and execute the query (paper §2.3's
@@ -103,9 +102,6 @@ class PredictionSimulator:
         self.trace = trace
         self.dataset = dataset
         self.clock = clock if clock is not None else SimClock()
-        self.predictor_config = (
-            predictor_config if predictor_config is not None else PredictorConfig()
-        )
         if assignment is None:
             if rng is None:
                 rng = np.random.default_rng(0)
@@ -168,7 +164,10 @@ class PredictionSimulator:
             self.train_models(inject_time)
         query = parse(sql, now=inject_time if bind_now else None)
         exact_rows, estimated_rows = self._profile_rows(query)
-        predictor = self.predictor_config.make()
+        defaults = SeaweedConfig()
+        predictor = CompletenessPredictor(
+            defaults.predictor_buckets, defaults.predictor_horizon
+        )
         checkpoints_arr = np.asarray(sorted(checkpoints), dtype=float)
         actual = np.zeros_like(checkpoints_arr)
         actual_total = 0.0

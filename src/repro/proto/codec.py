@@ -24,7 +24,7 @@ Glossary of primitives (all sizes in bytes):
 ``QUERY_FIXED``    48  fixed part of a query descriptor (id, origin,
                        times, lifetime) — the SQL text rides on top
 ``AGG_STATE``      32  one serialized aggregate state (func tag + values)
-``ROW``            32  one result row in a replication payload
+``ROW``            32  one materialized (projection) result row
 ``DELTA_BEACON``   32  a no-change metadata freshness beacon
 ===============  ====  =====================================================
 """
@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.query import QueryDescriptor
+    from repro.db.executor import QueryResult
 
 #: Serialized size of one 128-bit overlay id / namespace key.
 ID = 16
@@ -50,11 +51,11 @@ RANGE = 2 * ID
 #: added per descriptor.
 QUERY_FIXED = 48
 
-#: One serialized aggregate state inside a result payload: the function
+#: One serialized aggregate state inside a query result: the function
 #: tag plus its accumulator values.
 AGG_STATE = 32
 
-#: One materialized result row inside a vertex-replication payload.
+#: One materialized result row of a projection query.
 ROW = 32
 
 #: A no-change freshness beacon: what a delta-encoded metadata push
@@ -77,30 +78,31 @@ def descriptor_size(descriptor: "QueryDescriptor") -> int:
     return QUERY_FIXED + len(descriptor.sql)
 
 
-def result_states_size(result_payload: dict) -> int:
-    """Size of the aggregate-state vectors in a serialized query result.
+def result_states_size(result: "QueryResult") -> int:
+    """Size of the aggregate-state vectors in a query result.
 
     Counts the ungrouped state vector plus, for each GROUP BY group, a
     group key (one :data:`ID`) and the group's own state vector —
     without the group term, GROUP BY replication traffic rides the wire
     unaccounted.
     """
-    size = AGG_STATE * len(result_payload["states"])
-    groups = result_payload.get("groups")
-    if groups:
-        for states in groups.values():
-            size += ID + AGG_STATE * len(states)
+    size = AGG_STATE * len(result.states)
+    for states in result.groups.values():
+        size += ID + AGG_STATE * len(states)
     return size
 
 
-def vertex_children_size(children: Iterable[tuple[int, dict]]) -> int:
+def result_size(result: "QueryResult") -> int:
+    """Size of a query result: its state vectors plus one :data:`ROW` per
+    materialized projection row."""
+    return result_states_size(result) + ROW * len(result.rows)
+
+
+def vertex_children_size(children: Iterable[tuple[int, "QueryResult"]]) -> int:
     """Size of a vertex's replicated child-result table.
 
-    ``children`` iterates ``(version, result payload)`` pairs; each entry
-    costs a keyed header (contributor id) plus its states and rows.
+    ``children`` iterates ``(version, result)`` pairs; each entry costs a
+    keyed header (contributor id) plus the result itself.
     """
-    total = 0
-    for _version, payload in children:
-        total += ID + result_states_size(payload) + ROW * len(payload["rows"])
-    return total
+    return sum(ID + result_size(result) for _version, result in children)
 

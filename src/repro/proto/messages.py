@@ -261,11 +261,7 @@ class PredictorResult(ProtoMessage):
 @register
 @dataclass
 class ResultSubmit(ProtoMessage):
-    """A (versioned) contribution routed to a result-tree vertex.
-
-    ``result`` is a serialized query result
-    (:func:`repro.core.aggregation.result_to_payload`).
-    """
+    """A (versioned) contribution routed to a result-tree vertex."""
 
     KIND: ClassVar[str] = "SW_RESULT_SUBMIT"
 
@@ -274,11 +270,11 @@ class ResultSubmit(ProtoMessage):
     contributor: int
     submitter: int
     version: int
-    result: dict
+    result: "QueryResult"
 
     def _accounted_size(self) -> int:
         fixed = 4 * codec.ID + len(self.descriptor.sql)
-        return fixed + codec.result_states_size(self.result)
+        return fixed + codec.result_size(self.result)
 
 
 @register
@@ -302,8 +298,7 @@ class ResultAck(ProtoMessage):
 class VertexRepl(ProtoMessage):
     """Vertex state replicated to backups (or handed to a new primary).
 
-    ``children`` maps ``str(contributor)`` to ``(version, result
-    payload)`` pairs — string keys, as the historical payload dict used.
+    ``children`` maps each contributor key to its ``(version, result)``.
     """
 
     KIND: ClassVar[str] = "SW_VERTEX_REPL"
@@ -312,7 +307,7 @@ class VertexRepl(ProtoMessage):
     vertex_id: int
     primary: int
     up_version: int
-    children: dict[str, tuple[int, dict]]
+    children: dict[int, tuple[int, "QueryResult"]]
 
     def _accounted_size(self) -> int:
         return (
@@ -334,9 +329,8 @@ class MetaPush(ProtoMessage):
 
     With delta summaries enabled (§3.2.2), a replica that already holds
     the current data generation receives only a freshness beacon: the
-    sender sets ``beacon_bytes`` and the histogram set stays off the
-    wire, although the in-simulator payload still carries the metadata
-    object (payloads are never serialized; sizes are what's accounted).
+    sender sets ``beacon_bytes`` and the push is charged for the beacon
+    alone, although the message still carries the metadata object.
     """
 
     KIND: ClassVar[str] = "SW_META_PUSH"
@@ -399,7 +393,7 @@ class StatusPush(ProtoMessage):
     time: float
 
     def _accounted_size(self) -> int:
-        return self.result.wire_size() + codec.ID + codec.TAG
+        return codec.result_size(self.result) + codec.ID + 2 * codec.TAG
 
 
 @register

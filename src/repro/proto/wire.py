@@ -210,8 +210,11 @@ def _build_adapters() -> dict[type, _Adapter]:
         _Adapter(
             3,
             QueryDescriptor,
-            lambda d: d.to_payload(),
-            lambda st: QueryDescriptor.from_payload(st),
+            lambda d: (
+                d.query_id, d.sql, d.now_binding, d.origin,
+                d.injected_at, d.lifetime, d.continuous_period,
+            ),
+            lambda st: QueryDescriptor(*st),
         ),
         _Adapter(
             4,

@@ -57,7 +57,9 @@ class LocalCluster:
         metrics: bool = False,
     ) -> None:
         self.spec = spec
-        self.workdir = pathlib.Path(workdir)
+        # Absolute: hosts run with the workdir as their cwd, so a relative
+        # --spec or --metrics-out path would resolve inside it twice.
+        self.workdir = pathlib.Path(workdir).resolve()
         self.python = python
         self.metrics = metrics
         self.processes: list[subprocess.Popen] = []

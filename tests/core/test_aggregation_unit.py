@@ -6,13 +6,12 @@ from repro.core.aggregation import (
     VertexState,
     leaf_vertex,
     parent_vertex,
-    result_from_payload,
-    result_to_payload,
     vertex_chain,
 )
 from repro.db.aggregates import AggregateSpec, AggregateState
 from repro.db.executor import QueryResult
 from repro.overlay.ids import common_suffix_len, ring_distance
+from repro.proto import wire
 
 
 def count_result(rows: int) -> QueryResult:
@@ -61,24 +60,24 @@ class TestVertexFunction:
 class TestVertexState:
     def test_update_child_versioning(self):
         state = VertexState(query_id=1, vertex_id=2)
-        assert state.update_child(7, 1, result_to_payload(count_result(5)))
-        assert not state.update_child(7, 1, result_to_payload(count_result(9)))
-        assert state.update_child(7, 2, result_to_payload(count_result(9)))
+        assert state.update_child(7, 1, count_result(5))
+        assert not state.update_child(7, 1, count_result(9))
+        assert state.update_child(7, 2, count_result(9))
         assert state.merged_result().row_count == 9
 
     def test_merged_result_sums_children(self):
         state = VertexState(query_id=1, vertex_id=2)
-        state.update_child(7, 1, result_to_payload(count_result(5)))
-        state.update_child(8, 1, result_to_payload(count_result(3)))
+        state.update_child(7, 1, count_result(5))
+        state.update_child(8, 1, count_result(3))
         merged = state.merged_result()
         assert merged.row_count == 8
         assert merged.values() == [8.0]
 
     def test_duplicate_submission_idempotent(self):
         state = VertexState(query_id=1, vertex_id=2)
-        payload = result_to_payload(count_result(5))
-        state.update_child(7, 1, payload)
-        state.update_child(7, 1, payload)  # retransmission
+        result = count_result(5)
+        state.update_child(7, 1, result)
+        state.update_child(7, 1, result)  # retransmission
         assert state.merged_result().row_count == 5
 
     def test_empty_state_has_no_result(self):
@@ -96,7 +95,7 @@ class TestResultSerialization:
             rows=[(1, 2)],
             row_count=3,
         )
-        clone = result_from_payload(result_to_payload(result))
-        assert clone.row_count == 3
+        clone = wire.decode_value(wire.encode_value(result))
+        assert clone == result
         assert clone.values() == result.values()
         assert clone.rows == [(1, 2)]

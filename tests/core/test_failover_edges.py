@@ -11,7 +11,7 @@ keep it counted exactly once).
 import pytest
 
 from repro.core import SeaweedSystem
-from repro.core.aggregation import parent_vertex, result_to_payload
+from repro.core.aggregation import parent_vertex
 from repro.core.query import QueryDescriptor
 from repro.db.aggregates import AggregateSpec, AggregateState
 from repro.db.executor import QueryResult
@@ -48,9 +48,8 @@ def plant_vertex(system, node, rows=12):
         injected_at=system.sim.now, lifetime=3600.0,
     )
     vertex_id = parent_vertex(descriptor.query_id, node.node_id)
-    payload = result_to_payload(count_result(rows))
     node.aggregator._apply_submission(
-        descriptor, vertex_id, node.node_id, 1, payload
+        descriptor, vertex_id, node.node_id, 1, count_result(rows)
     )
     key = (descriptor.query_id, vertex_id)
     assert key in node.aggregator._vertices

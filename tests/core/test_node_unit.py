@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import SeaweedConfig, SeaweedSystem
 from repro.net.stats import CATEGORY_MAINTENANCE
+from repro.proto import wire
 from repro.traces import AvailabilitySchedule, TraceSet
 from repro.workload import QUERY_HTTP_BYTES
 
@@ -95,7 +96,8 @@ class TestActiveQueryRegistry:
             if query.query_id in node._contributed
         )
         version_before = node.aggregator._leaf_versions[query.query_id]
-        node.execute_and_submit(query.__class__.from_payload(query.to_payload()))
+        # A copy of the descriptor, as a wire round trip delivers it.
+        node.execute_and_submit(wire.decode_value(wire.encode_value(query)))
         # Guarded by the contributed set: no new submission version.
         assert node.aggregator._leaf_versions[query.query_id] == version_before
 

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.predictor import (
-    CompletenessPredictor,
-    PredictorConfig,
-    log_bucket_edges,
-)
+from repro.core.predictor import CompletenessPredictor, log_bucket_edges
 
 
 class TestBucketing:
@@ -170,6 +166,6 @@ class TestWireSize:
         assert small.wire_size() == big.wire_size()
 
     def test_config_factory(self):
-        config = PredictorConfig(num_buckets=24, horizon=3600.0)
-        predictor = config.make()
+        predictor = CompletenessPredictor(24, 3600.0)
         assert len(predictor.bucket_rows) == 24
+        assert predictor.edges[-1] == pytest.approx(3600.0)

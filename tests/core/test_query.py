@@ -6,6 +6,7 @@ from repro.core.predictor import CompletenessPredictor
 from repro.core.query import QueryDescriptor, QueryStatus
 from repro.db.executor import QueryResult
 from repro.db.aggregates import AggregateSpec, AggregateState
+from repro.proto import codec, wire
 
 
 def make_descriptor(**overrides) -> QueryDescriptor:
@@ -34,9 +35,12 @@ class TestDescriptor:
         assert descriptor.expires_at == 1100.0
 
     def test_payload_roundtrip(self):
-        descriptor = make_descriptor(now_binding=123.0)
-        clone = QueryDescriptor.from_payload(descriptor.to_payload())
-        assert clone == descriptor
+        for descriptor in (
+            make_descriptor(now_binding=123.0),
+            make_descriptor(continuous_period=30.0, lifetime=600.0),
+        ):
+            clone = wire.decode_value(wire.encode_value(descriptor))
+            assert clone == descriptor
 
     def test_parse_uses_binding(self):
         descriptor = QueryDescriptor.create(
@@ -51,7 +55,8 @@ class TestDescriptor:
     def test_wire_size_tracks_sql_length(self):
         short = make_descriptor()
         long = make_descriptor(sql="SELECT COUNT(*) FROM Flow WHERE " + "x = 1 AND " * 20 + "y = 2")
-        assert long.wire_size() > short.wire_size()
+        extra = len(long.sql) - len(short.sql)
+        assert codec.descriptor_size(long) == codec.descriptor_size(short) + extra
 
 
 class TestStatus:

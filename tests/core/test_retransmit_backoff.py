@@ -10,6 +10,7 @@ import pytest
 from repro.core import SeaweedConfig, SeaweedSystem
 from repro.core.aggregation import PendingSubmission
 from repro.core.query import QueryDescriptor
+from repro.db.executor import QueryResult
 from repro.traces import AvailabilitySchedule, TraceSet
 from repro.workload import QUERY_HTTP_BYTES
 
@@ -47,8 +48,7 @@ def stuck_submission(system, node, window=600.0, attempts=0):
     agg._transmit = record
     key = (descriptor.query_id, STUCK_VERTEX, node.node_id)
     agg._pending[key] = PendingSubmission(
-        STUCK_VERTEX, node.node_id, 1,
-        {"states": [], "rows": [], "row_count": 0}, descriptor,
+        STUCK_VERTEX, node.node_id, 1, QueryResult(), descriptor,
         attempts=attempts,
     )
     agg._ensure_retransmit_timer()
@@ -94,8 +94,7 @@ class TestBackoffBehaviour:
         )
         agg = node.aggregator
         agg._pending[(descriptor.query_id, 0x9, node.node_id)] = PendingSubmission(
-            0x9, node.node_id, 1, {"states": [], "rows": [], "row_count": 0},
-            descriptor,
+            0x9, node.node_id, 1, QueryResult(), descriptor,
         )
         agg.on_ack(ResultAck(
             query_id=descriptor.query_id, vertex_id=0x9,

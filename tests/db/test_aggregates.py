@@ -102,6 +102,13 @@ class TestSerialization:
         assert AggregateState.from_tuple(state.to_tuple()) == state
 
     def test_wire_size_constant(self):
+        from repro.db.executor import QueryResult
+        from repro.proto import codec
+
         small = AggregateState.from_values("SUM", np.array([1.0]))
         large = AggregateState.from_values("SUM", np.arange(10000.0))
-        assert small.wire_size() == large.wire_size()
+        sizes = {
+            codec.result_states_size(QueryResult(states=[state]))
+            for state in (small, large)
+        }
+        assert sizes == {codec.AGG_STATE}

@@ -100,13 +100,19 @@ class TestMerging:
             assert doubled.group_values()[key] == values
 
     def test_payload_roundtrip_preserves_groups(self, table):
-        from repro.core.aggregation import result_from_payload, result_to_payload
+        from repro.proto import wire
 
         result = execute(parse("SELECT SUM(Bytes) FROM Flow GROUP BY SrcPort"), table)
-        clone = result_from_payload(result_to_payload(result))
+        clone = wire.decode_value(wire.encode_value(result))
+        assert clone == result
         assert clone.group_values() == result.group_values()
 
     def test_wire_size_grows_with_groups(self, table):
+        from repro.proto import codec
+
         grouped = execute(parse("SELECT SUM(Bytes) FROM Flow GROUP BY SrcPort"), table)
         flat = execute(parse("SELECT SUM(Bytes) FROM Flow"), table)
-        assert grouped.wire_size() > flat.wire_size()
+        # Three SrcPort groups, each a key plus one state.
+        assert codec.result_size(grouped) - codec.result_size(flat) == 3 * (
+            codec.ID + codec.AGG_STATE
+        )

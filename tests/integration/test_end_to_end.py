@@ -86,3 +86,25 @@ class TestStableDeployment:
         truth = system.ground_truth_rows(sql)
         assert status.rows_processed == truth
         assert len(status.result.rows) == truth
+
+    def test_shared_results_are_never_mutated(self, stable_system):
+        # Query results travel the simulated tree by reference: a leaf's
+        # own result is the very object its vertex, the backups and the
+        # root hold.  Any in-place merge would show up here.
+        system = stable_system
+        for sql in (
+            QUERY_HTTP_BYTES,
+            QUERY_SMB_AVG,
+            "SELECT SUM(Bytes), COUNT(*) FROM Flow WHERE Bytes > 1000 GROUP BY SrcPort",
+            "SELECT SrcPort, Bytes FROM Flow WHERE SrcPort = 80",
+        ):
+            system.inject_query(sql)
+        system.run_until(system.sim.now + 60.0)
+        checked = rows = 0
+        for node in system.nodes:
+            for descriptor, stored in node._local_results.values():
+                assert stored == node.database.execute(descriptor.parse())
+                checked += 1
+                rows += len(stored.rows)
+        assert checked >= 4 * len(system.nodes)
+        assert rows > 0

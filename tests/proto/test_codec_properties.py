@@ -13,12 +13,14 @@ If a message class adds a field without extending its ``body_size()``
 the property fails.
 """
 
+import hashlib
 import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.query import QueryDescriptor
+from repro.db.aggregates import AGGREGATE_FUNCTIONS
 from repro.proto import codec
 from repro.proto.messages import (
     ActiveReq,
@@ -43,6 +45,9 @@ from repro.proto.messages import (
     VertexRepl,
 )
 from repro.proto.registry import registered_kinds
+
+# Same directory, no package: pytest's default import mode puts it on the path.
+from test_wire_roundtrip import query_results
 
 # ----------------------------------------------------------------------
 # Reference encoding primitives (mirror the codec glossary)
@@ -77,22 +82,44 @@ def enc_descriptor(descriptor: QueryDescriptor) -> bytes:
 
 
 def enc_agg_state(state) -> bytes:
-    """One aggregate state: function tag + accumulator, padded to AGG_STATE."""
-    return struct.pack("!d", float(state)).ljust(codec.AGG_STATE, b"\x00")
+    """One aggregate state: function tag + count + total + min + max,
+    padded to AGG_STATE."""
+    nan = float("nan")
+    encoded = struct.pack(
+        "!BIddd",
+        AGGREGATE_FUNCTIONS.index(state.func),
+        state.count,
+        state.total,
+        nan if state.minimum is None else state.minimum,
+        nan if state.maximum is None else state.maximum,
+    )
+    assert len(encoded) <= codec.AGG_STATE
+    return encoded.ljust(codec.AGG_STATE, b"\x00")
 
 
-def enc_row(row) -> bytes:
-    """One replicated result row, padded to ROW."""
-    return struct.pack("!d", float(row)).ljust(codec.ROW, b"\x00")
+def enc_row(row: tuple) -> bytes:
+    """One projection row of up to four 8-byte cells, padded to ROW."""
+    encoded = b"".join(
+        struct.pack("!d", cell) if isinstance(cell, float) else struct.pack("!q", cell)
+        for cell in row
+    )
+    assert len(encoded) <= codec.ROW
+    return encoded.ljust(codec.ROW, b"\x00")
 
 
-def enc_result_states(payload: dict) -> bytes:
-    return b"".join(enc_agg_state(state) for state in payload["states"])
+def enc_result(result) -> bytes:
+    """A query result: its state vector, then per GROUP BY group a key
+    digest (one ID) and that group's state vector, then its rows."""
+    encoded = b"".join(enc_agg_state(state) for state in result.states)
+    for key, states in result.groups.items():
+        encoded += hashlib.md5(repr(key).encode()).digest()
+        encoded += b"".join(enc_agg_state(state) for state in states)
+    return encoded + b"".join(enc_row(row) for row in result.rows)
 
 
 class SizedBlob:
     """Stand-in for nested objects the codec treats as opaque sized blobs
-    (predictors, query results, metadata records)."""
+    (predictors, metadata records)."""
 
     def __init__(self, size: int) -> None:
         self._size = size
@@ -126,13 +153,6 @@ descriptors = st.builds(
     origin=overlay_ids,
     injected_at=times,
     lifetime=times,
-)
-
-result_payloads = st.fixed_dictionaries(
-    {
-        "states": st.lists(times, max_size=8),
-        "rows": st.lists(times, max_size=8),
-    }
 )
 
 
@@ -173,15 +193,14 @@ def _encode_result_submit(msg: ResultSubmit) -> bytes:
         + enc_id(msg.contributor)
         + enc_id(msg.submitter)
         + enc_sql(msg.descriptor.sql)
-        + enc_result_states(msg.result)
+        + enc_result(msg.result)
     )
 
 
 def _encode_vertex_repl(msg: VertexRepl) -> bytes:
     encoded = enc_id(msg.vertex_id) + enc_id(msg.primary)
-    for _version, payload in msg.children.values():
-        encoded += enc_id(0) + enc_result_states(payload)
-        encoded += b"".join(enc_row(row) for row in payload["rows"])
+    for contributor, (_version, result) in msg.children.items():
+        encoded += enc_id(contributor) + enc_result(result)
     return encoded + enc_sql(msg.descriptor.sql)
 
 
@@ -285,7 +304,7 @@ CASES: dict[str, tuple] = {
             contributor=overlay_ids,
             submitter=overlay_ids,
             version=versions,
-            result=result_payloads,
+            result=query_results(),
         ),
         _encode_result_submit,
     ),
@@ -312,9 +331,7 @@ CASES: dict[str, tuple] = {
             primary=overlay_ids,
             up_version=versions,
             children=st.dictionaries(
-                st.integers(min_value=0, max_value=2**32).map(str),
-                st.tuples(versions, result_payloads),
-                max_size=8,
+                overlay_ids, st.tuples(versions, query_results()), max_size=8
             ),
         ),
         _encode_vertex_repl,
@@ -346,8 +363,13 @@ CASES: dict[str, tuple] = {
         _encode_active_resp,
     ),
     StatusPush.KIND: (
-        st.builds(StatusPush, query_id=overlay_ids, result=blobs, time=times),
-        lambda msg: msg.result.encode() + enc_id(msg.query_id) + enc_tag(msg.time),
+        st.builds(StatusPush, query_id=overlay_ids, result=query_results(), time=times),
+        lambda msg: (
+            enc_result(msg.result)
+            + enc_id(msg.query_id)
+            + enc_tag(msg.result.row_count)
+            + enc_tag(msg.time)
+        ),
     ),
     Cancel.KIND: (
         st.builds(Cancel, query_id=overlay_ids),

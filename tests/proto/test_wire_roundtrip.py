@@ -5,8 +5,10 @@ The invariant that keeps the live mode honest:
 including the deep payloads (predictors, metadata records, aggregate
 states) that size accounting treats as opaque sizes.
 
-Hypothesis drives the scalar-rich fields; nested domain objects are
-drawn from a pool of real instances built from a real local database.
+Hypothesis drives the scalar-rich fields and builds query results the
+way the executor does (states made from values, one per spec, tuple-keyed
+groups, projection rows); predictors and metadata records are drawn from
+a pool of real instances built from a real local database.
 """
 
 import numpy as np
@@ -17,6 +19,8 @@ from repro.core.availability_model import AvailabilityModel
 from repro.core.metadata import EndsystemMetadata
 from repro.core.predictor import CompletenessPredictor
 from repro.core.query import QueryDescriptor
+from repro.db.aggregates import AGGREGATE_FUNCTIONS, AggregateSpec, AggregateState
+from repro.db.executor import QueryResult
 from repro.proto import framing, wire
 from repro.proto.messages import (
     ActiveReq,
@@ -85,14 +89,11 @@ def _make_metadata(seed: int) -> EndsystemMetadata:
     return metadata
 
 
-_SQL = "SELECT SUM(Bytes), COUNT(*) FROM Flow WHERE SrcPort = 80"
-_RESULT = _DATABASE.execute_sql(_SQL)
 _PREDICTORS = [_make_predictor(seed) for seed in range(3)]
 _METADATA = [_make_metadata(seed) for seed in range(2)]
 
 predictors = st.sampled_from(_PREDICTORS)
 metadata_records = st.sampled_from(_METADATA)
-query_results = st.just(_RESULT)
 
 overlay_ids = st.integers(min_value=0, max_value=(1 << 128) - 1)
 versions = st.integers(min_value=0, max_value=2**31)
@@ -113,12 +114,47 @@ descriptors = st.builds(
     lifetime=times,
 )
 
-result_payloads = st.fixed_dictionaries(
-    {
-        "states": st.lists(times, max_size=6),
-        "rows": st.lists(times, max_size=6),
-    }
+
+# ----------------------------------------------------------------------
+# Query results, shaped as the executor and the result tree make them
+# ----------------------------------------------------------------------
+
+cells = st.integers(min_value=-(2**62), max_value=2**62) | st.floats(
+    min_value=-1e9, max_value=1e9, allow_nan=False
 )
+aggregate_specs = st.builds(
+    AggregateSpec, st.sampled_from(AGGREGATE_FUNCTIONS), st.just("Bytes")
+) | st.just(AggregateSpec("COUNT", None))
+
+
+def _state_for(spec: AggregateSpec):
+    """A state of ``spec``'s function, built from drawn column values."""
+    values = st.lists(cells, max_size=5)
+    if spec.column is None:
+        return values.map(lambda vs: AggregateState.from_count(len(vs)))
+    return values.map(lambda vs: AggregateState.from_values(spec.func, np.asarray(vs)))
+
+
+@st.composite
+def query_results(draw) -> QueryResult:
+    """An aggregate result (states parallel to specs, optional GROUP BY
+    table) or a projection result (rows of up to four columns)."""
+    if draw(st.booleans()):
+        width = draw(st.integers(min_value=1, max_value=4))
+        rows = draw(st.lists(st.tuples(*[cells] * width), max_size=6))
+        return QueryResult(rows=rows, row_count=len(rows))
+    specs = draw(st.lists(aggregate_specs, min_size=1, max_size=3))
+    state_vectors = st.tuples(*map(_state_for, specs)).map(list)
+    group_keys = st.tuples(st.integers(0, 65535)) | st.tuples(
+        st.text(max_size=8), st.integers(0, 65535)
+    )
+    return QueryResult(
+        specs=specs,
+        states=draw(state_vectors),
+        row_count=draw(st.integers(min_value=0, max_value=10**9)),
+        groups=draw(st.dictionaries(group_keys, state_vectors, max_size=3)),
+    )
+
 
 STRATEGIES: dict[str, st.SearchStrategy] = {
     RouteEnvelope.KIND: st.builds(
@@ -174,7 +210,7 @@ STRATEGIES: dict[str, st.SearchStrategy] = {
         contributor=overlay_ids,
         submitter=overlay_ids,
         version=versions,
-        result=result_payloads,
+        result=query_results(),
     ),
     ResultAck.KIND: st.builds(
         ResultAck,
@@ -190,9 +226,7 @@ STRATEGIES: dict[str, st.SearchStrategy] = {
         primary=overlay_ids,
         up_version=versions,
         children=st.dictionaries(
-            st.integers(min_value=0, max_value=2**32).map(str),
-            st.tuples(versions, result_payloads),
-            max_size=4,
+            overlay_ids, st.tuples(versions, query_results()), max_size=4
         ),
     ),
     MetaPush.KIND: st.builds(
@@ -209,7 +243,7 @@ STRATEGIES: dict[str, st.SearchStrategy] = {
         cancelled=st.lists(overlay_ids, max_size=4),
     ),
     StatusPush.KIND: st.builds(
-        StatusPush, query_id=overlay_ids, result=query_results, time=times
+        StatusPush, query_id=overlay_ids, result=query_results(), time=times
     ),
     Cancel.KIND: st.builds(Cancel, query_id=overlay_ids),
 }

@@ -6,9 +6,10 @@ Before the typed protocol layer, every call site carried a hand-written
 the seed tree) so the codec cannot drift from the byte accounting the
 experiments were calibrated against.
 
-The one deliberate deviation: a re-routed :class:`ResultSubmit` is
+The deliberate deviations: a re-routed :class:`ResultSubmit` is
 forwarded as is, so it is charged for the states it carries (the seed
-tree omitted them).
+tree omitted them), and for the projection rows it carries, one ``ROW``
+each, as :class:`VertexRepl` and :class:`StatusPush` are.
 """
 
 from __future__ import annotations
@@ -16,6 +17,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core.query import QueryDescriptor
+from repro.db.aggregates import AggregateSpec, AggregateState
+from repro.db.executor import QueryResult, execute
+from repro.db.schema import ColumnType, make_schema
+from repro.db.sql import parse
+from repro.db.table import Table
 from repro.proto import codec
 from repro.proto.messages import (
     ActiveReq,
@@ -45,7 +51,7 @@ ID_BYTES = 16  # the seed tree's literal
 
 
 class _Sized:
-    """Stand-in for predictor/metadata/result objects: only wire_size()."""
+    """Stand-in for predictor/metadata objects: only wire_size()."""
 
     def __init__(self, size: int) -> None:
         self._size = size
@@ -63,13 +69,17 @@ def descriptor() -> QueryDescriptor:
     )
 
 
-def result_payload(states: int, rows: int) -> dict:
-    return {
-        "row_count": rows,
-        "states": [{"kind": "sum"}] * states,
-        "rows": [(1, 2)] * rows,
-        "groups": {},
-    }
+def query_result(states: int, rows: int, groups: int = 0) -> QueryResult:
+    """A result with ``states`` SUM states, ``rows`` rows and ``groups``
+    groups of ``states`` states each."""
+    state = AggregateState("SUM", count=2, total=7.0, minimum=3.0, maximum=4.0)
+    return QueryResult(
+        specs=[AggregateSpec("SUM", "Bytes")] * states,
+        states=[state] * states,
+        rows=[(1, 2)] * rows,
+        row_count=rows,
+        groups={(group,): [state] * states for group in range(groups)},
+    )
 
 
 # ----------------------------------------------------------------------
@@ -128,13 +138,13 @@ class TestDisseminationSizes:
     def test_query_inject(self, descriptor):
         # Legacy: descriptor.wire_size() == len(sql) + 48
         msg = QueryInject(descriptor=descriptor)
-        assert msg.body_size() == descriptor.wire_size()
+        assert msg.body_size() == codec.descriptor_size(descriptor)
         assert msg.body_size() == len(descriptor.sql) + 48
 
     def test_bcast(self, descriptor):
         # Legacy: descriptor.wire_size() + 40
         msg = Bcast(descriptor=descriptor, lo=0, hi=2**128, parent=None)
-        assert msg.body_size() == descriptor.wire_size() + 40
+        assert msg.body_size() == len(descriptor.sql) + 48 + 40
 
     def test_bcast_ack(self):
         # Legacy literal: 56
@@ -160,12 +170,29 @@ class TestDisseminationSizes:
 class TestAggregationSizes:
     def test_result_submit(self, descriptor):
         # Legacy: 64 + len(sql) + 8 * len(states) * 4
-        payload = result_payload(states=3, rows=0)
         msg = ResultSubmit(
             descriptor=descriptor, vertex_id=1, contributor=2,
-            submitter=3, version=1, result=payload,
+            submitter=3, version=1, result=query_result(states=3, rows=0),
         )
         assert msg.body_size() == 64 + len(descriptor.sql) + 8 * 3 * 4
+
+    def test_result_submit_charges_projection_rows(self):
+        # A projection's rows ride the submission that first carries
+        # them; the seed tree billed only the (empty) state vector.
+        table = Table(
+            make_schema("Flow", [("ts", ColumnType.FLOAT), ("Bytes", ColumnType.INT)])
+        )
+        table.load_columns({"ts": [1.0, 2.0, 3.0, 4.0], "Bytes": [10, 20, 30, 0]})
+        sql = "SELECT ts, Bytes FROM Flow WHERE Bytes > 0"
+        result = execute(parse(sql), table)
+        assert len(result.rows) == 3
+        descriptor = QueryDescriptor.create(sql, origin=0x1234, injected_at=100.0)
+        msg = ResultSubmit(
+            descriptor=descriptor, vertex_id=1, contributor=2,
+            submitter=3, version=1, result=result,
+        )
+        states_alone = 4 * ID_BYTES + len(sql) + codec.result_states_size(result)
+        assert msg.body_size() == states_alone + 3 * codec.ROW
 
     def test_result_ack(self):
         # Legacy literal: 48
@@ -176,8 +203,8 @@ class TestAggregationSizes:
         # Legacy: VertexState.wire_size() + len(sql), where wire_size is
         # 32 + sum(16 + 8*len(states)*4 + 32*len(rows)) over children.
         children = {
-            "17": (1, result_payload(states=2, rows=1)),
-            "42": (3, result_payload(states=1, rows=0)),
+            17: (1, query_result(states=2, rows=1)),
+            42: (3, query_result(states=1, rows=0)),
         }
         msg = VertexRepl(
             descriptor=descriptor, vertex_id=1, primary=2,
@@ -216,9 +243,12 @@ class TestMaintenanceSizes:
         assert msg.body_size() == 16 + 2 * (len(descriptor.sql) + 48) + 16 * 3
 
     def test_status_push(self):
-        # Legacy: result.wire_size() + 24
-        msg = StatusPush(query_id=1, result=_Sized(200), time=5.0)
-        assert msg.body_size() == 200 + 24
+        # Legacy: result.wire_size() + 24, where wire_size is 8 (row
+        # count) + 32 per state + 32 per row + (16 + 32 per state) per group.
+        result = query_result(states=2, rows=1, groups=1)
+        msg = StatusPush(query_id=1, result=result, time=5.0)
+        legacy_result = 8 + 32 * 2 + 32 * 1 + (16 + 32 * 2)
+        assert msg.body_size() == legacy_result + 24
 
     def test_cancel(self):
         # Legacy literal: 24

@@ -283,3 +283,15 @@ def test_subprocess_cluster_end_to_end(tmp_path):
         assert completeness == sorted(completeness)
         metrics_text = cluster.metrics_path(0).read_text()
         assert "serve.connections" in metrics_text
+
+
+def test_subprocess_cluster_with_relative_workdir(tmp_path, monkeypatch):
+    """Hosts run inside the workdir, so a relative one must still let them
+    find their spec and metrics file (the CI smoke job passes one)."""
+    from repro.serve import LocalCluster
+
+    monkeypatch.chdir(tmp_path)
+    spec = plan_cluster(num_hosts=2, nodes_per_host=1, seed=5)
+    with LocalCluster(spec, "relative-out", metrics=True) as cluster:
+        cluster.wait_ready(timeout=60.0)
+    assert (tmp_path / "relative-out" / "cluster.json").exists()

@@ -12,11 +12,7 @@ from repro.core.aggregation import (
     parent_vertex,
     vertex_chain,
 )
-from repro.core.availability_model import (
-    AVAILABILITY_MODEL_BYTES,
-    AvailabilityModel,
-    AvailabilityPrediction,
-)
+from repro.core.availability_model import AvailabilityModel, AvailabilityPrediction
 from repro.core.config import SeaweedConfig
 from repro.core.dissemination import Disseminator
 from repro.core.metadata import EndsystemMetadata, MetadataRecord, MetadataStore
@@ -26,7 +22,6 @@ from repro.core.query import DEFAULT_LIFETIME, QueryDescriptor, QueryStatus
 from repro.core.system import SeaweedSystem
 
 __all__ = [
-    "AVAILABILITY_MODEL_BYTES",
     "AvailabilityModel",
     "AvailabilityPrediction",
     "CompletenessPredictor",

@@ -25,12 +25,13 @@ import numpy as np
 
 from repro.sim.simulator import SECONDS_PER_DAY, SECONDS_PER_HOUR, SimClock
 
-#: Serialized size of an availability model (paper Table 1: a = 48 bytes —
-#: 24 hour-counters plus compact down-duration buckets).
-AVAILABILITY_MODEL_BYTES = 48
-
 _MIN_DOWN = 1.0  # seconds; floor of the first log bucket
 
+#: Number of log-scale down-duration buckets of a fresh model.
+DOWN_DURATION_BUCKETS = 16
+#: Up-event peak-to-mean ratio above which an endsystem is periodic
+#: (paper §3.2.1: 2).
+PERIODIC_THRESHOLD = 2.0
 #: Minimum up events before the periodic classification is trusted.
 MIN_PERIODIC_OBSERVATIONS = 8
 #: The modal hour must have repeated at least this often.
@@ -69,15 +70,10 @@ class AvailabilityPrediction:
 class AvailabilityModel:
     """The learned availability behaviour of one endsystem."""
 
-    def __init__(
-        self,
-        num_down_buckets: int = 16,
-        periodic_threshold: float = 2.0,
-    ) -> None:
+    def __init__(self, num_down_buckets: int = DOWN_DURATION_BUCKETS) -> None:
         self.down_edges = _default_edges(num_down_buckets)
         self.down_counts = np.zeros(num_down_buckets)
         self.up_hour_counts = np.zeros(24)
-        self.periodic_threshold = periodic_threshold
 
     # ------------------------------------------------------------------
     # Learning
@@ -144,7 +140,7 @@ class AvailabilityModel:
             return False
         if self.up_hour_counts.max() < MIN_PERIODIC_PEAK:
             return False
-        return self.peak_to_mean() > self.periodic_threshold
+        return self.peak_to_mean() > PERIODIC_THRESHOLD
 
     def predict(
         self, now: float, down_since: float, clock: SimClock
@@ -201,10 +197,6 @@ class AvailabilityModel:
     # Serialization
     # ------------------------------------------------------------------
 
-    def wire_size(self) -> int:
-        """Replicated size in bytes (the model parameter ``a``)."""
-        return AVAILABILITY_MODEL_BYTES
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AvailabilityModel):
             return NotImplemented
@@ -212,7 +204,6 @@ class AvailabilityModel:
             np.array_equal(self.down_edges, other.down_edges)
             and np.array_equal(self.down_counts, other.down_counts)
             and np.array_equal(self.up_hour_counts, other.up_hour_counts)
-            and self.periodic_threshold == other.periodic_threshold
         )
 
     # Models are mutable learners; identity hashing is kept deliberately.
@@ -226,16 +217,9 @@ class AvailabilityModel:
         }
 
     @classmethod
-    def from_snapshot(
-        cls,
-        snapshot: dict,
-        periodic_threshold: float = 2.0,
-    ) -> "AvailabilityModel":
+    def from_snapshot(cls, snapshot: dict) -> "AvailabilityModel":
         """Rebuild a model from a replica's snapshot."""
-        model = cls(
-            num_down_buckets=len(snapshot["down_counts"]),
-            periodic_threshold=periodic_threshold,
-        )
+        model = cls(num_down_buckets=len(snapshot["down_counts"]))
         model.down_counts = np.asarray(snapshot["down_counts"], dtype=float).copy()
         model.up_hour_counts = np.asarray(
             snapshot["up_hour_counts"], dtype=float

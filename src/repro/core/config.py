@@ -31,9 +31,6 @@ class SeaweedConfig:
     #: choosing its phase randomly to avoid bandwidth spikes.
     summary_push_period: float = 17.5 * 60.0
 
-    #: Histogram bucket count per indexed column.
-    histogram_buckets: int = 64
-
     #: Delta-encoded summary pushes (paper §3.2.2 future work): when the
     #: local data has not changed since the last push to a replica, send
     #: a small freshness beacon instead of the full histogram set.
@@ -59,26 +56,9 @@ class SeaweedConfig:
     #: predictor that has not arrived (reissues the idempotent inject).
     predictor_retry_interval: float = 15.0
 
-    #: Originator: number of predictor retries before giving up.
-    predictor_retry_limit: int = 8
-
     #: Result tree: coalescing delay before a vertex forwards an updated
     #: aggregate upward (batches bursts of child updates).
     vertex_forward_delay: float = 1.0
-
-    #: Completeness predictor: number of log-scale time buckets.
-    predictor_buckets: int = 48
-
-    #: Completeness predictor: horizon of the last bucket (seconds).
-    #: Availability gaps range from seconds to days (paper: log scale).
-    predictor_horizon: float = 14 * 86400.0
-
-    #: Availability model: peak-to-mean threshold for classifying an
-    #: endsystem's up events as periodic (paper: 2).
-    periodic_threshold: float = 2.0
-
-    #: Availability model: number of log-scale down-duration buckets.
-    down_duration_buckets: int = 16
 
     def __post_init__(self) -> None:
         if self.metadata_replicas < 1:

@@ -345,7 +345,7 @@ class Disseminator:
         include_self: bool,
     ) -> CompletenessPredictor:
         """Build the predictor part for a range this node answers for."""
-        predictor = self.node.new_predictor()
+        predictor = CompletenessPredictor()
         if include_self:
             rows = self.node.local_relevant_rows(descriptor)
             predictor.add_immediate(rows)
@@ -415,7 +415,7 @@ class Disseminator:
             return
         if any(not child.done for child in task.children.values()):
             return
-        merged = task.local_part or self.node.new_predictor()
+        merged = task.local_part or CompletenessPredictor()
         for child in task.children.values():
             if child.predictor is not None:
                 merged = merged.merge(child.predictor)

@@ -45,19 +45,6 @@ class EndsystemMetadata:
         default=None, repr=False, compare=False
     )
 
-    def summary_bytes(self) -> int:
-        """Serialized size of the data summary (the model parameter ``h``)."""
-        total = 0
-        for per_column in self.summaries.values():
-            for histogram in per_column.values():
-                total += histogram.size_bytes()
-        total += 12 * len(self.row_counts)
-        return total
-
-    def wire_size(self) -> int:
-        """Total replicated size: summary + availability model."""
-        return self.summary_bytes() + self.availability.wire_size()
-
     def estimate_rows(self, query: ParsedQuery) -> float:
         """Estimated rows relevant to ``query`` on behalf of an
         *unavailable* endsystem: the histogram-based selectivity estimate.
@@ -78,12 +65,9 @@ class EndsystemMetadata:
         database: LocalDatabase,
         availability: AvailabilityModel,
         version: int = 0,
-        histogram_buckets: int = 64,
     ) -> "EndsystemMetadata":
         """Construct fresh metadata from an endsystem's local state."""
-        summaries, estimate_cache = database.summary_state(
-            num_buckets=histogram_buckets
-        )
+        summaries, estimate_cache = database.summary_state()
         row_counts = {
             name.lower(): database.total_rows(name) for name in database.table_names
         }
@@ -163,10 +147,6 @@ class MetadataStore:
         return [
             owner for owner in self._records if in_wrapped_range(owner, lo, hi)
         ]
-
-    def total_bytes(self) -> int:
-        """Total replicated metadata bytes held by this node."""
-        return sum(record.metadata.wire_size() for record in self._records.values())
 
     def __len__(self) -> int:
         return len(self._records)

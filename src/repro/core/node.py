@@ -26,7 +26,6 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.audit.oracle import GroundTruthOracle
-    from repro.obs.observer import Observer
 
 from repro.core.aggregation import ResultAggregator
 from repro.core.availability_model import AvailabilityModel
@@ -34,10 +33,11 @@ from repro.core.config import SeaweedConfig
 from repro.core.dissemination import Disseminator
 from repro.core.metadata import EndsystemMetadata, MetadataStore
 from repro.core.predictor import CompletenessPredictor
-from repro.core.query import QueryDescriptor, QueryStatus
+from repro.core.query import DEFAULT_LIFETIME, QueryDescriptor, QueryStatus
 from repro.db.engine import LocalDatabase
 from repro.db.executor import QueryResult
 from repro.db.sql import ParsedQuery
+from repro.obs.observer import Observer, active
 from repro.overlay.ids import ring_distance
 from repro.overlay.node import PastryNode
 from repro.proto import codec
@@ -61,6 +61,8 @@ from repro.proto.registry import Dispatcher
 
 #: Settling delay between overlay join and Seaweed-level (re)announcements.
 JOIN_SETTLE_DELAY = 1.5
+#: Originator: predictor retries before giving up.
+PREDICTOR_RETRY_LIMIT = 8
 
 
 class SeaweedNode:
@@ -82,15 +84,12 @@ class SeaweedNode:
         self._rng = rng
         #: Active observer or None — protocol engines reach it via
         #: ``node._obs`` and guard with a bare ``is not None`` check.
-        self._obs = observer if (observer is not None and observer.enabled) else None
+        self._obs = active(observer)
         #: Ground-truth conformance oracle (:mod:`repro.audit`), attached
         #: by ``SeaweedSystem.enable_audit()``.  ``None`` — the default —
         #: keeps every hook to a single attribute check (zero-cost-off).
         self.auditor: Optional["GroundTruthOracle"] = None
-        self.availability = AvailabilityModel(
-            num_down_buckets=config.down_duration_buckets,
-            periodic_threshold=config.periodic_threshold,
-        )
+        self.availability = AvailabilityModel()
         self.metadata_store = MetadataStore()
         self.disseminator = Disseminator(self)
         self.aggregator = ResultAggregator(self)
@@ -220,11 +219,8 @@ class SeaweedNode:
         metadata = EndsystemMetadata.build(
             owner=self.node_id,
             database=self.database,
-            availability=AvailabilityModel.from_snapshot(
-                self.availability.snapshot(), self.config.periodic_threshold
-            ),
+            availability=AvailabilityModel.from_snapshot(self.availability.snapshot()),
             version=self._metadata_version,
-            histogram_buckets=self.config.histogram_buckets,
         )
         replicas = self.pastry.replica_set(self.config.metadata_replicas)
         self._last_replica_set = replicas
@@ -336,7 +332,7 @@ class SeaweedNode:
         self,
         sql: str,
         now_binding: Optional[float] = None,
-        lifetime: float = 48 * 3600.0,
+        lifetime: float = DEFAULT_LIFETIME,
         continuous_period: Optional[float] = None,
     ) -> QueryDescriptor:
         """Inject a query from this endsystem (the application API).
@@ -391,7 +387,7 @@ class SeaweedNode:
         refining = attempt <= 3  # a few mandatory refinement passes
         if status.predictor is not None and not refining:
             return
-        if attempt > self.config.predictor_retry_limit:
+        if attempt > PREDICTOR_RETRY_LIMIT:
             return
         self.disseminator.inject(descriptor)
         self._schedule_predictor_retry(descriptor, attempt + 1)
@@ -465,12 +461,6 @@ class SeaweedNode:
     def local_relevant_rows(self, descriptor: QueryDescriptor) -> int:
         """Exact relevant-row count from the local DBMS (available path)."""
         return self.database.relevant_row_count(self.parsed_query(descriptor))
-
-    def new_predictor(self) -> CompletenessPredictor:
-        """A fresh predictor with this deployment's bucketing."""
-        return CompletenessPredictor(
-            self.config.predictor_buckets, self.config.predictor_horizon
-        )
 
     def remember_query(self, descriptor: QueryDescriptor) -> None:
         """Record an active query (rejoining neighbours will ask for these)."""

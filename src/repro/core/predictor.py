@@ -12,9 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Serialized bytes per bucket (float row count).
-_BUCKET_BYTES = 8
-
 _MIN_DELAY = 1.0  # seconds; the first bucket's lower edge
 
 
@@ -47,6 +44,8 @@ class CompletenessPredictor:
     )
 
     def __init__(self, num_buckets: int = 48, horizon: float = 14 * 86400.0) -> None:
+        """The defaults — 48 log-scale buckets out to 14 days — are the
+        deployment's bucketing: predictors merged up one tree must share it."""
         self.edges = log_bucket_edges(num_buckets, horizon)
         self.immediate_rows = 0.0
         self.bucket_rows = np.zeros(num_buckets)
@@ -192,10 +191,6 @@ class CompletenessPredictor:
     def series(self, delays: np.ndarray) -> np.ndarray:
         """Cumulative expected rows at each delay (for plotting/reporting)."""
         return np.array([self.cumulative_at(float(d)) for d in delays])
-
-    def wire_size(self) -> int:
-        """Constant serialized size (what travels up the tree)."""
-        return (len(self.bucket_rows) + 3) * _BUCKET_BYTES
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CompletenessPredictor):

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.config import SeaweedConfig
 from repro.core.node import SeaweedNode
-from repro.core.query import QueryDescriptor, QueryStatus
+from repro.core.query import DEFAULT_LIFETIME, QueryDescriptor, QueryStatus
 from repro.db.engine import LocalDatabase
 from repro.net.stats import BandwidthAccounting
 from repro.net.topology import corpnet_like
@@ -249,7 +249,7 @@ class SeaweedSystem:
         self,
         sql: str,
         origin_index: Optional[int] = None,
-        lifetime: float = 48 * 3600.0,
+        lifetime: float = DEFAULT_LIFETIME,
         bind_now: bool = True,
         continuous_period: Optional[float] = None,
     ) -> tuple[SeaweedNode, QueryDescriptor]:

@@ -12,12 +12,7 @@ from typing import Any, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.db.executor import QueryResult, count_matching, execute
-from repro.db.histogram import (
-    Histogram,
-    SelectivityCache,
-    build_histogram,
-    estimate_row_count,
-)
+from repro.db.histogram import Histogram, SelectivityCache, build_histogram
 from repro.db.schema import Schema, SchemaError
 from repro.db.sql import ParsedQuery, parse
 from repro.db.table import Table
@@ -33,10 +28,9 @@ class LocalDatabase:
         # rebuilding is by far the simulator's hottest operation (every
         # metadata push re-quantiles every indexed column), and pushes
         # vastly outnumber writes.  One cached entry: (generation,
-        # num_buckets, summaries, selectivity cache) — a single slot,
-        # because a deployment uses one bucket count throughout.
+        # summaries, selectivity cache).
         self._summary_state: Optional[
-            tuple[int, int, dict[str, dict[str, Histogram]], SelectivityCache]
+            tuple[int, dict[str, dict[str, Histogram]], SelectivityCache]
         ] = None
 
     def create_table(self, schema: Schema) -> Table:
@@ -112,7 +106,7 @@ class LocalDatabase:
     # Summaries
     # ------------------------------------------------------------------
 
-    def build_summaries(self, num_buckets: int = 64) -> dict[str, dict[str, Histogram]]:
+    def build_summaries(self) -> dict[str, dict[str, Histogram]]:
         """Histograms for every indexed column of every table.
 
         This is the data summary Seaweed replicates: ``{table: {column:
@@ -120,10 +114,10 @@ class LocalDatabase:
         (shared, treat-as-immutable) summary dict is returned; writes
         invalidate it via the generation counter.
         """
-        return self.summary_state(num_buckets=num_buckets)[0]
+        return self.summary_state()[0]
 
     def summary_state(
-        self, num_buckets: int = 64
+        self,
     ) -> tuple[dict[str, dict[str, Histogram]], SelectivityCache]:
         """The current summaries plus their scoped selectivity cache.
 
@@ -132,46 +126,23 @@ class LocalDatabase:
         can never outlive the histograms they were computed from.
         """
         state = self._summary_state
-        if (
-            state is not None
-            and state[0] == self._generation
-            and state[1] == num_buckets
-        ):
-            return state[2], state[3]
-        summaries = self._build_summaries(num_buckets)
+        if state is not None and state[0] == self._generation:
+            return state[1], state[2]
+        summaries = self._build_summaries()
         cache = SelectivityCache()
-        self._summary_state = (self._generation, num_buckets, summaries, cache)
+        self._summary_state = (self._generation, summaries, cache)
         return summaries, cache
 
-    def _build_summaries(
-        self, num_buckets: int
-    ) -> dict[str, dict[str, Histogram]]:
+    def _build_summaries(self) -> dict[str, dict[str, Histogram]]:
         summaries: dict[str, dict[str, Histogram]] = {}
         for table in self._tables.values():
             per_column: dict[str, Histogram] = {}
             for column_def in table.schema.indexed_columns:
                 values = table.column(column_def.name)
-                per_column[column_def.name.lower()] = build_histogram(
-                    values, num_buckets=num_buckets
-                )
+                per_column[column_def.name.lower()] = build_histogram(values)
             if per_column:
                 summaries[table.name.lower()] = per_column
         return summaries
-
-    def estimate_from_summaries(
-        self,
-        query: ParsedQuery,
-        summaries: Mapping[str, Mapping[str, Histogram]],
-        total_rows: int,
-    ) -> float:
-        """Row-count estimate for ``query`` using replicated histograms.
-
-        This is the path taken *on behalf of an unavailable endsystem*:
-        only the histograms and the total row count are available, so the
-        estimate uses standard selectivity arithmetic.
-        """
-        table_histograms = dict(summaries.get(query.table.lower(), {}))
-        return estimate_row_count(query.predicate, table_histograms, total_rows)
 
     def total_bytes(self) -> int:
         """Approximate total size of local data (the model's ``d``)."""

@@ -30,15 +30,11 @@ from repro.db.expressions import (
     Predicate,
 )
 
-#: Default bucket count; SQL Server uses up to 200 histogram steps.
+#: Bucket count of every replicated equi-depth histogram; SQL Server
+#: uses up to 200 histogram steps.
 DEFAULT_BUCKETS = 64
 #: Cap on exact values kept by a frequency histogram.
 DEFAULT_MCV_LIMIT = 256
-
-#: Serialized size of one numeric histogram bucket (lo, hi, count, distinct).
-_BUCKET_BYTES = 20
-#: Serialized size of one frequency entry (value hash + count).
-_FREQ_ENTRY_BYTES = 12
 
 
 class EquiDepthHistogram:
@@ -199,10 +195,6 @@ class EquiDepthHistogram:
                 return float(self.counts[bucket] / distinct)
         return 0.0
 
-    def size_bytes(self) -> int:
-        """Serialized summary size (the model parameter ``h`` counts these)."""
-        return len(self.counts) * _BUCKET_BYTES + len(self.mcv) * _FREQ_ENTRY_BYTES
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EquiDepthHistogram):
             return NotImplemented
@@ -255,10 +247,6 @@ class FrequencyHistogram:
         """Estimated rows with ``column != value``."""
         return max(0.0, self.total_rows - self.estimate_eq(value))
 
-    def size_bytes(self) -> int:
-        """Serialized summary size."""
-        return len(self.counts) * _FREQ_ENTRY_BYTES
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FrequencyHistogram):
             return NotImplemented
@@ -274,16 +262,16 @@ class FrequencyHistogram:
 Histogram = Union[EquiDepthHistogram, FrequencyHistogram]
 
 
-def build_histogram(values: np.ndarray, num_buckets: int = DEFAULT_BUCKETS) -> Histogram:
+def build_histogram(values: np.ndarray) -> Histogram:
     """Pick the right histogram type for a column.
 
-    Numeric columns get equi-depth histograms; object (string) columns get
-    frequency histograms.
+    Numeric columns get equi-depth histograms of :data:`DEFAULT_BUCKETS`
+    buckets; object (string) columns get frequency histograms.
     """
     arr = np.asarray(values)
     if arr.dtype == object or arr.dtype.kind in ("U", "S"):
         return FrequencyHistogram.build(arr)
-    return EquiDepthHistogram.build(arr, num_buckets=num_buckets)
+    return EquiDepthHistogram.build(arr)
 
 
 @dataclass(frozen=True)

@@ -79,10 +79,6 @@ class OverheadResult:
         """The q-th percentile of per-endsystem-hour transmit bandwidth."""
         return percentile(self.tx_samples, q)
 
-    def rx_percentile(self, q: float) -> float:
-        """The q-th percentile of per-endsystem-hour receive bandwidth."""
-        return percentile(self.rx_samples, q)
-
 
 def build_trace(
     kind: str, num_endsystems: int, horizon: float, seed: int

@@ -28,7 +28,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.availability_model import AvailabilityModel
-from repro.core.config import SeaweedConfig
 from repro.core.metadata import EndsystemMetadata
 from repro.core.predictor import CompletenessPredictor
 from repro.db.sql import ParsedQuery, parse
@@ -164,10 +163,7 @@ class PredictionSimulator:
             self.train_models(inject_time)
         query = parse(sql, now=inject_time if bind_now else None)
         exact_rows, estimated_rows = self._profile_rows(query)
-        defaults = SeaweedConfig()
-        predictor = CompletenessPredictor(
-            defaults.predictor_buckets, defaults.predictor_horizon
-        )
+        predictor = CompletenessPredictor()
         checkpoints_arr = np.asarray(sorted(checkpoints), dtype=float)
         actual = np.zeros_like(checkpoints_arr)
         actual_total = 0.0

@@ -33,11 +33,11 @@ import numpy as np
 
 from repro.net.stats import BandwidthAccounting
 from repro.net.topology import Topology
+from repro.obs.observer import Observer, active
 from repro.proto import codec
 from repro.sim.simulator import Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.observer import Observer
     from repro.proto.messages import ProtoMessage
 
 #: Canonical drop reasons used by the transport itself; interceptors may
@@ -80,11 +80,6 @@ class Message:
     def kind(self) -> str:
         """Protocol-level message type tag (e.g. ``"SW_BCAST"``)."""
         return self.payload.KIND
-
-    @property
-    def wire_size(self) -> int:
-        """Total on-the-wire size: the modelled body plus the fixed header."""
-        return self.payload.body_size() + codec.HEADER
 
 
 Handler = Callable[[str, Message], None]
@@ -197,7 +192,7 @@ class Transport:
             if loss_rng is None:
                 raise ValueError("loss_rate > 0 requires a loss_rng")
             self._interceptors.append(UniformLossInterceptor(loss_rate, loss_rng))
-        self._obs = observer if (observer is not None and observer.enabled) else None
+        self._obs = active(observer)
         if self._obs is not None:
             metrics = self._obs.metrics
             self._c_messages = metrics.counter("transport.messages_total")
@@ -238,10 +233,6 @@ class Transport:
         """Mark an endsystem up or down; messages in flight to a down host drop."""
         self._online[endsystem] = online
 
-    def is_online(self, endsystem: str) -> bool:
-        """Whether the endsystem is currently up."""
-        return self._online.get(endsystem, False)
-
     # ------------------------------------------------------------------
     # Sending and delivery
     # ------------------------------------------------------------------
@@ -256,7 +247,9 @@ class Transport:
         delay injected on top of the carrier's own.
         """
         message.src = src
-        self._account(src, dst, message.wire_size, message.category)
+        self._account(
+            src, dst, message.payload.body_size() + codec.HEADER, message.category
+        )
         fate = self._run_interceptors(src, dst, message)
         if fate is None:
             return

@@ -32,19 +32,20 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.net.stats import CATEGORY_OVERLAY, BandwidthAccounting
 from repro.net.transport import Transport
+from repro.obs.observer import Observer, active
 from repro.overlay.ids import ring_distance
 from repro.overlay.node import PastryNode
 from repro.proto import codec
 from repro.sim.simulator import Scheduler
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.observer import Observer
+#: Extra delay after a missed heartbeat before a neighbour is declared dead.
+DETECTION_GRACE = 5.0
 
 
 @dataclass
@@ -54,18 +55,10 @@ class OverlayConfig:
     b: int = 4
     leafset_size: int = 8
     heartbeat_period: float = 30.0
-    #: Wire size of one heartbeat message (header-dominated).
-    heartbeat_bytes: int = 2 * codec.ID
-    #: Extra delay after a missed heartbeat before a neighbour is declared dead.
-    detection_grace: float = 5.0
     #: Period of the leafset stabilization exchange (state piggybacked on
     #: heartbeats in MSPastry; an explicit message exchange here, at twice
     #: the heartbeat period).
     stabilize_period: float = 60.0
-    #: How long a node remembers that a peer was observed dead.  Gossip
-    #: cannot resurrect a dead entry within this window; any message
-    #: received *from* the peer clears the record immediately.
-    death_record_ttl: float = 90.0
 
 
 class OverlayServices:
@@ -87,7 +80,7 @@ class OverlayServices:
         self.reroutes = 0
         # Observer plumbing shared by all PastryNodes.  Counters are
         # pre-bound here; nodes guard on ``is not None``.
-        self.observer = observer if (observer is not None and observer.enabled) else None
+        self.observer = active(observer)
         if self.observer is not None:
             metrics = self.observer.metrics
             self.c_reroutes = metrics.counter("overlay.reroutes_total")
@@ -165,7 +158,7 @@ class OverlayNetwork(OverlayServices):
         if position < len(self._online_ids) and self._online_ids[position] == node.node_id:
             self._online_ids.pop(position)
         watchers = self._listed_by.pop(node.node_id, set())
-        delay = self.config.heartbeat_period + self.config.detection_grace
+        delay = self.config.heartbeat_period + DETECTION_GRACE
         for watcher_id in watchers:
             self.scheduler.schedule(
                 delay + float(self._rng.uniform(0.0, 1.0)),
@@ -207,7 +200,7 @@ class OverlayNetwork(OverlayServices):
             for node_id in self._online_ids:
                 node = self.nodes[node_id]
                 neighbours = len(node.leafset)
-                size = neighbours * (self.config.heartbeat_bytes + 48)
+                size = neighbours * (codec.HEARTBEAT + codec.HEADER)
                 accounting.record_local(now, node.name, size, size, CATEGORY_OVERLAY)
 
         self._heartbeat_timer = self.scheduler.schedule_periodic(

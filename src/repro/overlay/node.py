@@ -54,6 +54,10 @@ MAX_HOPS = 64
 #: Join retry: resend the join if no reply arrived within this window.
 JOIN_RETRY_TIMEOUT = 4.0
 MAX_JOIN_RETRIES = 5
+#: How long a node remembers that a peer was observed dead.  Gossip
+#: cannot resurrect a dead entry within this window; any message
+#: received *from* the peer clears the record immediately.
+DEATH_RECORD_TTL = 90.0
 
 DeliverUpcall = Callable[[int, str, Any, int], None]
 
@@ -280,7 +284,7 @@ class PastryNode:
         observed = self._death_records.get(node_id)
         if observed is None:
             return False
-        if self.network.scheduler.now - observed > self.network.config.death_record_ttl:
+        if self.network.scheduler.now - observed > DEATH_RECORD_TTL:
             del self._death_records[node_id]
             return False
         return True

@@ -17,23 +17,33 @@ separate measurement, ``AsyncioTransport.bytes_sent``.
 
 Glossary of primitives (all sizes in bytes):
 
-===============  ====  =====================================================
-``ID``             16  one 128-bit overlay id / namespace key
-``TAG``             8  small scalar: version, count, flag word, timestamp
-``RANGE``          32  a wrapped namespace range ``[lo, hi)`` (two ids)
-``QUERY_FIXED``    48  fixed part of a query descriptor (id, origin,
-                       times, lifetime) — the SQL text rides on top
-``AGG_STATE``      32  one serialized aggregate state (func tag + values)
-``ROW``            32  one materialized (projection) result row
-``DELTA_BEACON``   32  a no-change metadata freshness beacon
-===============  ====  =====================================================
+==================  ====  =====================================================
+``ID``                16  one 128-bit overlay id / namespace key
+``TAG``                8  small scalar: version, count, flag word, timestamp
+``RANGE``             32  a wrapped namespace range ``[lo, hi)`` (two ids)
+``QUERY_FIXED``       48  fixed part of a query descriptor (id, origin,
+                          times, lifetime) — the SQL text rides on top
+``AGG_STATE``         32  one serialized aggregate state (func tag + values)
+``ROW``               32  one materialized (projection) result row
+``DELTA_BEACON``      32  a no-change metadata freshness beacon
+``HEARTBEAT``         32  one leafset heartbeat body (two ids)
+``AVAILABILITY``      48  one availability model (paper Table 1: a)
+``BUCKET``            20  one equi-depth histogram bucket
+``COUNT``             12  one exact count: a histogram value + its count, or
+                          a table's row count
+``PREDICTOR_CELL``     8  one completeness-predictor cell (a row count)
+==================  ====  =====================================================
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
+from repro.db.histogram import FrequencyHistogram, Histogram
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.metadata import EndsystemMetadata
+    from repro.core.predictor import CompletenessPredictor
     from repro.core.query import QueryDescriptor
     from repro.db.executor import QueryResult
 
@@ -61,6 +71,24 @@ ROW = 32
 #: A no-change freshness beacon: what a delta-encoded metadata push
 #: costs when the replica already holds the current data generation.
 DELTA_BEACON = 32
+
+#: Body of one leafset heartbeat (sender and receiver ids); the
+#: heartbeat sweep charges it plus :data:`HEADER` per leafset member.
+HEARTBEAT = 2 * ID
+
+#: One serialized availability model (paper Table 1: a = 48 bytes —
+#: 24 hour-counters plus compact down-duration buckets).
+AVAILABILITY = 48
+
+#: One equi-depth histogram bucket: lo, hi, count, distinct.
+BUCKET = 20
+
+#: One exact count: a histogram value (hash) with its count, or a
+#: table name (hash) with its row count.
+COUNT = 12
+
+#: One completeness-predictor cell: a float row count.
+PREDICTOR_CELL = 8
 
 #: Fixed per-message wire header (UDP/IP + overlay header), matching
 #: the order of magnitude MSPastry reports; the transport adds it to
@@ -106,3 +134,34 @@ def vertex_children_size(children: Iterable[tuple[int, "QueryResult"]]) -> int:
     """
     return sum(ID + result_size(result) for _version, result in children)
 
+
+def histogram_size(histogram: Histogram) -> int:
+    """Size of one column histogram: a frequency histogram's exact
+    counts, or an equi-depth histogram's buckets plus the exact counts of
+    its most common values."""
+    if isinstance(histogram, FrequencyHistogram):
+        return COUNT * len(histogram.counts)
+    return BUCKET * len(histogram.counts) + COUNT * len(histogram.mcv)
+
+
+def summary_size(metadata: "EndsystemMetadata") -> int:
+    """Size of an endsystem's data summary (paper Table 1: h): every
+    column histogram plus one :data:`COUNT` per table row count."""
+    total = COUNT * len(metadata.row_counts)
+    for per_column in metadata.summaries.values():
+        for histogram in per_column.values():
+            total += histogram_size(histogram)
+    return total
+
+
+def metadata_size(metadata: "EndsystemMetadata") -> int:
+    """Size of one replicated metadata record: data summary plus
+    availability model."""
+    return summary_size(metadata) + AVAILABILITY
+
+
+def predictor_size(predictor: "CompletenessPredictor") -> int:
+    """Size of a completeness predictor: one cell per time bucket plus
+    three scalar cells — constant in the rows and endsystems it counts,
+    which keeps in-tree predictor aggregation O(1) per message."""
+    return PREDICTOR_CELL * (len(predictor.bucket_rows) + 3)

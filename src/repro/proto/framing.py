@@ -33,8 +33,10 @@ MAGIC = b"SW"
 #: ``(src, dst, category, payload)``; 3: a replicated metadata record is
 #: ``(owner, summaries, row_counts, availability, version)``; 4: result
 #: submissions and vertex replication carry typed query results, vertex
-#: children are keyed by int, and a query descriptor is a field tuple).
-VERSION = 4
+#: children are keyed by int, and a query descriptor is a field tuple;
+#: 5: an availability model is ``(down_edges, down_counts,
+#: up_hour_counts)``).
+VERSION = 5
 
 #: Fixed part of the envelope, before the kind string and body.
 #: magic(2) + version(1) + flags(1) + kind len(2) + body len(4) + crc(4).

@@ -236,7 +236,7 @@ class PredictorUpdate(ProtoMessage):
     predictor: "CompletenessPredictor"
 
     def _accounted_size(self) -> int:
-        return self.predictor.wire_size() + codec.RANGE + codec.ID + codec.TAG
+        return codec.predictor_size(self.predictor) + codec.RANGE + codec.ID + codec.TAG
 
 
 @register
@@ -250,7 +250,7 @@ class PredictorResult(ProtoMessage):
     predictor: "CompletenessPredictor"
 
     def _accounted_size(self) -> int:
-        return self.predictor.wire_size() + codec.ID + codec.TAG
+        return codec.predictor_size(self.predictor) + codec.ID + codec.TAG
 
 
 # ----------------------------------------------------------------------
@@ -347,7 +347,7 @@ class MetaPush(ProtoMessage):
     def _accounted_size(self) -> int:
         if self.beacon_bytes is not None:
             return self.beacon_bytes
-        return self.metadata.wire_size()
+        return codec.metadata_size(self.metadata)
 
 
 @register

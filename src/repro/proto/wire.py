@@ -163,12 +163,11 @@ def _build_adapters() -> dict[type, _Adapter]:
         return predictor
 
     def availability_state(m: AvailabilityModel) -> tuple:
-        return (m.down_edges, m.down_counts, m.up_hour_counts, m.periodic_threshold)
+        return (m.down_edges, m.down_counts, m.up_hour_counts)
 
     def availability_from(state: tuple) -> AvailabilityModel:
         model = AvailabilityModel.__new__(AvailabilityModel)
-        model.down_edges, model.down_counts, model.up_hour_counts = state[:3]
-        model.periodic_threshold = state[3]
+        model.down_edges, model.down_counts, model.up_hour_counts = state
         return model
 
     def equidepth_state(h: EquiDepthHistogram) -> tuple:

@@ -73,14 +73,6 @@ class ClusterSpec:
         """The well-known bootstrap node: the first node of host 0."""
         return self.hosts[0].node_ids[0]
 
-    def profile_of(self, node_id: int) -> int:
-        """The dataset profile assigned to ``node_id``."""
-        for host in self.hosts:
-            for hosted, profile in zip(host.node_ids, host.profiles):
-                if hosted == node_id:
-                    return profile
-        raise KeyError(f"node {node_id:032x} not in spec")
-
     def make_dataset(self):
         """The shared profile pool (deterministic from the seed)."""
         from repro.workload.anemone import AnemoneDataset

@@ -12,9 +12,9 @@ mechanisms:
   host), or any already-online local node;
 * **failure detection** — probe-based: the transport reports the last
   time each remote peer was heard from, a periodic sweep declares
-  leafset members silent for longer than ``heartbeat_period +
-  detection_grace`` dead, and the node-level repair logic (which is
-  transport-agnostic) does the rest.
+  leafset members silent for too long (:meth:`LiveOverlay._sweep`)
+  dead, and the node-level repair logic (which is transport-agnostic)
+  does the rest.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from repro.overlay.ids import id_to_hex
-from repro.overlay.network import OverlayConfig, OverlayServices
+from repro.overlay.network import DETECTION_GRACE, OverlayConfig, OverlayServices
 from repro.serve.scheduler import AsyncioScheduler
 from repro.serve.transport import AsyncioTransport
 
@@ -116,10 +116,10 @@ class LiveOverlay(OverlayServices):
         now = self.scheduler.now
         # Live probes ride the stabilization exchange, so a healthy peer
         # may legitimately stay silent for a full stabilize period; give
-        # it two before declaring death (plus the configured grace).
+        # it two before declaring death (plus the detection grace).
         deadline = (
             2 * max(self.config.heartbeat_period, self.config.stabilize_period)
-            + self.config.detection_grace
+            + DETECTION_GRACE
         )
         local = set(self.nodes)
         for node in list(self.nodes.values()):

@@ -28,7 +28,9 @@ the in-network aggregation converges:
     ``{"event": "cancelled", "query_id": "<hex>"}``
 
 Errors are reported as ``{"event": "error", "error": ...}`` and leave
-the connection open for further requests.
+the connection open for further requests.  A numeric query field that
+is not a finite number in range (``target`` in (0, 1], the others
+positive) is such an error.
 """
 
 from __future__ import annotations
@@ -36,9 +38,10 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import math
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.core.query import QueryStatus
+from repro.core.query import DEFAULT_LIFETIME, QueryStatus
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.node import SeaweedNode
@@ -55,6 +58,21 @@ DEFAULT_TARGET = 0.999
 DEFAULT_TIMEOUT = 60.0
 DEFAULT_POLL = 0.25
 MAX_REQUEST_BYTES = 1 << 20
+
+
+def _number(request: dict, name: str, default: float, upper: float = math.inf) -> float:
+    """``request[name]`` (``default`` if absent) as a float in ``(0, upper]``.
+
+    Raises ValueError for anything else: a non-number (a bool included),
+    NaN, an infinity, or a value out of range.
+    """
+    value = request.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    number = float(value)
+    if not (math.isfinite(number) and 0.0 < number <= upper):
+        raise ValueError(f"{name} out of range: {value!r}")
+    return number
 
 
 def _status_payload(
@@ -190,10 +208,14 @@ class QueryService:
             await self._emit(writer, {"event": "error",
                                       "error": "missing sql"})
             return
-        timeout = float(request.get("timeout", DEFAULT_TIMEOUT))
-        poll = max(0.02, float(request.get("poll", DEFAULT_POLL)))
-        target = float(request.get("target", DEFAULT_TARGET))
-        lifetime = float(request.get("lifetime", 48 * 3600.0))
+        try:
+            timeout = _number(request, "timeout", DEFAULT_TIMEOUT)
+            poll = max(0.02, _number(request, "poll", DEFAULT_POLL))
+            target = _number(request, "target", DEFAULT_TARGET, upper=1.0)
+            lifetime = _number(request, "lifetime", DEFAULT_LIFETIME)
+        except ValueError as error:
+            await self._emit(writer, {"event": "error", "error": str(error)})
+            return
         # Validate the SQL up front: dissemination parses lazily inside
         # scheduled handlers, which would turn a typo into a silent
         # zero-row timeout instead of an error the client can act on.

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.availability_model import (
-    AVAILABILITY_MODEL_BYTES,
+    PERIODIC_THRESHOLD,
     AvailabilityModel,
     AvailabilityPrediction,
 )
+from repro.core.metadata import EndsystemMetadata
+from repro.proto import codec
 from repro.sim import SECONDS_PER_DAY, SECONDS_PER_HOUR, SimClock
 
 
@@ -66,7 +68,8 @@ class TestClassification:
     def test_threshold_is_paper_value(self):
         # Peak-to-mean must exceed 2 (paper §3.2.1): a mild concentration
         # (peak exactly 2x the mean) must NOT classify as periodic.
-        model = AvailabilityModel(periodic_threshold=2.0)
+        assert PERIODIC_THRESHOLD == 2.0
+        model = AvailabilityModel()
         for hour in range(24):
             model.record_up_event(float(hour))
         model.record_up_event(9.0)  # peak 2, mean 25/24 -> ratio 1.92
@@ -152,8 +155,11 @@ class TestSnapshot:
         assert snapshot["up_hour_counts"].sum() == 0
 
     def test_wire_size_is_48_bytes(self):
-        # Paper Table 1: a = 48 bytes.
-        assert AvailabilityModel().wire_size() == AVAILABILITY_MODEL_BYTES == 48
+        # Paper Table 1: a = 48 bytes — all a summary-less record costs.
+        bare = EndsystemMetadata(
+            owner=1, summaries={}, row_counts={}, availability=AvailabilityModel()
+        )
+        assert codec.metadata_size(bare) == codec.AVAILABILITY == 48
 
 
 class TestPrediction:

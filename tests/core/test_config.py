@@ -4,28 +4,23 @@ import dataclasses
 
 import pytest
 
+from repro.core.availability_model import PERIODIC_THRESHOLD
 from repro.core.config import SeaweedConfig
 from repro.overlay.network import OverlayConfig
 
 
 def test_knob_surface_is_pinned():
     """Every tunable, by name.  A new knob is a reviewed edit of this
-    set; a deleted one leaves it (17 + 7 fields)."""
+    set; a deleted one leaves it (11 + 4 fields)."""
     assert {field.name for field in dataclasses.fields(SeaweedConfig)} == {
         "overlay",
         "metadata_replicas",
         "vertex_backups",
         "summary_push_period",
-        "histogram_buckets",
         "delta_summaries",
-        "down_duration_buckets",
-        "periodic_threshold",
-        "predictor_buckets",
-        "predictor_horizon",
         "predictor_heartbeat",
         "predictor_reply_timeout",
         "predictor_retry_interval",
-        "predictor_retry_limit",
         "result_refresh_period",
         "result_retransmit",
         "vertex_forward_delay",
@@ -34,10 +29,7 @@ def test_knob_surface_is_pinned():
         "b",
         "leafset_size",
         "heartbeat_period",
-        "heartbeat_bytes",
-        "detection_grace",
         "stabilize_period",
-        "death_record_ttl",
     }
 
 
@@ -50,7 +42,7 @@ class TestConfig:
         assert config.metadata_replicas == 8
         assert config.vertex_backups == 3
         assert config.summary_push_period == pytest.approx(17.5 * 60.0)
-        assert config.periodic_threshold == 2.0
+        assert PERIODIC_THRESHOLD == 2.0
 
     def test_invalid_replicas(self):
         with pytest.raises(ValueError):

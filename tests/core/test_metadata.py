@@ -6,6 +6,7 @@ import pytest
 from repro.core.availability_model import AvailabilityModel
 from repro.core.metadata import EndsystemMetadata, MetadataStore
 from repro.db.sql import parse
+from repro.proto import codec
 
 
 @pytest.fixture
@@ -32,12 +33,12 @@ class TestEndsystemMetadata:
         assert metadata.estimate_rows(parse("SELECT COUNT(*) FROM Nope")) == 0.0
 
     def test_wire_size_components(self, metadata):
-        assert metadata.wire_size() == metadata.summary_bytes() + 48
-        assert metadata.summary_bytes() > 100
+        assert codec.metadata_size(metadata) == codec.summary_size(metadata) + 48
+        assert codec.summary_size(metadata) > 100
 
     def test_summary_orders_of_magnitude_below_data(self, metadata, flow_db):
         # The design's core premise: metadata << data.
-        assert metadata.wire_size() * 20 < flow_db.total_bytes()
+        assert codec.metadata_size(metadata) * 20 < flow_db.total_bytes()
 
 
 class TestMetadataStore:
@@ -90,8 +91,3 @@ class TestMetadataStore:
         store.drop(1234)
         assert 1234 not in store
         assert len(store) == 0
-
-    def test_total_bytes(self, metadata):
-        store = MetadataStore()
-        store.store(metadata, now=0.0)
-        assert store.total_bytes() == metadata.wire_size()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.predictor import CompletenessPredictor, log_bucket_edges
+from repro.proto import codec
 
 
 class TestBucketing:
@@ -163,7 +164,7 @@ class TestWireSize:
         big = CompletenessPredictor(16, 86400.0)
         for delay in range(1000):
             big.add_at_delay(float(delay), 1.0)
-        assert small.wire_size() == big.wire_size()
+        assert codec.predictor_size(small) == codec.predictor_size(big)
 
     def test_config_factory(self):
         predictor = CompletenessPredictor(24, 3600.0)

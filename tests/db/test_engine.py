@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.db.engine import LocalDatabase
+from repro.db.histogram import estimate_row_count
 from repro.db.schema import ColumnType, SchemaError, make_schema
 from repro.db.sql import parse
 
@@ -83,8 +84,8 @@ class TestSummaries:
     def test_estimation_accuracy_range_query(self, flow_db):
         query = parse("SELECT COUNT(*) FROM Flow WHERE Bytes > 20000")
         summaries = flow_db.build_summaries()
-        estimate = flow_db.estimate_from_summaries(
-            query, summaries, flow_db.total_rows("Flow")
+        estimate = estimate_row_count(
+            query.predicate, summaries["flow"], flow_db.total_rows("Flow")
         )
         exact = flow_db.relevant_row_count(query)
         assert estimate == pytest.approx(exact, rel=0.05)
@@ -92,15 +93,16 @@ class TestSummaries:
     def test_estimation_accuracy_equality(self, flow_db):
         query = parse("SELECT AVG(Bytes) FROM Flow WHERE App = 'SMB'")
         summaries = flow_db.build_summaries()
-        estimate = flow_db.estimate_from_summaries(
-            query, summaries, flow_db.total_rows("Flow")
+        estimate = estimate_row_count(
+            query.predicate, summaries["flow"], flow_db.total_rows("Flow")
         )
         exact = flow_db.relevant_row_count(query)
         assert estimate == pytest.approx(exact, rel=0.05)
 
     def test_estimate_unknown_table_is_zero(self, flow_db):
         query = parse("SELECT COUNT(*) FROM Missing WHERE x = 1")
-        assert flow_db.estimate_from_summaries(query, {}, 0) == 0.0
+        assert "missing" not in flow_db.build_summaries()
+        assert estimate_row_count(query.predicate, {}, 0) == 0.0
 
     def test_total_bytes_positive(self, flow_db):
         assert flow_db.total_bytes() > 0
@@ -123,24 +125,13 @@ class TestSummaryCache:
         assert after is not before
         assert cache_after is not cache_before
 
-    def test_bucket_count_part_of_key(self, flow_db):
-        coarse, _ = flow_db.summary_state(num_buckets=8)
-        fine, _ = flow_db.summary_state(num_buckets=64)
-        assert coarse is not fine
-
     def test_cached_summaries_equal_uncached_build(self, flow_db):
         flow_db.build_summaries()  # fill the cache
         cached = flow_db.build_summaries()
-        rebuilt = flow_db._build_summaries(64)
+        rebuilt = flow_db._build_summaries()
         assert rebuilt is not cached
-        assert set(rebuilt) == set(cached)
+        assert rebuilt == cached
         query = parse("SELECT COUNT(*) FROM Flow WHERE SrcPort = 80")
-        for table, per_column in cached.items():
-            assert set(rebuilt[table]) == set(per_column)
-            for column, histogram in per_column.items():
-                other = rebuilt[table][column]
-                assert type(other) is type(histogram)
-                assert other.size_bytes() == histogram.size_bytes()
-        assert flow_db.estimate_from_summaries(
-            query, rebuilt, 1000
-        ) == flow_db.estimate_from_summaries(query, cached, 1000)
+        assert estimate_row_count(
+            query.predicate, rebuilt["flow"], 1000
+        ) == estimate_row_count(query.predicate, cached["flow"], 1000)

@@ -12,6 +12,7 @@ from repro.db.histogram import (
     build_histogram,
     estimate_row_count,
 )
+from repro.proto import codec
 
 
 @pytest.fixture
@@ -59,7 +60,7 @@ class TestEquiDepth:
     def test_size_bytes_scales_with_buckets(self, uniform_values):
         small = EquiDepthHistogram.build(uniform_values, 8)
         large = EquiDepthHistogram.build(uniform_values, 64)
-        assert large.size_bytes() > small.size_bytes()
+        assert codec.histogram_size(large) > codec.histogram_size(small)
 
     def test_boundary_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -79,11 +79,12 @@ class TestStableDeployment:
 
     def test_projection_query_returns_rows(self, stable_system):
         system = stable_system
-        sql = "SELECT SrcPort, Bytes FROM Flow WHERE Bytes > 4000000"
+        sql = "SELECT SrcPort, Bytes FROM Flow WHERE Bytes > 1000000"
         origin, query = system.inject_query(sql)
         system.run_until(system.sim.now + 60.0)
         status = system.status_of(query)
         truth = system.ground_truth_rows(sql)
+        assert truth > 0
         assert status.rows_processed == truth
         assert len(status.result.rows) == truth
 

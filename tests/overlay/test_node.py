@@ -9,7 +9,7 @@ from repro.net.transport import Transport
 from repro.obs import MemorySink, Observer
 from repro.overlay.ids import random_id, ring_distance
 from repro.overlay.network import OverlayConfig, OverlayNetwork
-from repro.overlay.node import MAX_HOPS
+from repro.overlay.node import DEATH_RECORD_TTL, MAX_HOPS
 from repro.proto.messages import Cancel, RouteEnvelope
 from repro.sim import SimClock, Simulator
 
@@ -171,7 +171,7 @@ class TestFailure:
         bring_all_online(sim, network, nodes)
         node = nodes[0]
         node.note_dead(12345)
-        sim.run_until(sim.now + network.config.death_record_ttl + 1.0)
+        sim.run_until(sim.now + DEATH_RECORD_TTL + 1.0)
         assert not node.is_recorded_dead(12345)
 
     def test_rejoin_after_failure(self, overlay):

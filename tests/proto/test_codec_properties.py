@@ -19,8 +19,10 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.predictor import CompletenessPredictor
 from repro.core.query import QueryDescriptor
 from repro.db.aggregates import AGGREGATE_FUNCTIONS
+from repro.db.histogram import FrequencyHistogram
 from repro.proto import codec
 from repro.proto.messages import (
     ActiveReq,
@@ -47,7 +49,7 @@ from repro.proto.messages import (
 from repro.proto.registry import registered_kinds
 
 # Same directory, no package: pytest's default import mode puts it on the path.
-from test_wire_roundtrip import query_results
+from test_wire_roundtrip import metadata_records, predictors, query_results
 
 # ----------------------------------------------------------------------
 # Reference encoding primitives (mirror the codec glossary)
@@ -117,18 +119,53 @@ def enc_result(result) -> bytes:
     return encoded + b"".join(enc_row(row) for row in result.rows)
 
 
-class SizedBlob:
-    """Stand-in for nested objects the codec treats as opaque sized blobs
-    (predictors, metadata records)."""
+def enc_predictor(predictor) -> bytes:
+    """One PREDICTOR_CELL per time bucket, then the immediate,
+    beyond-horizon and unknown-endsystem cells; the bucket edges are the
+    deployment's and are not sent."""
+    cells = [
+        *predictor.bucket_rows,
+        predictor.immediate_rows,
+        predictor.beyond_rows,
+        predictor.unknown_endsystems,
+    ]
+    return b"".join(struct.pack("!d", float(cell)) for cell in cells)
 
-    def __init__(self, size: int) -> None:
-        self._size = size
 
-    def wire_size(self) -> int:
-        return self._size
+def enc_count(key, count) -> bytes:
+    """One exact count: an 8-byte key digest and a 4-byte count."""
+    digest = hashlib.md5(repr(key).encode()).digest()[:8]
+    encoded = digest + struct.pack("!I", int(count))
+    assert len(encoded) == codec.COUNT
+    return encoded
 
-    def encode(self) -> bytes:
-        return b"\x00" * self._size
+
+def enc_histogram(histogram) -> bytes:
+    """A frequency histogram's counts, or an equi-depth histogram's
+    (lo, hi, count, distinct) buckets, padded to BUCKET, then its exact
+    most-common-value counts."""
+    if isinstance(histogram, FrequencyHistogram):
+        return b"".join(enc_count(value, n) for value, n in histogram.counts.items())
+    buckets = zip(
+        histogram.boundaries[:-1],
+        histogram.boundaries[1:],
+        histogram.counts,
+        histogram.distincts,
+    )
+    encoded = b"".join(
+        struct.pack("!ffII", lo, hi, int(n), int(distinct)).ljust(codec.BUCKET, b"\x00")
+        for lo, hi, n, distinct in buckets
+    )
+    return encoded + b"".join(enc_count(value, n) for value, n in histogram.mcv.items())
+
+
+def enc_metadata(metadata) -> bytes:
+    """Table row counts, every column histogram, then the availability
+    model as one AVAILABILITY-byte block (paper Table 1: a)."""
+    encoded = b"".join(enc_count(table, n) for table, n in metadata.row_counts.items())
+    for per_column in metadata.summaries.values():
+        encoded += b"".join(enc_histogram(h) for h in per_column.values())
+    return encoded + b"\x00" * codec.AVAILABILITY
 
 
 # ----------------------------------------------------------------------
@@ -143,7 +180,9 @@ times = st.floats(
 sql_texts = st.text(
     alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=200
 )
-blobs = st.builds(SizedBlob, st.integers(min_value=0, max_value=4096))
+predictor_shapes = predictors | st.builds(
+    CompletenessPredictor, num_buckets=st.integers(min_value=1, max_value=64)
+)
 
 descriptors = st.builds(
     QueryDescriptor,
@@ -282,10 +321,10 @@ CASES: dict[str, tuple] = {
             query_id=overlay_ids,
             lo=overlay_ids,
             hi=overlay_ids,
-            predictor=blobs,
+            predictor=predictor_shapes,
         ),
         lambda msg: (
-            msg.predictor.encode()
+            enc_predictor(msg.predictor)
             + enc_id(msg.lo)
             + enc_id(msg.hi)
             + enc_id(msg.query_id)
@@ -293,8 +332,8 @@ CASES: dict[str, tuple] = {
         ),
     ),
     PredictorResult.KIND: (
-        st.builds(PredictorResult, query_id=overlay_ids, predictor=blobs),
-        lambda msg: msg.predictor.encode() + enc_id(msg.query_id) + enc_tag(0),
+        st.builds(PredictorResult, query_id=overlay_ids, predictor=predictor_shapes),
+        lambda msg: enc_predictor(msg.predictor) + enc_id(msg.query_id) + enc_tag(0),
     ),
     ResultSubmit.KIND: (
         st.builds(
@@ -339,7 +378,7 @@ CASES: dict[str, tuple] = {
     MetaPush.KIND: (
         st.builds(
             MetaPush,
-            metadata=blobs,
+            metadata=metadata_records,
             owner_online=st.booleans(),
             down_since=st.none() | times,
             beacon_bytes=st.none() | st.integers(min_value=0, max_value=256),
@@ -347,7 +386,7 @@ CASES: dict[str, tuple] = {
         lambda msg: (
             b"\x00" * msg.beacon_bytes
             if msg.beacon_bytes is not None
-            else msg.metadata.encode()
+            else enc_metadata(msg.metadata)
         ),
     ),
     ActiveReq.KIND: (

@@ -3,7 +3,7 @@
 The invariant that keeps the live mode honest:
 ``decode(encode(msg)) == msg`` for every registered message kind —
 including the deep payloads (predictors, metadata records, aggregate
-states) that size accounting treats as opaque sizes.
+states).
 
 Hypothesis drives the scalar-rich fields and builds query results the
 way the executor does (states made from values, one per spec, tuple-keyed
@@ -82,7 +82,6 @@ def _make_metadata(seed: int) -> EndsystemMetadata:
         database=_DATABASE,
         availability=_make_availability(seed),
         version=seed,
-        histogram_buckets=8,
     )
     # The memo cache is per-process state, not wire content.
     metadata.estimate_cache = None

@@ -14,11 +14,16 @@ each, as :class:`VertexRepl` and :class:`StatusPush` are.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.core.availability_model import AvailabilityModel
+from repro.core.metadata import EndsystemMetadata
+from repro.core.predictor import CompletenessPredictor
 from repro.core.query import QueryDescriptor
 from repro.db.aggregates import AggregateSpec, AggregateState
 from repro.db.executor import QueryResult, execute
+from repro.db.histogram import EquiDepthHistogram
 from repro.db.schema import ColumnType, make_schema
 from repro.db.sql import parse
 from repro.db.table import Table
@@ -50,14 +55,22 @@ from repro.proto.registry import registered_kinds
 ID_BYTES = 16  # the seed tree's literal
 
 
-class _Sized:
-    """Stand-in for predictor/metadata objects: only wire_size()."""
-
-    def __init__(self, size: int) -> None:
-        self._size = size
-
-    def wire_size(self) -> int:
-        return self._size
+def metadata_of(buckets: int, mcv: int, tables: int) -> EndsystemMetadata:
+    """A record of one equi-depth histogram with ``buckets`` buckets and
+    ``mcv`` exact values, plus ``tables`` row counts."""
+    histogram = EquiDepthHistogram(
+        np.arange(buckets + 1.0),
+        np.ones(buckets),
+        np.ones(buckets),
+        total_rows=buckets,
+        mcv={float(-value): 1.0 for value in range(1, mcv + 1)},
+    )
+    return EndsystemMetadata(
+        owner=1,
+        summaries={"flow": {"bytes": histogram}},
+        row_counts={f"t{index}": 1 for index in range(tables)},
+        availability=AvailabilityModel(),
+    )
 
 
 @pytest.fixture
@@ -151,14 +164,15 @@ class TestDisseminationSizes:
         assert BcastAck(query_id=1, lo=0, hi=10).body_size() == 56
 
     def test_predictor_update(self):
-        # Legacy: predictor.wire_size() + 56
-        predictor = _Sized(408)
+        # Legacy: predictor.wire_size() + 56, where wire_size is
+        # 8 * (buckets + 3): 408 at the default 48 buckets.
+        predictor = CompletenessPredictor()
         msg = PredictorUpdate(query_id=1, lo=0, hi=10, predictor=predictor)
         assert msg.body_size() == 408 + 56
 
     def test_predictor_result(self):
         # Legacy: predictor.wire_size() + 24
-        msg = PredictorResult(query_id=1, predictor=_Sized(408))
+        msg = PredictorResult(query_id=1, predictor=CompletenessPredictor())
         assert msg.body_size() == 408 + 24
 
 
@@ -221,13 +235,16 @@ class TestAggregationSizes:
 
 class TestMaintenanceSizes:
     def test_meta_push_full(self):
-        # Legacy: metadata.wire_size()
-        msg = MetaPush(metadata=_Sized(5120))
-        assert msg.body_size() == 5120
+        # Legacy: metadata.wire_size() = 20 per bucket + 12 per exact
+        # value + 12 per row count + 48 for the availability model.
+        metadata = metadata_of(buckets=250, mcv=5, tables=1)
+        msg = MetaPush(metadata=metadata)
+        assert msg.body_size() == 250 * 20 + 5 * 12 + 12 + 48 == 5120
 
     def test_meta_push_beacon(self):
         # Legacy delta path: a fixed 32-byte beacon
-        msg = MetaPush(metadata=_Sized(5120), beacon_bytes=codec.DELTA_BEACON)
+        metadata = metadata_of(buckets=250, mcv=5, tables=1)
+        msg = MetaPush(metadata=metadata, beacon_bytes=codec.DELTA_BEACON)
         assert msg.body_size() == 32
 
     def test_meta_push_category_is_maintenance(self):
@@ -262,10 +279,16 @@ class TestMaintenanceSizes:
 
 class TestCodecConstants:
     def test_header_matches_transport(self):
-        from repro.net.transport import Message
+        from repro.net.stats import BandwidthAccounting
+        from repro.net.transport import Message, Transport
+        from repro.sim import SimClock, Simulator
 
         # An empty body: what the transport charges is the header alone.
-        assert Message.of(RouteAck(msg_id=1)).wire_size == codec.HEADER == 48
+        accounting = BandwidthAccounting()
+        transport = Transport(Simulator(SimClock()), None, accounting)
+        transport.carry = lambda *args: None  # accounting only, no delivery
+        transport.send("a", "b", Message.of(RouteAck(msg_id=1)))
+        assert sum(accounting.totals_by_category().values()) == codec.HEADER == 48
 
     def test_every_kind_covered(self):
         """Every registered kind has a size test in this module."""

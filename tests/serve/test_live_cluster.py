@@ -71,7 +71,11 @@ def test_build_config_rejects_unknown_keys():
         build_config({"overlay.bogus": 1})
     # Options that no longer exist fail as loudly as typos do.
     for retired in (
-        "retransmit_backoff", "batching", "wire_accounting", "overlay.route_cache"
+        "retransmit_backoff", "batching", "wire_accounting", "overlay.route_cache",
+        "histogram_buckets", "down_duration_buckets", "periodic_threshold",
+        "predictor_buckets", "predictor_horizon", "predictor_retry_limit",
+        "overlay.heartbeat_bytes", "overlay.detection_grace",
+        "overlay.death_record_ttl",
     ):
         with pytest.raises(ValueError, match=retired):
             build_config({retired: True})
@@ -199,6 +203,55 @@ def test_in_process_group_by_and_errors():
                     for key, values in truth.group_values().items()
                 }
                 assert final["groups"] == expected
+        finally:
+            await host.stop()
+
+    asyncio.run(main())
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"timeout": "soon"},
+        {"poll": None},
+        {"timeout": True},
+        {"lifetime": float("inf")},
+        {"poll": float("nan")},
+        {"timeout": -1},
+        {"target": 1.5},
+        {"target": 0},
+    ],
+    ids=[
+        "text", "null", "bool", "infinite", "nan", "negative", "target-above-1",
+        "target-zero",
+    ],
+)
+def test_malformed_numeric_field_is_an_error_event(field):
+    """A bad number in a query request is answered with an error event,
+    and the connection keeps serving."""
+
+    async def main():
+        spec = plan_cluster(num_hosts=1, nodes_per_host=1, seed=5)
+        host = NodeHost(spec, 0)
+        try:
+            await host.start()
+            reader, writer = await asyncio.open_connection(
+                spec.hosts[0].host, spec.hosts[0].client_port
+            )
+            try:
+                for request in (
+                    {"op": "query", "sql": "SELECT COUNT(*) FROM Flow", **field},
+                    {"op": "ping"},
+                ):
+                    writer.write(json.dumps(request).encode() + b"\n")
+                    await writer.drain()
+                    line = await asyncio.wait_for(reader.readline(), 10.0)
+                    assert line, f"connection closed after {request}"
+                    expected = "error" if request["op"] == "query" else "pong"
+                    assert json.loads(line)["event"] == expected
+            finally:
+                writer.close()
+                await writer.wait_closed()
         finally:
             await host.stop()
 

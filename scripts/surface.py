@@ -1,6 +1,8 @@
 #!/usr/bin/env python
 """surface: the size and option counts a simplicity PR reports in
-CHANGES.md, printed instead of counted by hand.
+CHANGES.md, printed instead of counted by hand: lines, config fields,
+constructor parameters, CLI flags, process-wide switches and the
+distinct metric series names the source registers.
 
     PYTHONPATH=src python scripts/surface.py
 """
@@ -17,6 +19,7 @@ from repro.cli import build_parser
 from repro.core.config import SeaweedConfig
 from repro.core.system import SeaweedSystem
 from repro.net.transport import Transport
+from repro.obs.observer import Observer
 from repro.overlay.network import OverlayConfig
 from repro.serve.transport import AsyncioTransport
 from repro.sim.simulator import Simulator
@@ -28,7 +31,7 @@ def main() -> None:
     print(f"src/repro: {len(text)} files, {sum(t.count(chr(10)) for t in text)} lines")
     for config in (SeaweedConfig, OverlayConfig):
         print(f"{config.__name__}: {len(dataclasses.fields(config))} fields")
-    for cls in (SeaweedSystem, Transport, Simulator, AsyncioTransport):
+    for cls in (SeaweedSystem, Transport, Simulator, AsyncioTransport, Observer):
         count = len(inspect.signature(cls.__init__).parameters) - 1  # not self
         print(f"{cls.__name__}.__init__: {count} parameters")
     subparsers = next(
@@ -45,6 +48,11 @@ def main() -> None:
         print(f"  {name}: {' '.join(options) or '-'}")
     for label, pattern in (("global", r"^\s*global\s"), ("os.environ", r"os\.environ")):
         print(f"{label}: {sum(len(re.findall(pattern, t, re.M)) for t in text)}")
+    metric_names = {
+        name for t in text
+        for name in re.findall(r"\.(?:counter|gauge)\(\s*\"([^\"]+)\"", t)
+    }
+    print(f"metric series names registered in src: {len(metric_names)}")
 
 
 if __name__ == "__main__":

@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from repro.core.query import QueryDescriptor
 from repro.db.executor import QueryResult
-from repro.obs.observer import Observer, active
+from repro.obs.observer import Observer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.system import SeaweedSystem
@@ -176,7 +176,7 @@ class GroundTruthOracle:
         self, system: "SeaweedSystem", observer: Optional[Observer] = None
     ) -> None:
         self.system = system
-        self._obs = active(observer)
+        self._obs = observer
         self.audits: dict[int, QueryAudit] = {}
         self.violations: list[Violation] = []
         #: Availability bookkeeping, seeded from the current state so the

@@ -37,7 +37,7 @@ from repro.core.query import DEFAULT_LIFETIME, QueryDescriptor, QueryStatus
 from repro.db.engine import LocalDatabase
 from repro.db.executor import QueryResult
 from repro.db.sql import ParsedQuery
-from repro.obs.observer import Observer, active
+from repro.obs.observer import Observer
 from repro.overlay.ids import ring_distance
 from repro.overlay.node import PastryNode
 from repro.proto import codec
@@ -82,9 +82,9 @@ class SeaweedNode:
         self.scheduler = pastry.network.scheduler
         self.node_id = pastry.node_id
         self._rng = rng
-        #: Active observer or None — protocol engines reach it via
+        #: The observer or None — protocol engines reach it via
         #: ``node._obs`` and guard with a bare ``is not None`` check.
-        self._obs = active(observer)
+        self._obs = observer
         #: Ground-truth conformance oracle (:mod:`repro.audit`), attached
         #: by ``SeaweedSystem.enable_audit()``.  ``None`` — the default —
         #: keeps every hook to a single attribute check (zero-cost-off).

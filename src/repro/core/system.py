@@ -76,8 +76,8 @@ class SeaweedSystem:
                 of its profile database (required for live update feeds
                 and continuous-query demos; costs memory).
             observer: Observability hub (:mod:`repro.obs`).  When ``None``
-                (or disabled) every instrumentation point collapses to a
-                single attribute check — the zero-cost path.
+                every instrumentation point collapses to a single
+                attribute check — the zero-cost path.
             fault_plan: Declarative fault schedule (:mod:`repro.faults`).
                 Installed through a :class:`~repro.faults.injector.
                 FaultInjector` before the simulation starts; ``None``
@@ -88,10 +88,9 @@ class SeaweedSystem:
         self.config = config if config is not None else SeaweedConfig()
         self.streams = RandomStreams(master_seed)
         self.sim = Simulator(SimClock())
-        self.obs = observer if observer is not None else Observer.disabled()
-        self.obs.set_clock(lambda: self.sim.now)
-        if self.obs.profiler is not None:
-            self.sim.set_profiler(self.obs.profiler)
+        self.obs: Optional[Observer] = observer
+        if observer is not None and observer.profiler is not None:
+            self.sim.set_profiler(observer.profiler)
         self.accounting = BandwidthAccounting()
         self.topology = corpnet_like(self.streams.get("topology"))
         self.transport = Transport(
@@ -357,17 +356,12 @@ class SeaweedSystem:
         """One self-describing dict of everything the deployment measured.
 
         Always includes the simulator, transport, overlay, and bandwidth
-        counters (they are maintained unconditionally); the ``"metrics"``
-        and ``"profile"`` sections reflect the attached
-        :class:`~repro.obs.observer.Observer` and are empty/None when
-        observability is disabled.
+        counters (they are maintained unconditionally, and read here from
+        the components that keep them); the ``"metrics"`` and
+        ``"profile"`` sections reflect the attached
+        :class:`~repro.obs.observer.Observer` and are None without one.
         """
-        # Publish the lazy-deletion tombstone count as a gauge so trend
-        # dashboards see it alongside the counters; the authoritative
-        # value lives on the simulator.
-        self.obs.metrics.gauge("sim.cancelled_events").set(
-            self.sim.cancelled_events
-        )
+        obs = self.obs
         snapshot = {
             "sim": {
                 "now": self.sim.now,
@@ -393,10 +387,10 @@ class SeaweedSystem:
                 "messages": self.accounting.messages,
                 "tx_by_category": self.accounting.totals_by_category("tx"),
             },
-            "metrics": self.obs.metrics.snapshot(),
+            "metrics": obs.metrics.snapshot() if obs is not None else None,
             "profile": (
-                self.obs.profiler.snapshot()
-                if self.obs.profiler is not None
+                obs.profiler.snapshot()
+                if obs is not None and obs.profiler is not None
                 else None
             ),
         }

@@ -141,10 +141,8 @@ class FaultInjector:
     def __init__(self, system: "SeaweedSystem", plan: FaultPlan) -> None:
         self.system = system
         self.plan = plan
-        from repro.obs.observer import active
-
         self._streams = system.streams.fork("faults")
-        self._obs = active(system.obs)
+        self._obs = system.obs
         #: Count of fault activations (windows opened, bursts fired).
         self.injected_count = 0
         self._partition_interceptor: Optional[PartitionInterceptor] = None

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.net.stats import BandwidthAccounting
 from repro.net.topology import Topology
-from repro.obs.observer import Observer, active
+from repro.obs.observer import Observer
 from repro.proto import codec
 from repro.sim.simulator import Scheduler
 
@@ -192,7 +192,7 @@ class Transport:
             if loss_rng is None:
                 raise ValueError("loss_rate > 0 requires a loss_rng")
             self._interceptors.append(UniformLossInterceptor(loss_rate, loss_rng))
-        self._obs = active(observer)
+        self._obs = observer
         if self._obs is not None:
             metrics = self._obs.metrics
             self._c_messages = metrics.counter("transport.messages_total")

@@ -2,15 +2,17 @@
 
 The measurement substrate for the whole reproduction:
 
-* :mod:`repro.obs.metrics` — labeled counters/gauges/histograms with
-  dict snapshots and JSONL export;
-* :mod:`repro.obs.tracing` — structured simulated-time trace records
-  (query lifecycle, dissemination hops, aggregation flushes, predictor
-  updates, churn handling) with span support and a zero-cost null sink;
+* :mod:`repro.obs.metrics` — labeled counters and gauges with dict
+  snapshots and JSONL export;
+* :mod:`repro.obs.tracing` — the sinks that receive structured
+  simulated-time trace records (query lifecycle, dissemination hops,
+  aggregation flushes, predictor updates, churn handling);
 * :mod:`repro.obs.profiling` — per-handler wall-clock time and
   event-queue depth inside the discrete-event simulator;
 * :mod:`repro.obs.observer` — the :class:`Observer` facade threaded
   through :class:`~repro.core.system.SeaweedSystem`.
+
+Off is ``None``: no observer, or an observer with no trace sink.
 
 Quick use::
 
@@ -23,42 +25,21 @@ Quick use::
     obs.close()
 """
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    series_name,
-)
-from repro.obs.observer import Observer, active
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry, series_name
+from repro.obs.observer import Observer
 from repro.obs.profiling import HandlerStats, SimProfiler
-from repro.obs.tracing import (
-    JSONLSink,
-    MemorySink,
-    NULL_SINK,
-    NullSink,
-    Span,
-    Tracer,
-    TraceSink,
-    read_jsonl,
-)
+from repro.obs.tracing import JSONLSink, MemorySink, TraceSink, read_jsonl
 
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "series_name",
     "Observer",
-    "active",
     "HandlerStats",
     "SimProfiler",
     "JSONLSink",
     "MemorySink",
-    "NULL_SINK",
-    "NullSink",
-    "Span",
-    "Tracer",
     "TraceSink",
     "read_jsonl",
 ]

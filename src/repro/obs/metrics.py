@@ -1,29 +1,26 @@
 """A small labeled-series metrics registry.
 
-Three instrument types, in the Prometheus tradition but dependency-free:
+Two instrument types, in the Prometheus tradition but dependency-free:
 
-* :class:`Counter` — a monotonically increasing total;
-* :class:`Gauge` — a point-in-time value that can move both ways;
-* :class:`Histogram` — counts of observations bucketed by fixed bounds.
+* :class:`Counter` — a monotonically increasing total, pushed on the
+  path that does the counted work;
+* :class:`Gauge` — a point-in-time value, set from a component's own
+  attribute at the moment it is published.
 
 Series are keyed by ``(name, labels)``; instruments are get-or-created
 through the :class:`MetricsRegistry` and then held directly by the
 instrumented code, so a hot-path increment is one attribute add with no
 registry lookup.  The registry can snapshot everything to a plain dict
 (for ``SeaweedSystem.metrics_snapshot()``) and export one JSON object
-per series to a JSONL file.
+per series to a JSONL file, replaced whole so a reader never sees half
+of it.
 """
 
 from __future__ import annotations
 
 import json
-from typing import IO, Iterable, Iterator, Optional, Union
-
-#: Default histogram bounds: wall-clock-ish latencies in seconds.
-DEFAULT_BOUNDS = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-    0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
+import os
+from typing import IO, Iterator, TypeVar, Union
 
 LabelItems = tuple[tuple[str, str], ...]
 
@@ -46,7 +43,7 @@ class Counter:
 
 
 class Gauge:
-    """A value that can be set, raised, and lowered."""
+    """A value that is set, never accumulated."""
 
     __slots__ = ("value",)
 
@@ -59,74 +56,9 @@ class Gauge:
         """Replace the gauge value."""
         self.value = value
 
-    def inc(self, amount: float = 1.0) -> None:
-        """Raise the gauge by ``amount``."""
-        self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        """Lower the gauge by ``amount``."""
-        self.value -= amount
-
-
-class Histogram:
-    """Observation counts bucketed by fixed upper bounds.
-
-    ``counts[i]`` counts observations ``<= bounds[i]``; the final slot
-    counts the overflow (``+Inf`` bucket).  ``sum``/``count`` give the
-    mean; ``max`` is kept exactly because tail latencies are the point.
-    """
-
-    __slots__ = ("bounds", "counts", "count", "sum", "max")
-
-    kind = "histogram"
-
-    def __init__(self, bounds: Iterable[float] = DEFAULT_BOUNDS) -> None:
-        self.bounds = tuple(sorted(bounds))
-        if not self.bounds:
-            raise ValueError("histogram needs at least one bound")
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.sum = 0.0
-        self.max = 0.0
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        self.count += 1
-        self.sum += value
-        if value > self.max:
-            self.max = value
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[index] += 1
-                return
-        self.counts[-1] += 1
-
-    def quantile(self, q: float) -> float:
-        """Approximate ``q``-quantile (0–1) from bucket midpoints."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        running = 0
-        for index, bucket_count in enumerate(self.counts):
-            running += bucket_count
-            if running >= target:
-                if index >= len(self.bounds):
-                    return self.max
-                return self.bounds[index]
-        return self.max
-
-    def to_dict(self) -> dict:
-        """Snapshot the histogram state."""
-        buckets = {f"le_{bound:g}": count
-                   for bound, count in zip(self.bounds, self.counts)}
-        buckets["le_inf"] = self.counts[-1]
-        return {"count": self.count, "sum": self.sum, "max": self.max,
-                "buckets": buckets}
-
-
-Instrument = Union[Counter, Gauge, Histogram]
+Instrument = Union[Counter, Gauge]
+_I = TypeVar("_I", Counter, Gauge)
 
 
 def _label_items(labels: dict[str, object]) -> LabelItems:
@@ -147,41 +79,24 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._series: dict[tuple[str, LabelItems], Instrument] = {}
 
-    def counter(self, name: str, **labels: object) -> Counter:
-        """The counter series ``name{labels}`` (created on first use)."""
+    def _instrument(self, kind: type[_I], name: str, labels: dict[str, object]) -> _I:
         key = (name, _label_items(labels))
         instrument = self._series.get(key)
         if instrument is None:
-            instrument = self._series[key] = Counter()
-        if not isinstance(instrument, Counter):
-            raise TypeError(f"metric {name!r} is a {instrument.kind}, not a counter")
+            instrument = self._series[key] = kind()
+        if not isinstance(instrument, kind):
+            raise TypeError(
+                f"metric {name!r} is a {instrument.kind}, not a {kind.kind}"
+            )
         return instrument
+
+    def counter(self, name: str, **labels: object) -> Counter:
+        """The counter series ``name{labels}`` (created on first use)."""
+        return self._instrument(Counter, name, labels)
 
     def gauge(self, name: str, **labels: object) -> Gauge:
         """The gauge series ``name{labels}`` (created on first use)."""
-        key = (name, _label_items(labels))
-        instrument = self._series.get(key)
-        if instrument is None:
-            instrument = self._series[key] = Gauge()
-        if not isinstance(instrument, Gauge):
-            raise TypeError(f"metric {name!r} is a {instrument.kind}, not a gauge")
-        return instrument
-
-    def histogram(
-        self,
-        name: str,
-        bounds: Optional[Iterable[float]] = None,
-        **labels: object,
-    ) -> Histogram:
-        """The histogram series ``name{labels}`` (created on first use)."""
-        key = (name, _label_items(labels))
-        instrument = self._series.get(key)
-        if instrument is None:
-            instrument = Histogram(bounds if bounds is not None else DEFAULT_BOUNDS)
-            self._series[key] = instrument
-        if not isinstance(instrument, Histogram):
-            raise TypeError(f"metric {name!r} is a {instrument.kind}, not a histogram")
-        return instrument
+        return self._instrument(Gauge, name, labels)
 
     def __len__(self) -> int:
         return len(self._series)
@@ -192,42 +107,41 @@ class MetricsRegistry:
             yield name, labels, instrument
 
     def snapshot(self) -> dict:
-        """All series as a plain dict, grouped by instrument kind.
-
-        Counters and gauges map flat series names to values; histograms
-        map to their :meth:`Histogram.to_dict` state.
-        """
-        snap: dict[str, dict] = {"counters": {}, "gauges": {}, "histograms": {}}
+        """All series as ``{"counters": {...}, "gauges": {...}}``, each
+        mapping flat series names to values."""
+        snap: dict[str, dict] = {"counters": {}, "gauges": {}}
         for name, labels, instrument in self.series():
-            flat = series_name(name, labels)
-            if isinstance(instrument, Counter):
-                snap["counters"][flat] = instrument.value
-            elif isinstance(instrument, Gauge):
-                snap["gauges"][flat] = instrument.value
-            else:
-                snap["histograms"][flat] = instrument.to_dict()
+            snap[instrument.kind + "s"][series_name(name, labels)] = instrument.value
         return snap
 
     def write_jsonl(self, destination: Union[str, IO[str]]) -> int:
         """Write one JSON object per series to ``destination``.
 
-        ``destination`` may be a path or an open text file.  Returns the
-        number of series written.
+        ``destination`` may be a path or an open text file.  A path is
+        written to a sibling temporary file that then replaces it, so a
+        concurrent reader sees the old file or the new one, never a
+        part; if the write fails the old file is left as it was.
+        Returns the number of series written.
         """
         if isinstance(destination, str):
-            with open(destination, "w", encoding="utf-8") as handle:
-                return self.write_jsonl(handle)
+            temporary = f"{destination}.{os.getpid()}.tmp"
+            handle = open(temporary, "w", encoding="utf-8")
+            try:
+                with handle:
+                    written = self.write_jsonl(handle)
+                os.replace(temporary, destination)
+            except BaseException:
+                os.unlink(temporary)
+                raise
+            return written
         written = 0
         for name, labels, instrument in self.series():
-            record: dict[str, object] = {
+            record = {
                 "type": instrument.kind,
                 "name": name,
                 "labels": dict(labels),
+                "value": instrument.value,
             }
-            if isinstance(instrument, Histogram):
-                record.update(instrument.to_dict())
-            else:
-                record["value"] = instrument.value
             destination.write(json.dumps(record, separators=(",", ":")) + "\n")
             written += 1
         return written

@@ -1,27 +1,19 @@
-"""Structured trace log with span support.
+"""Trace sinks: where the Observer's structured records go.
 
 Every record is one flat dict: ``{"t": <simulated seconds>, "event":
-<name>, ...fields}`` plus, inside a span, ``"span"``/``"parent"`` ids.
-Records flow into a :class:`TraceSink`:
+<name>, ...fields}``, built by :class:`~repro.obs.observer.Observer`
+only when it holds a sink.  Tracing off is no sink at all (``None``),
+not a sink that discards.  Records flow into a :class:`TraceSink`:
 
-* :class:`NullSink` — tracing disabled.  The single shared
-  :data:`NULL_SINK` instance has ``enabled = False``; instrumented call
-  sites check that flag *before* building the record, so a disabled
-  tracer costs one attribute read and allocates nothing.
 * :class:`MemorySink` — in-process list, for tests and notebooks.
 * :class:`JSONLSink` — one JSON object per line to a file, the
-  interchange format of ``--trace-out``.
-
-The :class:`Tracer` assigns span ids and tracks the current span stack
-so nested spans record their parentage.  Span begin/end records carry
-both simulated time (from the bound clock) and wall-clock duration.
+  interchange format of ``--trace-out``; :func:`read_jsonl` loads it.
 """
 
 from __future__ import annotations
 
 import json
-from time import perf_counter
-from typing import IO, Callable, Optional, Union
+from typing import IO, Optional, Union
 
 
 def _json_default(value: object) -> str:
@@ -31,27 +23,12 @@ def _json_default(value: object) -> str:
 class TraceSink:
     """Interface: a destination for trace records."""
 
-    enabled = True
-
     def emit(self, record: dict) -> None:
         """Consume one trace record."""
         raise NotImplementedError
 
     def close(self) -> None:
         """Release any resources.  Idempotent."""
-
-
-class NullSink(TraceSink):
-    """Discards everything; ``enabled`` is False so callers skip work."""
-
-    enabled = False
-
-    def emit(self, record: dict) -> None:
-        pass
-
-
-#: The shared disabled sink.  ``Tracer(NULL_SINK)`` is zero-cost.
-NULL_SINK = NullSink()
 
 
 class MemorySink(TraceSink):
@@ -109,110 +86,3 @@ def read_jsonl(path: str) -> list[dict]:
             if line:
                 records.append(json.loads(line))
     return records
-
-
-class Span:
-    """A traced interval; use via ``with tracer.span(...):``."""
-
-    __slots__ = ("_tracer", "name", "fields", "span_id", "parent_id", "_wall_start")
-
-    def __init__(self, tracer: "Tracer", name: str, fields: dict) -> None:
-        self._tracer = tracer
-        self.name = name
-        self.fields = fields
-        self.span_id = -1
-        self.parent_id: Optional[int] = None
-        self._wall_start = 0.0
-
-    def __enter__(self) -> "Span":
-        tracer = self._tracer
-        self.span_id = tracer._next_span_id
-        tracer._next_span_id += 1
-        if tracer._stack:
-            self.parent_id = tracer._stack[-1].span_id
-        tracer._stack.append(self)
-        self._wall_start = perf_counter()
-        record = {"t": tracer.now(), "event": "span_begin", "name": self.name,
-                  "span": self.span_id}
-        if self.parent_id is not None:
-            record["parent"] = self.parent_id
-        record.update(self.fields)
-        tracer.sink.emit(record)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        tracer = self._tracer
-        if tracer._stack and tracer._stack[-1] is self:
-            tracer._stack.pop()
-        record = {"t": tracer.now(), "event": "span_end", "name": self.name,
-                  "span": self.span_id,
-                  "wall_s": perf_counter() - self._wall_start}
-        if self.parent_id is not None:
-            record["parent"] = self.parent_id
-        if exc_type is not None:
-            record["error"] = exc_type.__name__
-        tracer.sink.emit(record)
-
-
-class _NullSpan:
-    """Shared no-op span returned when tracing is disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class Tracer:
-    """Emits structured events and spans into a sink."""
-
-    def __init__(
-        self,
-        sink: Optional[TraceSink] = None,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
-        self.sink = sink if sink is not None else NULL_SINK
-        self.now: Callable[[], float] = clock if clock is not None else (lambda: 0.0)
-        self._next_span_id = 0
-        self._stack: list[Span] = []
-
-    @property
-    def enabled(self) -> bool:
-        """Whether the sink records anything."""
-        return self.sink.enabled
-
-    def set_clock(self, clock: Callable[[], float]) -> None:
-        """Bind the simulated-time source (done by ``SeaweedSystem``)."""
-        self.now = clock
-
-    def event(self, t: float, name: str, **fields: object) -> None:
-        """Emit one event at simulated time ``t``.
-
-        Callers on hot paths should check :attr:`enabled` first so the
-        keyword dict is never built when tracing is off; this method
-        also guards, so cold paths may call unconditionally.
-        """
-        sink = self.sink
-        if not sink.enabled:
-            return
-        record = {"t": t, "event": name}
-        if self._stack:
-            record["span"] = self._stack[-1].span_id
-        record.update(fields)
-        sink.emit(record)
-
-    def span(self, name: str, **fields: object):
-        """A context manager tracing an interval (no-op when disabled)."""
-        if not self.sink.enabled:
-            return _NULL_SPAN
-        return Span(self, name, fields)
-
-    def close(self) -> None:
-        """Close the underlying sink."""
-        self.sink.close()

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.net.stats import CATEGORY_OVERLAY, BandwidthAccounting
 from repro.net.transport import Transport
-from repro.obs.observer import Observer, active
+from repro.obs.observer import Observer
 from repro.overlay.ids import ring_distance
 from repro.overlay.node import PastryNode
 from repro.proto import codec
@@ -78,18 +78,8 @@ class OverlayServices:
         self.nodes: dict[int, PastryNode] = {}
         self.routing_drops = 0
         self.reroutes = 0
-        # Observer plumbing shared by all PastryNodes.  Counters are
-        # pre-bound here; nodes guard on ``is not None``.
-        self.observer = active(observer)
-        if self.observer is not None:
-            metrics = self.observer.metrics
-            self.c_reroutes = metrics.counter("overlay.reroutes_total")
-            self.c_routing_drops = metrics.counter("overlay.routing_drops_total")
-            self.c_joins = metrics.counter("overlay.joins_total")
-        else:
-            self.c_reroutes = None
-            self.c_routing_drops = None
-            self.c_joins = None
+        #: Shared by all PastryNodes, which guard on ``is not None``.
+        self.observer = observer
 
     def create_node(self, node_id: int) -> PastryNode:
         """Instantiate a node (offline until :meth:`PastryNode.go_online`)."""

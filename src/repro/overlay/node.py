@@ -204,8 +204,6 @@ class PastryNode:
         self._route_cache_versions = None
         self.network.transport.set_online(self.name, True)
         self._joined = False
-        if self.network.c_joins is not None:
-            self.network.c_joins.inc()
         if bootstrap is not None and bootstrap.node_id != self.node_id:
             self._send_join(bootstrap)
             self.network.scheduler.schedule(JOIN_RETRY_TIMEOUT, self._check_join, 1)
@@ -301,10 +299,8 @@ class PastryNode:
         key = envelope.key
         if envelope.hops >= MAX_HOPS:
             self.network.routing_drops += 1
-            if self.network.c_routing_drops is not None:
-                self.network.c_routing_drops.inc()
             observer = self.network.observer
-            if observer is not None and observer.tracing:
+            if observer is not None and observer.sink is not None:
                 observer.routing_drop(
                     self.network.scheduler.now, self.node_id, key,
                     envelope.app_kind, self._compute_next_hop(key),
@@ -399,8 +395,6 @@ class PastryNode:
         if self.leafset.remove(next_hop):
             self._repair_leafset()
         self.network.reroutes += 1
-        if self.network.c_reroutes is not None:
-            self.network.c_reroutes.inc()
         envelope = dataclasses.replace(envelope, hops=max(0, envelope.hops - 1))
         self._route_envelope(envelope, category)
 

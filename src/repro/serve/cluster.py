@@ -11,6 +11,7 @@ per-node databases.
 from __future__ import annotations
 
 import json
+import random
 import socket
 from dataclasses import dataclass, field
 from typing import Optional
@@ -161,6 +162,42 @@ def free_port(host: str = "127.0.0.1") -> int:
         return sock.getsockname()[1]
 
 
+#: Where Linux states the range it draws ephemeral ports from: for every
+#: outbound connect and every ``bind(..., 0)``, ``free_port`` included.
+EPHEMERAL_RANGE_FILE = "/proc/sys/net/ipv4/ip_local_port_range"
+#: The lowest port :func:`plan_cluster` hands out below that range.
+LOWEST_PLANNED_PORT = 10000
+
+
+def _plan_ports(host: str, count: int) -> list[int]:
+    """``count`` distinct ports that are free on ``host`` right now.
+
+    A port from the ephemeral range can be handed to any other socket
+    before the host process binds it, so where the range is known the
+    ports are drawn at random from below it, each checked by a bind.
+    """
+    try:
+        with open(EPHEMERAL_RANGE_FILE, encoding="ascii") as handle:
+            low = int(handle.read().split()[0])
+    except (OSError, ValueError, IndexError):
+        low = 0
+    if low <= LOWEST_PLANNED_PORT:
+        return [free_port(host) for _ in range(count)]
+    candidates = list(range(LOWEST_PLANNED_PORT, low))
+    random.shuffle(candidates)  # unseeded: concurrent plans should differ
+    ports: list[int] = []
+    for port in candidates:
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
+            try:
+                sock.bind((host, port))
+            except OSError:
+                continue
+        ports.append(port)
+        if len(ports) == count:
+            return ports
+    raise RuntimeError(f"fewer than {count} free ports below {low} on {host}")
+
+
 #: Demo-friendly protocol timing: the sim defaults were tuned for
 #: simulated days, a live demo wants answers in seconds.
 DEMO_OVERRIDES = {
@@ -188,7 +225,7 @@ def plan_cluster(
 ) -> ClusterSpec:
     """Lay out a local cluster: ids, profiles, ports.
 
-    With ``base_port=0`` every port is OS-assigned (fresh free ports);
+    With ``base_port=0`` every port comes from :func:`_plan_ports`;
     otherwise ports are allocated sequentially from ``base_port``.
     """
     if num_hosts < 1 or nodes_per_host < 1:
@@ -204,14 +241,13 @@ def plan_cluster(
     overrides = dict(DEMO_OVERRIDES)
     if config_overrides:
         overrides.update(config_overrides)
+    if base_port:
+        ports = list(range(base_port, base_port + 2 * num_hosts))
+    else:
+        ports = _plan_ports(host, 2 * num_hosts)
     hosts = []
-    next_port = base_port
     for index in range(num_hosts):
-        if base_port:
-            port, client_port = next_port, next_port + 1
-            next_port += 2
-        else:
-            port, client_port = free_port(host), free_port(host)
+        port, client_port = ports[2 * index], ports[2 * index + 1]
         lo = index * nodes_per_host
         hi = lo + nodes_per_host
         hosts.append(

@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.core.config import SeaweedConfig
 from repro.core.node import SeaweedNode
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import Observer
 from repro.serve.cluster import ClusterSpec, HostSpec
 from repro.serve.overlay import BootstrapRef, LiveOverlay
@@ -72,8 +71,8 @@ class NodeHost:
         self.host_spec: HostSpec = spec.hosts[index]
         self.metrics_out = metrics_out
         self.config = build_config(spec.config_overrides)
-        self.metrics = MetricsRegistry()
-        self.observer = Observer(metrics=self.metrics)
+        self.observer = Observer()
+        self.metrics = self.observer.metrics
         # Built in start() — they need the running loop.
         self.scheduler: Optional[AsyncioScheduler] = None
         self.transport: Optional[AsyncioTransport] = None
@@ -181,13 +180,20 @@ class NodeHost:
     # ------------------------------------------------------------------
 
     def _write_metrics(self) -> None:
-        if not self.metrics_out:
-            return
-        assert self.transport is not None
-        # Refresh the pool gauges so idle hosts still report truthfully.
-        self.transport.refresh_gauges()
+        """Write the registry to ``--metrics-out``, first setting the
+        gauges whose numbers the transport and overlay keep themselves."""
+        if not self.metrics_out or self.overlay is None:
+            return  # not asked for, or start() never got as far
+        transport, overlay, metrics = self.transport, self.overlay, self.metrics
+        assert transport is not None
+        metrics.gauge("serve.connections").set(transport.connection_count)
+        metrics.gauge("serve.write_queue_depth").set(transport.write_queue_depth)
+        for reason, count in transport.drops_by_reason.items():
+            metrics.gauge("transport.dropped_total", reason=reason).set(count)
+        metrics.gauge("overlay.reroutes_total").set(overlay.reroutes)
+        metrics.gauge("overlay.routing_drops_total").set(overlay.routing_drops)
         try:
-            self.metrics.write_jsonl(self.metrics_out)
+            metrics.write_jsonl(self.metrics_out)
         except OSError:
             log.exception("cannot write metrics to %s", self.metrics_out)
 

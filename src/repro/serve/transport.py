@@ -99,7 +99,6 @@ class _Peer:
                     self.connected = True
                     self.gone = False
                     backoff = self.transport.reconnect_initial
-                    self.transport.refresh_gauges()
                 if not self.queue:
                     self.wakeup.clear()
                     if self.closing:
@@ -119,7 +118,6 @@ class _Peer:
                     self.connected = False
                     self.gone = True
                     writer = None
-                    self.transport.refresh_gauges()
                     continue
                 if self.queue:
                     self.queue.popleft()
@@ -131,7 +129,6 @@ class _Peer:
                     await writer.wait_closed()
                 except (ConnectionError, OSError):
                     pass
-            self.transport.refresh_gauges()
 
     async def _sleep(self, seconds: float) -> None:
         try:
@@ -182,10 +179,6 @@ class AsyncioTransport(Transport):
         self.messages_sent = 0
         self.messages_received = 0
         self.bytes_sent = 0
-        if self._obs is not None:
-            metrics = self._obs.metrics
-            self._g_connections = metrics.gauge("serve.connections")
-            self._g_queue_depth = metrics.gauge("serve.write_queue_depth")
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -235,7 +228,6 @@ class AsyncioTransport(Transport):
         for writer in list(self._inbound):
             writer.close()
         self._inbound.clear()
-        self.refresh_gauges()
         return drained
 
     @property
@@ -247,12 +239,6 @@ class AsyncioTransport(Transport):
     def write_queue_depth(self) -> int:
         """Messages waiting in outbound write queues."""
         return sum(len(peer.queue) for peer in self._peers.values())
-
-    def refresh_gauges(self) -> None:
-        """Publish the pool's current size and backlog to the observer."""
-        if self._obs is not None:
-            self._g_connections.set(self.connection_count)
-            self._g_queue_depth.set(self.write_queue_depth)
 
     # ------------------------------------------------------------------
     # Sending
@@ -293,7 +279,6 @@ class AsyncioTransport(Transport):
             return
         self.messages_sent += 1
         self.bytes_sent += len(data)
-        self.refresh_gauges()
 
     # ------------------------------------------------------------------
     # Receiving

@@ -27,8 +27,8 @@ class Event:
     Cancellation is O(1): the event is flagged and lazily discarded when
     it reaches the head of the queue.  The optional ``on_cancel``
     callback lets the owning simulator keep an exact count of
-    dead-but-resident entries for the ``sim.cancelled_events`` gauge and
-    for compaction decisions.
+    dead-but-resident entries (``Simulator.cancelled_events``, reported
+    in ``metrics_snapshot()["sim"]``) for compaction decisions.
     """
 
     __slots__ = ("time", "callback", "cancelled", "_on_cancel")

@@ -7,14 +7,7 @@ import json
 
 import pytest
 
-from repro.obs.metrics import (
-    DEFAULT_BOUNDS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    series_name,
-)
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry, series_name
 
 
 class TestCounter:
@@ -33,58 +26,11 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
+    def test_set(self):
         gauge = Gauge()
         gauge.set(10.0)
-        gauge.inc(5.0)
-        gauge.dec(2.0)
+        gauge.set(13.0)
         assert gauge.value == 13.0
-
-
-class TestHistogram:
-    def test_bucketing(self):
-        hist = Histogram(bounds=(1.0, 10.0))
-        for value in (0.5, 0.9, 5.0, 100.0):
-            hist.observe(value)
-        assert hist.count == 4
-        assert hist.sum == pytest.approx(106.4)
-        assert hist.max == 100.0
-        assert hist.counts == [2, 1, 1]  # <=1, <=10, +Inf
-
-    def test_bounds_are_sorted(self):
-        hist = Histogram(bounds=(10.0, 1.0))
-        assert hist.bounds == (1.0, 10.0)
-
-    def test_empty_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram(bounds=())
-
-    def test_quantile(self):
-        hist = Histogram(bounds=(1.0, 2.0, 4.0))
-        for value in (0.5, 1.5, 1.5, 3.0):
-            hist.observe(value)
-        assert hist.quantile(0.0) == 0.0 or hist.quantile(0.0) <= 1.0
-        assert hist.quantile(0.25) == 1.0
-        assert hist.quantile(0.75) == 2.0
-        assert hist.quantile(1.0) == 4.0
-        assert Histogram().quantile(0.5) == 0.0  # empty
-
-    def test_quantile_range_checked(self):
-        with pytest.raises(ValueError):
-            Histogram().quantile(1.5)
-
-    def test_overflow_quantile_returns_max(self):
-        hist = Histogram(bounds=(1.0,))
-        hist.observe(50.0)
-        assert hist.quantile(1.0) == 50.0
-
-    def test_to_dict(self):
-        hist = Histogram(bounds=(0.5,))
-        hist.observe(0.25)
-        hist.observe(2.0)
-        data = hist.to_dict()
-        assert data["count"] == 2
-        assert data["buckets"] == {"le_0.5": 1, "le_inf": 1}
 
 
 class TestSeriesNaming:
@@ -117,32 +63,22 @@ class TestRegistry:
         registry.counter("dual")
         with pytest.raises(TypeError, match="not a gauge"):
             registry.gauge("dual")
-        with pytest.raises(TypeError, match="not a histogram"):
-            registry.histogram("dual")
         registry.gauge("g")
         with pytest.raises(TypeError, match="not a counter"):
             registry.counter("g")
-
-    def test_histogram_custom_bounds(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("lat", bounds=(1.0, 2.0))
-        assert hist.bounds == (1.0, 2.0)
-        assert registry.histogram("other").bounds == tuple(sorted(DEFAULT_BOUNDS))
 
     def test_snapshot_grouping(self):
         registry = MetricsRegistry()
         registry.counter("c", k="v").inc(3)
         registry.gauge("g").set(7.0)
-        registry.histogram("h", bounds=(1.0,)).observe(0.5)
-        snap = registry.snapshot()
-        assert snap["counters"] == {"c{k=v}": 3.0}
-        assert snap["gauges"] == {"g": 7.0}
-        assert snap["histograms"]["h"]["count"] == 1
+        assert registry.snapshot() == {
+            "counters": {"c{k=v}": 3.0}, "gauges": {"g": 7.0}
+        }
 
     def test_write_jsonl_roundtrip(self, tmp_path):
         registry = MetricsRegistry()
         registry.counter("c").inc(2)
-        registry.histogram("h", bounds=(1.0,)).observe(0.5)
+        registry.gauge("g").set(0.5)
         path = str(tmp_path / "metrics.jsonl")
         written = registry.write_jsonl(path)
         assert written == 2
@@ -150,8 +86,9 @@ class TestRegistry:
         by_name = {record["name"]: record for record in records}
         assert by_name["c"]["type"] == "counter"
         assert by_name["c"]["value"] == 2.0
-        assert by_name["h"]["type"] == "histogram"
-        assert by_name["h"]["buckets"]["le_1"] == 1
+        assert by_name["g"]["type"] == "gauge"
+        assert by_name["g"]["value"] == 0.5
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.jsonl"]
 
     def test_write_jsonl_to_handle(self):
         registry = MetricsRegistry()
@@ -162,3 +99,23 @@ class TestRegistry:
         assert record == {
             "type": "gauge", "name": "g", "labels": {"zone": "x"}, "value": 1.5
         }
+
+    def test_failed_rewrite_keeps_the_old_file(self, tmp_path):
+        """A host rewrites its metrics file while readers read it: a
+        rewrite that fails part-way must leave the previous file whole
+        and no temporary file behind."""
+        path = tmp_path / "metrics.jsonl"
+        registry = MetricsRegistry()
+        registry.counter("a").inc(1)
+        registry.counter("b").inc(2)
+        registry.write_jsonl(str(path))
+        before = path.read_text(encoding="utf-8")
+        assert len(before.splitlines()) == 2
+        # "b" now holds a value JSON cannot encode: the rewrite raises
+        # after writing the record for "a".
+        registry.counter("a").inc(1)
+        registry.counter("b").value = object()
+        with pytest.raises(TypeError):
+            registry.write_jsonl(str(path))
+        assert path.read_text(encoding="utf-8") == before
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.jsonl"]

@@ -12,7 +12,6 @@ import pytest
 
 from repro.core.system import SeaweedSystem
 from repro.obs import JSONLSink, MemorySink, Observer, SimProfiler, read_jsonl
-from repro.obs.observer import active
 from repro.sim.simulator import Simulator, handler_label
 from repro.traces.availability import AvailabilitySchedule, TraceSet
 
@@ -118,17 +117,13 @@ class TestTracedDeployment:
 
 
 class TestDisabledObserver:
-    def test_components_store_none_for_disabled_observer(self, small_dataset):
-        system = small_system(Observer.disabled(), num=5, dataset=small_dataset)
+    def test_components_store_none_for_no_observer(self, small_dataset):
+        system = small_system(None, num=5, dataset=small_dataset)
+        assert system.obs is None
         assert system.transport._obs is None
         assert system.overlay.observer is None
         assert all(node._obs is None for node in system.nodes)
         assert system.sim.profiler is None
-
-    def test_components_store_none_for_no_observer(self, small_dataset):
-        system = small_system(None, num=5, dataset=small_dataset)
-        assert system.transport._obs is None
-        assert all(node._obs is None for node in system.nodes)
 
     def test_snapshot_still_works_when_disabled(self, small_dataset):
         system = small_system(None, num=5, dataset=small_dataset)
@@ -136,16 +131,8 @@ class TestDisabledObserver:
         snapshot = system.metrics_snapshot()
         assert snapshot["sim"]["events_processed"] > 0
         assert snapshot["profile"] is None
-        # The disabled observer pre-binds its counters but nothing ever
-        # increments them.
-        assert all(v == 0.0 for v in snapshot["metrics"]["counters"].values())
+        assert snapshot["metrics"] is None
         assert snapshot["bandwidth"]["total_tx"] > 0
-
-    def test_active_helper(self):
-        assert active(None) is None
-        assert active(Observer.disabled()) is None
-        enabled = Observer()
-        assert active(enabled) is enabled
 
 
 class TestSimulatorProfiler:

@@ -1,4 +1,4 @@
-"""Tests for the structured trace log: sinks, spans, and the null path."""
+"""Tests for the structured trace log: sinks, records, and the null path."""
 
 from __future__ import annotations
 
@@ -6,17 +6,8 @@ import io
 import json
 import tracemalloc
 
-import pytest
-
-from repro.obs.tracing import (
-    JSONLSink,
-    MemorySink,
-    NULL_SINK,
-    NullSink,
-    Tracer,
-    _NULL_SPAN,
-    read_jsonl,
-)
+from repro.obs.observer import Observer
+from repro.obs.tracing import JSONLSink, MemorySink, read_jsonl
 
 
 class TestSinks:
@@ -34,12 +25,6 @@ class TestSinks:
             sink.emit({"event": "e", "i": index})
         assert len(sink.events) == 2
         assert sink.dropped == 3
-
-    def test_null_sink_disabled_flag(self):
-        assert NULL_SINK.enabled is False
-        assert NullSink().enabled is False
-        NULL_SINK.emit({"event": "ignored"})  # must not raise
-        NULL_SINK.close()
 
     def test_jsonl_sink_roundtrip(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
@@ -70,79 +55,39 @@ class TestSinks:
 
 
 class TestTracer:
+    """The Observer writes the trace records itself."""
+
     def test_event_stamped_with_fields(self):
         sink = MemorySink()
-        tracer = Tracer(sink)
-        tracer.event(12.5, "query_issued", query_id="abc")
+        Observer(trace_sink=sink).metadata_push(12.5, 0xAB, 3)
         assert sink.events == [
-            {"t": 12.5, "event": "query_issued", "query_id": "abc"}
+            {"t": 12.5, "event": "metadata_push", "node": f"{0xAB:032x}",
+             "replicas": 3}
         ]
 
     def test_disabled_tracer_emits_nothing(self):
-        tracer = Tracer(NULL_SINK)
-        assert tracer.enabled is False
-        tracer.event(0.0, "ignored", big="payload")
-        with tracer.span("ignored"):
-            pass
-
-    def test_span_nesting_records_parentage(self):
-        sink = MemorySink()
-        tracer = Tracer(sink, clock=lambda: 42.0)
-        with tracer.span("outer", query_id="q1") as outer:
-            tracer.event(42.0, "inside_outer")
-            with tracer.span("inner") as inner:
-                tracer.event(42.0, "inside_inner")
-        begins = sink.of_kind("span_begin")
-        ends = sink.of_kind("span_end")
-        assert [record["name"] for record in begins] == ["outer", "inner"]
-        assert begins[0]["span"] == outer.span_id
-        assert "parent" not in begins[0]
-        assert begins[1]["parent"] == outer.span_id
-        assert inner.parent_id == outer.span_id
-        # Events emitted inside a span carry the innermost span id.
-        assert sink.of_kind("inside_outer")[0]["span"] == outer.span_id
-        assert sink.of_kind("inside_inner")[0]["span"] == inner.span_id
-        # Both ends carry wall-clock durations and the bound clock's time.
-        for record in ends:
-            assert record["wall_s"] >= 0.0
-            assert record["t"] == 42.0
-
-    def test_span_error_recorded(self):
-        sink = MemorySink()
-        tracer = Tracer(sink)
-        with pytest.raises(RuntimeError):
-            with tracer.span("boom"):
-                raise RuntimeError("bad")
-        [end] = sink.of_kind("span_end")
-        assert end["error"] == "RuntimeError"
-        assert not tracer._stack  # stack unwound despite the exception
-
-    def test_set_clock(self):
-        tracer = Tracer(MemorySink())
-        tracer.set_clock(lambda: 7.0)
-        assert tracer.now() == 7.0
+        observer = Observer()
+        assert observer.sink is None
+        observer.query_issued(0.0, 1, 2, "SELECT COUNT(*) FROM Flow")
+        observer.message_drop(0.0, "dst", "kind", "loss")
+        observer.close()  # nothing to close: must not raise
+        # Counters still count without a sink.
+        counters = observer.metrics.snapshot()["counters"]
+        assert counters["seaweed.queries_issued_total"] == 1.0
 
 
 class TestNullPathCost:
-    def test_disabled_span_is_shared_singleton(self):
-        tracer = Tracer(NULL_SINK)
-        first = tracer.span("a", lots="of", fields=1)
-        second = tracer.span("b")
-        assert first is _NULL_SPAN
-        assert second is _NULL_SPAN
-
     def test_disabled_event_path_allocates_nothing_lasting(self):
-        """The hot path with tracing off must not retain memory."""
-        tracer = Tracer(NULL_SINK)
+        """An Observer without a sink builds and keeps no record."""
+        observer = Observer()
         # Warm up (interned ints, method caches).
         for _ in range(100):
-            tracer.event(0.0, "warm")
+            observer.leafset_repair(0.0, 1, 2)
         tracemalloc.start()
         before, _ = tracemalloc.get_traced_memory()
         for index in range(10_000):
-            tracer.event(float(index), "hot")
-            with tracer.span("hot_span"):
-                pass
+            observer.leafset_repair(float(index), index, index + 1)
+            observer.message_drop(float(index), "dst", "kind", "loss")
         after, _ = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         # Zero retained growth modulo allocator noise (far below one

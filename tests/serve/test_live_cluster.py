@@ -10,6 +10,7 @@ path the ``serve-smoke`` CI job drives at scale.
 import asyncio
 import gc
 import json
+import os
 import warnings
 
 import pytest
@@ -35,6 +36,24 @@ def test_plan_is_deterministic_given_seed():
     second = plan_cluster(3, nodes_per_host=2, seed=42, base_port=20000)
     assert first.to_json() == second.to_json()
     assert len(set(first.all_node_ids())) == 6
+
+
+EPHEMERAL_RANGE = "/proc/sys/net/ipv4/ip_local_port_range"
+
+
+@pytest.mark.skipif(
+    not os.path.exists(EPHEMERAL_RANGE), reason="no stated ephemeral port range"
+)
+def test_planned_ports_are_distinct_and_below_the_ephemeral_range():
+    """Outbound connects and ``bind(0)`` sockets take ports from the
+    ephemeral range: a planned port in it can be gone before its host
+    binds it."""
+    with open(EPHEMERAL_RANGE, encoding="ascii") as handle:
+        low = int(handle.read().split()[0])
+    spec = plan_cluster(4, nodes_per_host=2, seed=1)
+    ports = [port for h in spec.hosts for port in (h.port, h.client_port)]
+    assert len(set(ports)) == len(ports) == 8
+    assert all(port < low for port in ports), (ports, low)
 
 
 def test_spec_json_roundtrip(tmp_path):
@@ -262,15 +281,19 @@ def test_metrics_snapshot_includes_pool_gauges(tmp_path):
     async def main():
         spec = plan_cluster(num_hosts=2, nodes_per_host=1, seed=31)
         out = tmp_path / "metrics.jsonl"
+        # Host 1 writes: its node has sent its join through host 0 by the
+        # time it is online.
         hosts = [
-            NodeHost(spec, 0, metrics_out=str(out)),
-            NodeHost(spec, 1),
+            NodeHost(spec, 0),
+            NodeHost(spec, 1, metrics_out=str(out)),
         ]
         try:
             for host in hosts:
                 await host.start()
             await _wait_all_online(hosts)
-            hosts[0]._write_metrics()
+            # One drop, so the per-reason drop gauge has a series to show.
+            hosts[1].transport.count_unknown_kind("nowhere", "bogus")
+            hosts[1]._write_metrics()
             series = [
                 json.loads(line)
                 for line in out.read_text().strip().splitlines()
@@ -279,6 +302,36 @@ def test_metrics_snapshot_includes_pool_gauges(tmp_path):
             assert "serve.connections" in names
             assert "serve.write_queue_depth" in names
             assert "transport.messages_total" in names
+            # The live byte ledger: the benchmark reads the unlabelled
+            # total from this file ...
+            [total] = [
+                r for r in series
+                if r["name"] == "transport.bytes_total" and not r["labels"]
+            ]
+            assert total["type"] == "counter" and total["value"] > 0
+            # ... and the per-category counters from the registry.
+            counters = hosts[1].metrics.snapshot()["counters"]
+            by_category = {
+                name: value for name, value in counters.items()
+                if name.startswith("transport.bytes_total{category=")
+            }
+            assert counters["transport.bytes_total{category=overlay}"] > 0
+            assert sum(by_category.values()) == total["value"]
+            # Gauges set from the transport's and overlay's own numbers
+            # just before the write.
+            gauges = {
+                (r["name"], tuple(sorted(r["labels"].items()))): r["value"]
+                for r in series if r["type"] == "gauge"
+            }
+            transport, overlay = hosts[1].transport, hosts[1].overlay
+            for reason, count in transport.drops_by_reason.items():
+                assert gauges[("transport.dropped_total", (("reason", reason),))] == count
+            assert gauges[
+                ("transport.dropped_total", (("reason", "unknown_kind"),))
+            ] >= 1
+            assert gauges[("overlay.reroutes_total", ())] == overlay.reroutes
+            assert gauges[("overlay.routing_drops_total", ())] == overlay.routing_drops
+            assert gauges[("serve.connections", ())] == transport.connection_count
         finally:
             for host in hosts:
                 await host.stop()

@@ -197,17 +197,11 @@ class GroundTruthOracle:
         if descriptor.query_id in self.audits:
             return
         audit = QueryAudit(descriptor=descriptor)
-        parsed = descriptor.parse()
-        # Profile databases are shared between endsystems; execute each
-        # distinct database once and fan the result out.
-        per_database: dict[int, QueryResult] = {}
+        # Endsystems sharing a profile database share its answer memo.
         for node in self.system.nodes:
-            key = id(node.database)
-            result = per_database.get(key)
-            if result is None:
-                result = node.database.execute(parsed)
-                per_database[key] = result
-            audit.truth_results[node.node_id] = result
+            audit.truth_results[node.node_id] = node.database.execute(
+                descriptor.parsed
+            )
         self.audits[descriptor.query_id] = audit
 
     def on_query_learned(self, t: float, node_id: int, query_id: int) -> None:

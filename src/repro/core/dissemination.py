@@ -364,7 +364,7 @@ class Disseminator:
             if record.down_since is None and self.node.believes_online(owner):
                 # The owner is (still) up; it will answer for itself.
                 continue
-            rows = record.metadata.estimate_rows(descriptor.parse())
+            rows = record.metadata.estimate_rows(descriptor.parsed)
             down_since = (
                 record.down_since if record.down_since is not None else record.refreshed_at
             )

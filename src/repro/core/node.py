@@ -98,7 +98,6 @@ class SeaweedNode:
         #: Tombstones for explicitly cancelled queries (epidemic spread).
         self.cancelled_queries: set[int] = set()
         self._contributed: set[int] = set()
-        self._parsed: dict[int, ParsedQuery] = {}
         self._local_results: dict[int, tuple[QueryDescriptor, QueryResult]] = {}
         self._summary_timer = None
         self._refresh_timer = None
@@ -428,7 +427,7 @@ class SeaweedNode:
         if self.scheduler.now > descriptor.expires_at:
             return
         self._contributed.add(descriptor.query_id)
-        result = self.database.execute(self.parsed_query(descriptor))
+        result = self.database.execute(descriptor.parsed)
         self._local_results[descriptor.query_id] = (descriptor, result)
         self.aggregator.submit_local_result(descriptor, result)
         if descriptor.continuous_period is not None:
@@ -443,7 +442,7 @@ class SeaweedNode:
         if descriptor.query_id in self.cancelled_queries:
             return
         if self.pastry.online:
-            result = self.database.execute(self.parsed_query(descriptor))
+            result = self.database.execute(descriptor.parsed)
             self._local_results[descriptor.query_id] = (descriptor, result)
             self.aggregator.submit_local_result(descriptor, result)
         self.scheduler.schedule(
@@ -451,16 +450,12 @@ class SeaweedNode:
         )
 
     def parsed_query(self, descriptor: QueryDescriptor) -> ParsedQuery:
-        """Parse-with-cache for a query descriptor."""
-        parsed = self._parsed.get(descriptor.query_id)
-        if parsed is None:
-            parsed = descriptor.parse()
-            self._parsed[descriptor.query_id] = parsed
-        return parsed
+        """The descriptor's parsed query (parsed once per descriptor)."""
+        return descriptor.parsed
 
     def local_relevant_rows(self, descriptor: QueryDescriptor) -> int:
         """Exact relevant-row count from the local DBMS (available path)."""
-        return self.database.relevant_row_count(self.parsed_query(descriptor))
+        return self.database.relevant_row_count(descriptor.parsed)
 
     def remember_query(self, descriptor: QueryDescriptor) -> None:
         """Record an active query (rejoining neighbours will ask for these)."""

@@ -10,6 +10,7 @@ incremental result, and the observed completeness history.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from repro.core.predictor import CompletenessPredictor
@@ -58,8 +59,14 @@ class QueryDescriptor:
             continuous_period=continuous_period,
         )
 
-    def parse(self) -> ParsedQuery:
-        """Parse the SQL with its NOW() binding."""
+    @cached_property
+    def parsed(self) -> ParsedQuery:
+        """The SQL parsed with its NOW() binding, once per descriptor.
+
+        In the simulator every endsystem holds the very descriptor object
+        the originator built, so a query is parsed once per run; the
+        frozen :class:`ParsedQuery` is safe to share.
+        """
         return parse(self.sql, now=self.now_binding)
 
     @property

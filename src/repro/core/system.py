@@ -400,7 +400,5 @@ class SeaweedSystem:
         """Total relevant rows across ALL endsystems (oracle, for tests)."""
         from repro.db.sql import parse
 
-        total = 0
-        for node in self.nodes:
-            total += node.database.relevant_row_count(parse(sql, now=now_binding))
-        return total
+        parsed = parse(sql, now=now_binding)
+        return sum(node.database.relevant_row_count(parsed) for node in self.nodes)

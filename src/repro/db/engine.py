@@ -32,6 +32,11 @@ class LocalDatabase:
         self._summary_state: Optional[
             tuple[int, dict[str, dict[str, Histogram]], SelectivityCache]
         ] = None
+        # Exact answers of the current data generation, shared by
+        # reference with every caller (results are never mutated in
+        # place).  Endsystems that share a profile database therefore
+        # run each query once; every write empties the memo.
+        self._answers: dict[ParsedQuery, QueryResult] = {}
 
     def create_table(self, schema: Schema) -> Table:
         """Create an empty table from ``schema``."""
@@ -67,19 +72,24 @@ class LocalDatabase:
         """Bulk-load columns into a table (local update — single endsystem)."""
         self.table(table_name).load_columns(columns)
         self._generation += 1
+        self._answers.clear()
 
     def insert(self, table_name: str, row: Mapping[str, Any]) -> None:
         """Insert one row (local update)."""
         self.table(table_name).insert_row(row)
         self._generation += 1
+        self._answers.clear()
 
     def execute_sql(self, text: str, now: Optional[float] = None) -> QueryResult:
         """Parse and execute SQL against local data."""
         return self.execute(parse(text, now=now))
 
     def execute(self, query: ParsedQuery) -> QueryResult:
-        """Execute an already-parsed query."""
-        return execute(query, self.table(query.table))
+        """Execute an already-parsed query (memoized until the next write)."""
+        result = self._answers.get(query)
+        if result is None:
+            result = self._answers[query] = execute(query, self.table(query.table))
+        return result
 
     def relevant_row_count(self, query: ParsedQuery) -> int:
         """Exact count of rows relevant to ``query``.
@@ -87,6 +97,9 @@ class LocalDatabase:
         An *available* endsystem answers its own completeness contribution
         from its local DBMS ("it queries the local DBMS for the estimate").
         """
+        result = self._answers.get(query)
+        if result is not None:
+            return result.row_count
         return count_matching(query, self.table(query.table))
 
     def clone(self) -> "LocalDatabase":
@@ -96,6 +109,7 @@ class LocalDatabase:
         side writes, so it costs a dict per table, not a copy of the data.
         Used when each simulated endsystem must own private, mutable data
         (e.g. live update feeds) instead of sharing a profile database.
+        The clone starts with an empty answer memo.
         """
         copy = LocalDatabase()
         copy._tables = {key: table.clone() for key, table in self._tables.items()}

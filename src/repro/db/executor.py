@@ -106,7 +106,7 @@ def execute(query: ParsedQuery, table: Table) -> QueryResult:
             groups=groups,
         )
     columns = query.projection
-    if columns == ["*"]:
+    if columns == ("*",):
         rows = table.rows(mask)
     else:
         arrays = [table.column(name)[mask] for name in columns]
@@ -115,7 +115,7 @@ def execute(query: ParsedQuery, table: Table) -> QueryResult:
 
 
 def _aggregate_states(
-    specs: list[AggregateSpec], table: Table, mask: np.ndarray, row_count: int
+    specs: tuple[AggregateSpec, ...], table: Table, mask: np.ndarray, row_count: int
 ) -> list[AggregateState]:
     states = []
     for spec in specs:

@@ -76,11 +76,9 @@ class Comparison(Predicate):
         values = table.column(self.column)
         compare = _COMPARATORS[self.op]
         if values.dtype == object:
-            # String columns: elementwise comparison via vectorized equality.
-            result = np.array(
-                [compare(value, self.value) for value in values], dtype=bool
-            )
-            return result
+            # String columns: numpy applies the Python comparison to each
+            # element in a C loop ('x' == 5 is False, 'x' < 5 raises).
+            return np.asarray(compare(values, self.value), dtype=bool)
         return compare(values, self.value)
 
     def columns(self) -> set[str]:

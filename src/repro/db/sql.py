@@ -93,19 +93,21 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParsedQuery:
     """The parsed form of a Seaweed query.
 
     Exactly one of ``aggregates`` / ``projection`` is non-empty: aggregate
     queries are aggregated in-network; projection queries return raw rows.
+    Frozen with tuple fields, so one parse is safely shared by every
+    endsystem and can key a database's memo of exact answers.
     """
 
     table: str
-    aggregates: list[AggregateSpec] = field(default_factory=list)
-    projection: list[str] = field(default_factory=list)
+    aggregates: tuple[AggregateSpec, ...] = ()
+    projection: tuple[str, ...] = ()
     predicate: Predicate = field(default_factory=TruePredicate)
-    group_by: list[str] = field(default_factory=list)
+    group_by: tuple[str, ...] = ()
 
     @property
     def is_aggregate(self) -> bool:
@@ -175,10 +177,10 @@ class _Parser:
             )
         return ParsedQuery(
             table=table,
-            aggregates=aggregates,
-            projection=projection,
+            aggregates=tuple(aggregates),
+            projection=tuple(projection),
             predicate=predicate,
-            group_by=group_by,
+            group_by=tuple(group_by),
         )
 
     def _select_list(self) -> tuple[list[AggregateSpec], list[str]]:

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.overlay.ids import ID_MASK, cw_distance, ring_distance
+from repro.overlay.ids import ID_MASK, ID_SPACE, cw_distance, ring_distance
+
+_HALF_SPACE = ID_SPACE >> 1
 
 
 class Leafset:
@@ -146,16 +148,29 @@ class Leafset:
         return cw_distance(lo, key) <= span
 
     def closest(self, key: int, include_owner: bool = True) -> int:
-        """The member (optionally including the owner) numerically closest to ``key``."""
-        candidates = self.members
+        """The member (optionally including the owner) numerically closest to ``key``.
+
+        Ties on ring distance break on the lower id.  Routing and every
+        tree-vertex lookup call this, so it walks both sides in place
+        with the ring distance inlined instead of building candidates.
+        """
+        best = -1
+        best_distance = ID_SPACE  # beyond any ring distance
         if include_owner:
-            candidates = candidates + [self.owner]
-        if not candidates:
+            best = self.owner
+            best_distance = ring_distance(best, key)
+        for side in (self._ccw, self._cw):
+            for member in side:
+                forward = (key - member) & ID_MASK
+                distance = ID_SPACE - forward if forward > _HALF_SPACE else forward
+                if distance < best_distance or (
+                    distance == best_distance and member < best
+                ):
+                    best = member
+                    best_distance = distance
+        if best_distance == ID_SPACE:
             raise ValueError("empty leafset and owner excluded")
-        return min(
-            candidates,
-            key=lambda member: (ring_distance(member, key), member),
-        )
+        return best
 
     def merge(self, other_members: Iterable[int]) -> bool:
         """Add every id in ``other_members``; returns True if anything changed."""

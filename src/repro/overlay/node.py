@@ -180,6 +180,15 @@ class PastryNode:
         )
         return members[:k]
 
+    @property
+    def joined(self) -> bool:
+        """Online, and the join has been answered (or needed no bootstrap).
+
+        ``online`` is set the moment :meth:`go_online` runs; the leafset
+        is only seeded once a ``JoinReply`` arrives.
+        """
+        return self.online and self._joined
+
     def is_closest_to(self, key: int) -> bool:
         """Whether this node believes it is the live node closest to ``key``.
 

@@ -144,7 +144,7 @@ class NodeHost:
     def any_online_node(self) -> Optional[SeaweedNode]:
         """A locally hosted node that has joined, if any (service entry)."""
         for node in self.nodes.values():
-            if node.pastry.online:
+            if node.pastry.joined:
                 return node
         return None
 

@@ -5,7 +5,7 @@ request object per line; for queries the service streams events back as
 the in-network aggregation converges:
 
 ``{"op": "ping"}``
-    ``{"event": "pong", "ready": <bool>, "nodes": <online count>}``
+    ``{"event": "pong", "ready": <bool>, "nodes": <joined count>}``
 
 ``{"op": "query", "sql": ..., "timeout": 30, "poll": 0.25,
    "target": 1.0, "lifetime": 172800}``
@@ -165,11 +165,11 @@ class QueryService:
     ) -> None:
         op = request.get("op", "query" if "sql" in request else None)
         if op == "ping":
-            online = sum(
-                1 for node in self.host.nodes.values() if node.pastry.online
+            joined = sum(
+                1 for node in self.host.nodes.values() if node.pastry.joined
             )
             await self._emit(
-                writer, {"event": "pong", "ready": online > 0, "nodes": online}
+                writer, {"event": "pong", "ready": joined > 0, "nodes": joined}
             )
         elif op == "query":
             await self._run_query(request, writer)

@@ -101,6 +101,32 @@ class TestActiveQueryRegistry:
         # Guarded by the contributed set: no new submission version.
         assert node.aggregator._leaf_versions[query.query_id] == version_before
 
+    def test_one_broadcast_parses_once(self, small_dataset, monkeypatch):
+        import sys
+
+        from repro.db import sql as sql_module
+
+        original = sql_module.parse
+        calls = []
+
+        def counting_parse(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        # Re-bind every module-level reference, as ``from x import parse``
+        # copies the function into each importing module.
+        for module in list(sys.modules.values()):
+            if getattr(module, "parse", None) is original:
+                monkeypatch.setattr(module, "parse", counting_parse)
+        system = build(small_dataset, seed=75)
+        _, query = system.inject_query(QUERY_HTTP_BYTES)
+        system.run_until(system.sim.now + 120.0)
+        reached = [
+            node for node in system.nodes if query.query_id in node._local_results
+        ]
+        assert len(reached) == len(system.nodes)
+        assert len(calls) == 1
+
     def test_parsed_query_cached(self, small_dataset):
         system = build(small_dataset, seed=74)
         origin, query = system.inject_query(QUERY_HTTP_BYTES)

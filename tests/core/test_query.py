@@ -49,8 +49,8 @@ class TestDescriptor:
             injected_at=0.0,
             now_binding=500.0,
         )
-        parsed = descriptor.parse()
-        assert parsed.predicate.value == 500.0
+        assert descriptor.parsed.predicate.value == 500.0
+        assert descriptor.parsed is descriptor.parsed
 
     def test_wire_size_tracks_sql_length(self):
         short = make_descriptor()

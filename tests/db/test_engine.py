@@ -135,3 +135,50 @@ class TestSummaryCache:
         assert estimate_row_count(
             query.predicate, rebuilt["flow"], 1000
         ) == estimate_row_count(query.predicate, cached["flow"], 1000)
+
+
+class TestAnswerMemo:
+    @pytest.fixture
+    def db(self):
+        db = LocalDatabase()
+        db.create_table(
+            make_schema("t", [("ts", ColumnType.FLOAT), ("s", ColumnType.STR)])
+        )
+        db.load("t", {"ts": [10.0, 20.0, 30.0], "s": ["x", "y", "x"]})
+        return db
+
+    def test_repeated_query_shares_one_result(self, db):
+        query = parse("SELECT COUNT(*) FROM t WHERE s = 'x'")
+        first = db.execute(query)
+        assert db.execute(parse("SELECT COUNT(*) FROM t WHERE s = 'x'")) is first
+        assert db.relevant_row_count(query) == first.row_count == 2
+
+    def test_insert_after_execute_yields_new_answer(self, db):
+        query = parse("SELECT COUNT(*) FROM t WHERE s = 'x'")
+        assert db.execute(query).row_count == 2
+        db.insert("t", {"ts": 40.0, "s": "x"})
+        assert db.execute(query).row_count == 3
+        assert db.relevant_row_count(query) == 3
+        db.load("t", {"ts": [50.0], "s": ["x"]})
+        assert db.relevant_row_count(query) == 4
+        assert db.execute(query).row_count == 4
+
+    def test_clone_written_after_shared_read_keeps_its_own_answers(self, db):
+        query = parse("SELECT COUNT(*) FROM t WHERE s = 'x'")
+        source_result = db.execute(query)
+        copy = db.clone()
+        assert copy.execute(query) is not source_result
+        copy.insert("t", {"ts": 40.0, "s": "x"})
+        assert copy.execute(query).row_count == 3
+        assert db.execute(query) is source_result
+        assert source_result.row_count == 2
+
+    def test_now_bindings_do_not_collide(self, db):
+        sql = "SELECT COUNT(*) FROM t WHERE ts <= NOW()"
+        assert db.execute(parse(sql, now=15.0)).row_count == 1
+        assert db.execute(parse(sql, now=25.0)).row_count == 2
+        assert db.relevant_row_count(parse(sql, now=15.0)) == 1
+
+    def test_execute_builds_no_summaries(self, db):
+        db.execute(parse("SELECT COUNT(*) FROM t WHERE s = 'x'"))
+        assert db._summary_state is None

@@ -1,5 +1,7 @@
 """Tests for predicate expression evaluation."""
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,27 @@ class TestComparison:
     def test_string_equality(self, table):
         mask = Comparison("s", "=", "a").evaluate(table)
         assert list(mask) == [True, False, True, False, True]
+
+    @pytest.mark.parametrize("op", ["=", "!=", "<", "<=", ">", ">="])
+    @pytest.mark.parametrize("value", ["a", "b", "bb", ""])
+    def test_string_operators_match_elementwise_python(self, table, op, value):
+        compare = {
+            "=": operator.eq,
+            "!=": operator.ne,
+            "<": operator.lt,
+            "<=": operator.le,
+            ">": operator.gt,
+            ">=": operator.ge,
+        }[op]
+        mask = Comparison("s", op, value).evaluate(table)
+        assert mask.dtype == bool
+        assert list(mask) == [compare(x, value) for x in table.column("s")]
+
+    def test_string_column_against_number(self, table):
+        assert not Comparison("s", "=", 5).evaluate(table).any()
+        assert Comparison("s", "!=", 5).evaluate(table).all()
+        with pytest.raises(TypeError):
+            Comparison("s", "<", 5).evaluate(table)
 
     def test_unknown_operator_rejected(self):
         with pytest.raises(ExpressionError):

@@ -34,17 +34,17 @@ def table() -> Table:
 class TestParsing:
     def test_single_column(self):
         query = parse("SELECT SUM(Bytes) FROM Flow GROUP BY SrcPort")
-        assert query.group_by == ["SrcPort"]
+        assert query.group_by == ("SrcPort",)
 
     def test_multiple_columns(self):
         query = parse("SELECT COUNT(*) FROM Flow GROUP BY SrcPort, App")
-        assert query.group_by == ["SrcPort", "App"]
+        assert query.group_by == ("SrcPort", "App")
 
     def test_with_where(self):
         query = parse(
             "SELECT SUM(Bytes) FROM Flow WHERE Bytes > 15 GROUP BY App"
         )
-        assert query.group_by == ["App"]
+        assert query.group_by == ("App",)
 
     def test_group_by_without_aggregates_rejected(self):
         with pytest.raises(SQLSyntaxError):

@@ -1,5 +1,7 @@
 """Tests for the SQL-subset parser."""
 
+import dataclasses
+
 import pytest
 
 from repro.db.expressions import And, Comparison, Not, Or, TruePredicate
@@ -28,6 +30,22 @@ class TestTokenizer:
             tokenize("SELECT @ FROM t")
 
 
+class TestParsedQueryValue:
+    def test_fields_cannot_be_assigned(self):
+        query = parse("SELECT SUM(Bytes) FROM Flow WHERE SrcPort = 80")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            query.table = "Other"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            query.predicate = TruePredicate()
+        assert isinstance(query.aggregates, tuple)
+
+    def test_equal_text_and_binding_give_equal_keys(self):
+        sql = "SELECT COUNT(*) FROM Flow WHERE ts <= NOW() AND App = 'SMB'"
+        first, second = parse(sql, now=100.0), parse(sql, now=100.0)
+        assert first == second and hash(first) == hash(second)
+        assert parse(sql, now=200.0) != first
+
+
 class TestSelectList:
     def test_single_aggregate(self):
         query = parse("SELECT SUM(Bytes) FROM Flow")
@@ -45,12 +63,12 @@ class TestSelectList:
 
     def test_projection(self):
         query = parse("SELECT ts, Bytes FROM Flow")
-        assert query.projection == ["ts", "Bytes"]
+        assert query.projection == ("ts", "Bytes")
         assert not query.is_aggregate
 
     def test_star_projection(self):
         query = parse("SELECT * FROM Flow")
-        assert query.projection == ["*"]
+        assert query.projection == ("*",)
 
     def test_mixing_rejected(self):
         with pytest.raises(SQLSyntaxError):

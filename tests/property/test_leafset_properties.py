@@ -1,5 +1,6 @@
 """Property-based tests for leafset invariants."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,6 +8,19 @@ from repro.overlay.ids import ID_MASK, cw_distance, ring_distance
 from repro.overlay.leafset import Leafset
 
 ids = st.integers(min_value=0, max_value=ID_MASK)
+#: Ids crowded into a narrow arc (often straddling 0): ring-distance ties
+#: and members sitting on both sides of the owner are common.
+crowded = st.builds(
+    lambda base, offset: (base + offset) & ID_MASK,
+    st.sampled_from([0, 1 << 127, ID_MASK - 8]),
+    st.integers(min_value=-16, max_value=16),
+)
+
+
+def reference_closest(leafset: Leafset, key: int, include_owner: bool) -> int:
+    """The lexicographic minimum of (ring distance, id) over the candidates."""
+    candidates = leafset.members + ([leafset.owner] if include_owner else [])
+    return min(candidates, key=lambda member: (ring_distance(member, key), member))
 
 
 class TestLeafsetProperties:
@@ -58,3 +72,34 @@ class TestLeafsetProperties:
         leafset = Leafset(owner, size=8)
         leafset.merge(members + [owner])
         assert owner not in leafset.members
+
+    @given(
+        st.one_of(ids, crowded),
+        st.lists(st.one_of(ids, crowded), max_size=12),
+        st.one_of(ids, crowded),
+        st.booleans(),
+        st.sampled_from([2, 4, 8]),
+    )
+    @settings(max_examples=300)
+    def test_closest_equals_lexicographic_min(
+        self, owner, members, key, include_owner, size
+    ):
+        leafset = Leafset(owner, size=size)
+        leafset.merge(members)
+        if not include_owner and len(leafset) == 0:
+            with pytest.raises(ValueError):
+                leafset.closest(key, include_owner=False)
+            return
+        assert leafset.closest(key, include_owner) == reference_closest(
+            leafset, key, include_owner
+        )
+
+    def test_closest_tie_and_both_sides(self):
+        # Population below the leafset size: each member is on both sides.
+        leafset = Leafset(100, size=8)
+        leafset.merge([90, 110])
+        assert set(leafset.cw_members) == set(leafset.ccw_members) == {90, 110}
+        # 90 and 110 tie on distance to 100; the owner wins at distance 0.
+        assert leafset.closest(100) == 100
+        assert leafset.closest(100, include_owner=False) == 90
+        assert leafset.closest(ID_MASK, include_owner=False) == 90

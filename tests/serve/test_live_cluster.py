@@ -15,6 +15,8 @@ import warnings
 
 import pytest
 
+from repro.net.transport import Decision
+from repro.proto.messages import JoinReply
 from repro.serve import (
     NodeHost,
     ServeClient,
@@ -113,7 +115,7 @@ async def _wait_all_online(hosts, timeout: float = 30.0) -> None:
             1
             for host in hosts
             for node in host.nodes.values()
-            if node.pastry.online
+            if node.pastry.joined
         )
         if online == total:
             return
@@ -155,6 +157,54 @@ def test_in_process_cluster_answers_exactly():
         finally:
             for host in hosts:
                 await host.stop()
+
+    asyncio.run(main())
+
+
+class _DropFirstJoinReply:
+    """Interceptor that loses the first JOIN_REPLY on the wire."""
+
+    def __init__(self) -> None:
+        self.dropped = 0
+
+    def intercept(self, now, src, dst, message):
+        if self.dropped == 0 and isinstance(message.payload, JoinReply):
+            self.dropped += 1
+            return Decision(drop_reason="test")
+        return None
+
+
+def test_ping_counts_nodes_only_once_their_join_is_answered():
+    """A node is online as soon as it starts joining, but it is not part
+    of the overlay until a JOIN_REPLY seeds its leafset: with that reply
+    lost, ``ping`` reports the node only after the join retry lands."""
+
+    async def main():
+        spec = plan_cluster(num_hosts=1, nodes_per_host=2, seed=11)
+        host = NodeHost(spec, 0)
+        dropper = _DropFirstJoinReply()
+        loop = asyncio.get_event_loop()
+        try:
+            await host.start()
+            # The second node starts joining ONLINE_STAGGER after start().
+            host.transport.add_interceptor(dropper)
+            second = list(host.nodes.values())[1]
+            deadline = loop.time() + 10.0
+            while not (dropper.dropped and second.pastry.online):
+                assert loop.time() < deadline, "the join reply was never sent"
+                await asyncio.sleep(0.02)
+            async with ServeClient(
+                spec.hosts[0].host, spec.hosts[0].client_port
+            ) as client:
+                pong = await client.ping()
+                assert pong["ready"] and pong["nodes"] == 1
+                assert not second.pastry.joined
+                while (await client.ping())["nodes"] < 2:
+                    assert loop.time() < deadline, "the join retry never landed"
+                    await asyncio.sleep(0.1)
+            assert second.pastry.joined
+        finally:
+            await host.stop()
 
     asyncio.run(main())
 

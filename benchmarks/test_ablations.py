@@ -14,9 +14,8 @@ qualitatively, measured on the same packet-level deployment:
   failure-resilient exactly-once aggregation.
 """
 
-import numpy as np
-
 from repro.core.config import SeaweedConfig
+from repro.core.deployment import Deployment
 from repro.harness.overhead import run_overhead_experiment
 from repro.harness.reporting import format_table
 from repro.net.stats import CATEGORY_MAINTENANCE, CATEGORY_QUERY
@@ -26,15 +25,14 @@ DURATION = 3 * 3600.0
 
 
 def run_with(config: SeaweedConfig, seed: int = 3):
-    return run_overhead_experiment(
-        num_endsystems=POPULATION,
-        duration=DURATION,
-        inject_after=1800.0,
+    deployment = Deployment(
+        population=POPULATION,
+        horizon=DURATION,
         seed=seed,
         num_profiles=20,
         config=config,
-        sample_checkpoints=(60.0,),
     )
+    return run_overhead_experiment(deployment, sample_checkpoints=(60.0,))
 
 
 def test_ablation_metadata_replication_factor(benchmark):

@@ -9,10 +9,9 @@ We run both environments at equal (scaled-down) population and assert
 the sublinear overhead growth.
 """
 
-import numpy as np
-
 from benchmarks.conftest import overhead_scale
-from repro.harness.overhead import build_trace, run_overhead_experiment
+from repro.core.deployment import Deployment
+from repro.harness.overhead import run_overhead_experiment
 from repro.harness.reporting import format_table, summarize_distribution
 
 
@@ -21,25 +20,23 @@ def test_fig10_high_churn_overhead(benchmark):
     population = max(120, scale["base_population"] // 2)
     duration = scale["duration"]
 
+    farsite_deployment = Deployment(
+        "farsite", population=population, horizon=duration, seed=7
+    )
+    gnutella_deployment = Deployment(
+        "gnutella", population=population, horizon=duration, seed=7
+    )
+
     def run_both():
-        farsite = run_overhead_experiment(
-            num_endsystems=population,
-            trace_kind="farsite",
-            duration=duration,
-            seed=7,
+        return (
+            run_overhead_experiment(farsite_deployment),
+            run_overhead_experiment(gnutella_deployment),
         )
-        gnutella = run_overhead_experiment(
-            num_endsystems=population,
-            trace_kind="gnutella",
-            duration=duration,
-            seed=7,
-        )
-        return farsite, gnutella
 
     farsite, gnutella = benchmark.pedantic(run_both, rounds=1, iterations=1)
 
-    farsite_trace = build_trace("farsite", population, duration, 7)
-    gnutella_trace = build_trace("gnutella", population, duration, 7)
+    farsite_trace = farsite_deployment.trace_set()
+    gnutella_trace = gnutella_deployment.trace_set()
     departure_ratio = gnutella_trace.departure_rate() / max(
         1e-12, farsite_trace.departure_rate()
     )

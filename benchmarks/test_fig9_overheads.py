@@ -17,29 +17,24 @@ Populations are scaled down (Python event-loop budget; see DESIGN.md):
 shapes and per-endsystem quantities are asserted rather than absolutes.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from benchmarks.conftest import overhead_scale
-from repro.harness.overhead import (
-    run_id_assignment_sweep,
-    run_overhead_experiment,
-    run_scaling_sweep,
-)
+from repro.core.deployment import Deployment
+from repro.harness.overhead import run_overhead_experiment
 from repro.harness.reporting import format_table, summarize_distribution
 from repro.net.stats import CATEGORY_MAINTENANCE, CATEGORY_OVERLAY, CATEGORY_QUERY
 
 
 def test_fig9a_overhead_breakdown(benchmark):
     scale = overhead_scale()
+    deployment = Deployment(
+        population=scale["base_population"], horizon=scale["duration"], seed=7
+    )
     result = benchmark.pedantic(
-        run_overhead_experiment,
-        kwargs={
-            "num_endsystems": scale["base_population"],
-            "duration": scale["duration"],
-            "seed": 7,
-        },
-        rounds=1,
-        iterations=1,
+        run_overhead_experiment, args=(deployment,), rounds=1, iterations=1
     )
 
     print()
@@ -93,17 +88,20 @@ def test_fig9a_overhead_breakdown(benchmark):
 
 def test_fig9c_id_assignment_insensitivity(benchmark):
     scale = overhead_scale()
-    results = benchmark.pedantic(
-        run_id_assignment_sweep,
-        kwargs={
-            "id_seeds": scale["id_seeds"],
-            "num_endsystems": max(100, scale["base_population"] // 2),
-            "duration": scale["duration"] / 2,
-            "seed": 7,
-        },
-        rounds=1,
-        iterations=1,
+    base = Deployment(
+        population=max(100, scale["base_population"] // 2),
+        horizon=scale["duration"] / 2,
+        seed=7,
     )
+
+    def sweep():
+        # Identical runs differing only in endsystemId assignment.
+        return {
+            id_seed: run_overhead_experiment(replace(base, id_seed=id_seed))
+            for id_seed in scale["id_seeds"]
+        }
+
+    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
 
     means = {seed: result.mean_tx for seed, result in results.items()}
     print()
@@ -123,16 +121,15 @@ def test_fig9c_id_assignment_insensitivity(benchmark):
 
 def test_fig9d_scaling_with_population(benchmark):
     scale = overhead_scale()
-    results = benchmark.pedantic(
-        run_scaling_sweep,
-        kwargs={
-            "populations": scale["scaling_populations"],
-            "duration": scale["duration"] / 2,
-            "seed": 7,
-        },
-        rounds=1,
-        iterations=1,
-    )
+    base = Deployment(horizon=scale["duration"] / 2, seed=7)
+
+    def sweep():
+        return {
+            population: run_overhead_experiment(replace(base, population=population))
+            for population in scale["scaling_populations"]
+        }
+
+    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
 
     rows = []
     for population, result in results.items():

@@ -16,9 +16,8 @@ Run with:  PYTHONPATH=src python examples/chaos_partition.py
 
 import numpy as np
 
-from repro.core import SeaweedSystem
+from repro.core.deployment import Deployment
 from repro.faults import FaultPlan, LinkPartition
-from repro.traces import AvailabilitySchedule, TraceSet
 from repro.workload import QUERY_HTTP_BYTES
 from repro.workload.anemone import AnemoneDataset, AnemoneParams
 
@@ -42,16 +41,11 @@ def main() -> None:
         params=AnemoneParams(flows_per_day=40.0, days=7.0),
         rng=np.random.default_rng(11),
     )
-    schedules = [AvailabilitySchedule.always_on(HORIZON) for _ in range(POPULATION)]
-    system = SeaweedSystem(
-        TraceSet(schedules, HORIZON),
-        dataset,
-        num_endsystems=POPULATION,
-        master_seed=7,
-        startup_stagger=30.0,
-        fault_plan=plan,
-    )
-    oracle = system.enable_audit()
+    system = Deployment(
+        "always_on", population=POPULATION, horizon=HORIZON, seed=7,
+        dataset=dataset, startup_stagger=30.0, fault_plan=plan,
+    ).build()
+    oracle = system.auditor  # the ground-truth oracle every deployment carries
 
     system.run_until(160.0)
     _, query = system.inject_query(QUERY_HTTP_BYTES)

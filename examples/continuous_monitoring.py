@@ -10,8 +10,7 @@ Run with:  python examples/continuous_monitoring.py
 
 import numpy as np
 
-from repro.core import SeaweedSystem
-from repro.traces import AvailabilitySchedule, TraceSet
+from repro.core.deployment import Deployment
 from repro.workload import AnemoneDataset, LiveAnemoneFeed
 
 HOURS = 3600.0
@@ -19,19 +18,12 @@ SQL = "SELECT COUNT(*), SUM(Bytes) FROM Flow WHERE SrcPort = 80"
 
 
 def main() -> None:
-    horizon = 4 * HOURS
-    schedules = [AvailabilitySchedule.always_on(horizon) for _ in range(40)]
-    trace = TraceSet(schedules, horizon)
     dataset = AnemoneDataset(num_profiles=10, rng=np.random.default_rng(2))
-
-    system = SeaweedSystem(
-        trace,
-        dataset,
-        num_endsystems=40,
-        master_seed=11,
+    system = Deployment(
+        "always_on", population=40, horizon=4 * HOURS, seed=11, dataset=dataset,
         startup_stagger=30.0,
         private_databases=True,  # each endsystem owns mutable data
-    )
+    ).build()
     system.run_until(0.2 * HOURS)
 
     feed = LiveAnemoneFeed(

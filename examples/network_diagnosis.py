@@ -11,11 +11,7 @@ for, then reads the incremental answers.
 Run with:  python examples/network_diagnosis.py
 """
 
-import numpy as np
-
-from repro.core import SeaweedSystem
-from repro.traces import generate_farsite_trace
-from repro.workload import AnemoneDataset
+from repro.core.deployment import Deployment
 
 HOURS = 3600.0
 
@@ -33,10 +29,10 @@ INVESTIGATION = [
 
 
 def main() -> None:
-    trace = generate_farsite_trace(120, horizon=30 * HOURS, rng=np.random.default_rng(9))
-    dataset = AnemoneDataset(num_profiles=24, rng=np.random.default_rng(10))
-    system = SeaweedSystem(trace, dataset, master_seed=7)
-    system.pretrain_availability()
+    # A Farsite-like trace drawn from seed 9, 24 profiles from seed 10.
+    system = Deployment(
+        "farsite", population=120, horizon=30 * HOURS, seed=9, num_profiles=24
+    ).build()
     system.run_until(8 * HOURS)  # 08:00 — the operator arrives at work
     print(f"{system.online_count}/{system.num_endsystems} endsystems online\n")
 

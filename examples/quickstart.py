@@ -11,7 +11,7 @@ Run with:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.core import SeaweedSystem
+from repro.core.deployment import Deployment
 from repro.traces import generate_farsite_trace
 from repro.workload import AnemoneDataset, QUERY_HTTP_BYTES
 
@@ -26,9 +26,9 @@ def main() -> None:
     dataset = AnemoneDataset(num_profiles=30, rng=np.random.default_rng(2))
 
     # 2. The deployment: simulator + topology + Pastry overlay + one
-    #    Seaweed node per endsystem, driven by the trace.
-    system = SeaweedSystem(trace, dataset, master_seed=42)
-    system.pretrain_availability()  # stand-in for the learning warmup
+    #    Seaweed node per endsystem, driven by the trace, with every
+    #    availability model pretrained (stand-in for the learning warmup).
+    system = Deployment(trace, population=150, seed=42, dataset=dataset).build()
 
     # 3. Let the overlay form, then inject a one-shot query from a
     #    random online endsystem.

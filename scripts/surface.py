@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """surface: the size and option counts a simplicity PR reports in
-CHANGES.md, printed instead of counted by hand: lines, config fields,
-constructor parameters, CLI flags, process-wide switches and the
+CHANGES.md, printed instead of counted by hand: lines, config and
+deployment-spec fields, constructor parameters, CLI flags, process-wide switches and the
 distinct metric series names the source registers.
 
     PYTHONPATH=src python scripts/surface.py
@@ -17,6 +17,7 @@ from pathlib import Path
 
 from repro.cli import build_parser
 from repro.core.config import SeaweedConfig
+from repro.core.deployment import Deployment
 from repro.core.system import SeaweedSystem
 from repro.net.transport import Transport
 from repro.obs.observer import Observer
@@ -29,7 +30,7 @@ def main() -> None:
     source = Path(__file__).resolve().parent.parent / "src" / "repro"
     text = [path.read_text(encoding="utf-8") for path in source.rglob("*.py")]
     print(f"src/repro: {len(text)} files, {sum(t.count(chr(10)) for t in text)} lines")
-    for config in (SeaweedConfig, OverlayConfig):
+    for config in (SeaweedConfig, OverlayConfig, Deployment):
         print(f"{config.__name__}: {len(dataclasses.fields(config))} fields")
     for cls in (SeaweedSystem, Transport, Simulator, AsyncioTransport, Observer):
         count = len(inspect.signature(cls.__init__).parameters) - 1  # not self

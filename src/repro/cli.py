@@ -65,11 +65,14 @@ def _cmd_models(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.harness.overhead import build_trace
+    from repro.core.deployment import Deployment
     from repro.harness.reporting import format_table
     from repro.harness.trace_stats import compute_trace_statistics
 
-    trace = build_trace(args.kind, args.population, args.days * 86400.0, args.seed)
+    trace = Deployment(
+        args.kind, population=args.population, horizon=args.days * 86400.0,
+        seed=args.seed,
+    ).trace_set()
     stats = compute_trace_statistics(trace, sample_days=min(7.0, args.days))
     rows = [
         ("population", stats.population),
@@ -125,6 +128,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     import json
 
+    from repro.core.deployment import Deployment, QueryScheduleError
     from repro.harness.overhead import run_overhead_experiment
     from repro.harness.reporting import format_table
     from repro.net.stats import (
@@ -147,14 +151,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"running packet-level deployment: {args.population} endsystems, "
         f"{args.hours:.1f} h, {args.kind} trace..."
     )
-    result = run_overhead_experiment(
-        num_endsystems=args.population,
-        trace_kind=args.kind,
-        duration=args.hours * 3600.0,
+    deployment = Deployment(
+        args.kind, population=args.population, horizon=args.hours * 3600.0,
         seed=args.seed,
-        query_sql=args.sql,
-        observer=observer,
     )
+    try:
+        result = run_overhead_experiment(
+            deployment, query_sql=args.sql, observer=observer
+        )
+    except QueryScheduleError as error:
+        if observer is not None:
+            observer.close()
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     rows = [
         ("MSPastry", f"{result.tx_by_category[CATEGORY_OVERLAY]:.1f}"),
         ("Seaweed maintenance", f"{result.tx_by_category[CATEGORY_MAINTENANCE]:.1f}"),

@@ -2,7 +2,8 @@
 
 Metadata replication (availability models + data summaries), query
 dissemination with completeness prediction, failure-resilient in-network
-result aggregation, and the :class:`SeaweedSystem` deployment facade.
+result aggregation, the :class:`SeaweedSystem` deployment facade and
+the :class:`Deployment` spec that builds and runs it.
 """
 
 from repro.core.aggregation import (
@@ -14,6 +15,7 @@ from repro.core.aggregation import (
 )
 from repro.core.availability_model import AvailabilityModel, AvailabilityPrediction
 from repro.core.config import SeaweedConfig
+from repro.core.deployment import Deployment, DeploymentRun
 from repro.core.dissemination import Disseminator
 from repro.core.metadata import EndsystemMetadata, MetadataRecord, MetadataStore
 from repro.core.node import SeaweedNode
@@ -26,6 +28,8 @@ __all__ = [
     "AvailabilityPrediction",
     "CompletenessPredictor",
     "DEFAULT_LIFETIME",
+    "Deployment",
+    "DeploymentRun",
     "Disseminator",
     "EndsystemMetadata",
     "MetadataRecord",

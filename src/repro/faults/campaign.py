@@ -23,10 +23,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.core.system import SeaweedSystem
+from repro.core.deployment import Deployment
 from repro.faults.scenarios import ChaosScenario, builtin_scenarios
 from repro.sim.randomness import derive_seed
-from repro.traces.availability import AvailabilitySchedule, TraceSet
 from repro.workload.anemone import AnemoneDataset, AnemoneParams
 
 
@@ -53,26 +52,18 @@ def run_scenario(
     if dataset is None:
         dataset = _campaign_dataset(master_seed)
     seed = derive_seed(master_seed, f"chaos-{scenario.name}")
-    horizon = max(scenario.duration, scenario.plan.horizon) + 1.0
-    schedules = [
-        AvailabilitySchedule.always_on(horizon)
-        for _ in range(scenario.population)
-    ]
-    trace = TraceSet(schedules, horizon)
-    system = SeaweedSystem(
-        trace,
-        dataset,
-        num_endsystems=scenario.population,
-        master_seed=seed,
+    deployment = Deployment(
+        trace="always_on",
+        population=scenario.population,
+        horizon=scenario.duration,
+        seed=seed,
+        dataset=dataset,
         startup_stagger=30.0,
         fault_plan=scenario.plan,
     )
-    oracle = system.enable_audit()
-    system.run_until(scenario.inject_at)
-    _, descriptor = system.inject_query(
-        scenario.query_sql, lifetime=scenario.query_lifetime
+    system, oracle, (descriptor,), _ = deployment.run(
+        [(scenario.inject_at, scenario.query_sql)]
     )
-    system.run_until(scenario.duration)
 
     audit = oracle.finalize()
     status = system.status_of(descriptor)

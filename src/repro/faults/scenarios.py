@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.core.query import DEFAULT_LIFETIME
 from repro.faults.plan import (
     CrashBurst,
     Duplication,
@@ -49,7 +48,6 @@ class ChaosScenario:
     duration: float = 1800.0
     inject_at: float = 120.0
     query_sql: str = QUERY_HTTP_BYTES
-    query_lifetime: float = DEFAULT_LIFETIME
 
     def scaled(self, population: int) -> "ChaosScenario":
         """A copy with a different population (CLI ``--population``)."""

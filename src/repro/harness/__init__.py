@@ -8,13 +8,7 @@
 * :mod:`repro.harness.reporting` — plain-text tables and series.
 """
 
-from repro.harness.overhead import (
-    OverheadResult,
-    build_trace,
-    run_id_assignment_sweep,
-    run_overhead_experiment,
-    run_scaling_sweep,
-)
+from repro.harness.overhead import OverheadResult, run_overhead_experiment
 from repro.harness.prediction import (
     DEFAULT_CHECKPOINTS,
     PredictionOutcome,
@@ -39,15 +33,12 @@ __all__ = [
     "PredictionOutcome",
     "PredictionSimulator",
     "TraceStatistics",
-    "build_trace",
     "compute_trace_statistics",
     "format_bytes_rate",
     "format_series",
     "format_table",
     "hourly_availability_curve",
-    "run_id_assignment_sweep",
     "run_overhead_experiment",
-    "run_scaling_sweep",
     "summarize_distribution",
     "sweep_injection_times",
 ]

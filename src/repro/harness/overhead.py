@@ -26,8 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.config import SeaweedConfig
-from repro.core.system import SeaweedSystem
+from repro.core.deployment import Deployment
 from repro.obs.observer import Observer
 from repro.net.stats import (
     CATEGORY_MAINTENANCE,
@@ -35,10 +34,6 @@ from repro.net.stats import (
     CATEGORY_QUERY,
     percentile,
 )
-from repro.traces.availability import TraceSet
-from repro.traces.farsite import generate_farsite_trace
-from repro.traces.gnutella import generate_gnutella_trace
-from repro.workload.anemone import AnemoneDataset, AnemoneParams
 from repro.workload.queries import QUERY_HTTP_BYTES
 
 
@@ -80,60 +75,35 @@ class OverheadResult:
         return percentile(self.tx_samples, q)
 
 
-def build_trace(
-    kind: str, num_endsystems: int, horizon: float, seed: int
-) -> TraceSet:
-    """A calibrated trace of the requested kind ("farsite" or "gnutella")."""
-    rng = np.random.default_rng(seed)
-    if kind == "farsite":
-        return generate_farsite_trace(num_endsystems, horizon=horizon, rng=rng)
-    if kind == "gnutella":
-        return generate_gnutella_trace(num_endsystems, horizon=horizon, rng=rng)
-    raise ValueError(f"unknown trace kind {kind!r}")
-
-
 def run_overhead_experiment(
-    num_endsystems: int = 400,
-    trace_kind: str = "farsite",
-    duration: float = 8 * 3600.0,
+    deployment: Deployment = Deployment(),
     inject_after: float = 1800.0,
     query_sql: str = QUERY_HTTP_BYTES,
-    seed: int = 0,
-    id_seed: Optional[int] = None,
-    num_profiles: int = 40,
-    config: Optional[SeaweedConfig] = None,
     sample_checkpoints: tuple[float, ...] = (60.0, 1800.0, 3600.0, 2 * 3600.0, 4 * 3600.0),
     observer: Optional[Observer] = None,
 ) -> OverheadResult:
-    """Run one packet-level deployment and collect Fig. 9/10 measurements.
+    """Run one packet-level deployment over its horizon and collect
+    Fig. 9/10 measurements.
 
-    Pass ``observer`` to trace/profile the run (see :mod:`repro.obs`);
-    its snapshot lands in :attr:`OverheadResult.metrics`.
+    The query is injected at ``inject_after`` (a
+    :class:`~repro.core.deployment.QueryScheduleError` if that is not
+    before the horizon); result completeness is sampled
+    ``sample_checkpoints`` seconds after injection.  Pass ``observer`` to
+    trace/profile the run (see :mod:`repro.obs`); its snapshot lands in
+    :attr:`OverheadResult.metrics`.
     """
-    trace = build_trace(trace_kind, num_endsystems, duration, seed)
-    dataset = AnemoneDataset(
-        num_profiles=num_profiles,
-        params=AnemoneParams(),
-        rng=np.random.default_rng(seed + 1),
-    )
-    system = SeaweedSystem(
-        trace,
-        dataset,
-        num_endsystems=num_endsystems,
-        config=config,
-        master_seed=seed,
-        id_seed=id_seed,
+    duration = deployment.horizon
+    checkpoints = [c for c in sample_checkpoints if inject_after + c <= duration]
+    # The builder stops at the first sample; the rest follow on its system.
+    system, _oracle, (descriptor,), _ = deployment.run(
+        [(inject_after, query_sql)],
+        until=inject_after + checkpoints[0] if checkpoints else duration,
+        bind_now=False,
         observer=observer,
     )
-    system.pretrain_availability()
-    system.run_until(inject_after)
-    origin, descriptor = system.inject_query(query_sql, bind_now=False)
     completeness: list[tuple[float, int]] = []
-    for checkpoint in sample_checkpoints:
-        target = inject_after + checkpoint
-        if target > duration:
-            break
-        system.run_until(target)
+    for checkpoint in checkpoints:
+        system.run_until(inject_after + checkpoint)
         status = system.status_of(descriptor)
         rows = status.rows_processed if status is not None else 0
         completeness.append((checkpoint, rows))
@@ -162,7 +132,7 @@ def run_overhead_experiment(
     tx_samples = accounting.endsystem_hour_samples(names, 0, buckets, "tx")
     rx_samples = accounting.endsystem_hour_samples(names, 0, buckets, "rx")
     return OverheadResult(
-        num_endsystems=num_endsystems,
+        num_endsystems=deployment.population,
         duration=duration,
         online_endsystem_seconds=online_seconds,
         tx_by_category=tx_by_category,
@@ -175,27 +145,3 @@ def run_overhead_experiment(
         ground_truth_rows=system.ground_truth_rows(query_sql),
         metrics=system.metrics_snapshot() if observer is not None else None,
     )
-
-
-def run_scaling_sweep(
-    populations: tuple[int, ...] = (100, 200, 400, 800),
-    **kwargs,
-) -> dict[int, OverheadResult]:
-    """Fig. 9(d): per-endsystem overhead and latency as N grows."""
-    results = {}
-    for population in populations:
-        results[population] = run_overhead_experiment(
-            num_endsystems=population, **kwargs
-        )
-    return results
-
-
-def run_id_assignment_sweep(
-    id_seeds: tuple[int, ...] = (11, 22, 33, 44, 55),
-    **kwargs,
-) -> dict[int, OverheadResult]:
-    """Fig. 9(c): identical runs differing only in endsystemId assignment."""
-    results = {}
-    for id_seed in id_seeds:
-        results[id_seed] = run_overhead_experiment(id_seed=id_seed, **kwargs)
-    return results

@@ -16,10 +16,11 @@ Off is ``None``: no observer, or an observer with no trace sink.
 
 Quick use::
 
+    from repro.core import Deployment
     from repro.obs import JSONLSink, Observer
 
     obs = Observer(trace_sink=JSONLSink("trace.jsonl"), profile=True)
-    system = SeaweedSystem(trace, dataset, observer=obs)
+    system = Deployment(population=200).build(observer=obs)
     ...
     print(system.metrics_snapshot()["profile"]["handlers"])
     obs.close()

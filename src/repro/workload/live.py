@@ -47,7 +47,7 @@ class LiveAnemoneFeed:
         """
         if not getattr(system, "private_databases", False):
             raise ValueError(
-                "LiveAnemoneFeed requires SeaweedSystem(private_databases=True): "
+                "LiveAnemoneFeed requires a deployment with private_databases=True: "
                 "shared profile databases must not be mutated"
             )
         self.system = system

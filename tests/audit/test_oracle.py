@@ -15,33 +15,28 @@ from repro.audit import (
     AUDIT_LEAFSET_REPAIRED,
     AUDIT_VALUE_MISMATCH,
     AUDIT_VERTEX_STATE_RELEASED,
-    GroundTruthOracle,
 )
-from repro.core import SeaweedSystem
+from repro.core.deployment import Deployment
 from repro.db.aggregates import AggregateState
 from repro.db.executor import QueryResult
 from repro.obs import Observer
-from repro.traces import AvailabilitySchedule, TraceSet
 from repro.workload import QUERY_HTTP_BYTES
 
 HORIZON = 2 * 3600.0
 
 
 def build_system(small_dataset, count=16, seed=31, observer=None):
-    schedules = [AvailabilitySchedule.always_on(HORIZON) for _ in range(count)]
-    trace = TraceSet(schedules, HORIZON)
-    system = SeaweedSystem(
-        trace, small_dataset, num_endsystems=count, master_seed=seed,
-        startup_stagger=15.0, observer=observer,
-    )
-    return system
+    return Deployment(
+        trace="always_on", population=count, horizon=HORIZON, seed=seed,
+        dataset=small_dataset, startup_stagger=15.0,
+    ).build(observer)
 
 
 @pytest.fixture(scope="module")
 def audited_run(small_dataset):
     observer = Observer()
     system = build_system(small_dataset, observer=observer)
-    oracle = system.enable_audit(observer)
+    oracle = system.auditor
     system.run_until(120.0)
     _, descriptor = system.inject_query(QUERY_HTTP_BYTES)
     system.run_until(300.0)
@@ -92,8 +87,10 @@ class TestCleanRunConformance:
 
     def test_audit_does_not_perturb_the_simulation(self, small_dataset):
         plain = build_system(small_dataset, count=12, seed=57)
+        plain.auditor = None
+        for node in plain.nodes:
+            node.auditor = None
         audited = build_system(small_dataset, count=12, seed=57)
-        audited.enable_audit()
         for system in (plain, audited):
             system.run_until(120.0)
         _, d_plain = plain.inject_query(QUERY_HTTP_BYTES)
@@ -111,7 +108,7 @@ class TestViolationDetection:
     def _fresh_oracle(self, small_dataset, seed):
         observer = Observer()
         system = build_system(small_dataset, count=8, seed=seed, observer=observer)
-        oracle = system.enable_audit(observer)
+        oracle = system.auditor
         system.run_until(120.0)
         _, descriptor = system.inject_query(QUERY_HTTP_BYTES)
         system.run_until(600.0)
@@ -193,7 +190,7 @@ class TestViolationDetection:
 class TestAvailabilityTracking:
     def test_transitions_update_eligibility(self, small_dataset):
         system = build_system(small_dataset, count=8, seed=83)
-        oracle = system.enable_audit()
+        oracle = system.auditor
         system.run_until(120.0)
         assert oracle.online_now == {n.node_id for n in system.nodes}
         victim = system.nodes[3]

@@ -10,10 +10,9 @@ collected, and live state must survive the sweep untouched.
 
 import pytest
 
-from repro.core import SeaweedSystem
+from repro.core.deployment import Deployment
 from repro.core.aggregation import VertexState
 from repro.core.query import QueryDescriptor
-from repro.traces import AvailabilitySchedule, TraceSet
 from repro.workload import QUERY_HTTP_BYTES
 
 HORIZON = 2 * 3600.0
@@ -21,12 +20,10 @@ HORIZON = 2 * 3600.0
 
 @pytest.fixture
 def system(small_dataset):
-    schedules = [AvailabilitySchedule.always_on(HORIZON) for _ in range(8)]
-    trace = TraceSet(schedules, HORIZON)
-    system = SeaweedSystem(
-        trace, small_dataset, num_endsystems=8, master_seed=41,
-        startup_stagger=15.0,
-    )
+    system = Deployment(
+        trace="always_on", population=8, horizon=HORIZON, seed=41,
+        dataset=small_dataset, startup_stagger=15.0,
+    ).build()
     system.run_until(90.0)
     return system
 

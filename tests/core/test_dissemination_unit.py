@@ -1,13 +1,11 @@
 """Unit tests for dissemination building blocks on a live mini-deployment."""
 
-import numpy as np
 import pytest
 
-from repro.core import SeaweedSystem
+from repro.core.deployment import Deployment
 from repro.core.dissemination import Disseminator
-from repro.overlay.ids import ID_MASK, in_wrapped_range, wrapped_range_size
+from repro.overlay.ids import ID_MASK, in_wrapped_range
 from repro.proto.messages import Bcast
-from repro.traces import AvailabilitySchedule, TraceSet
 from repro.workload import QUERY_HTTP_BYTES
 
 HORIZON = 2 * 3600.0
@@ -15,11 +13,10 @@ HORIZON = 2 * 3600.0
 
 @pytest.fixture(scope="module")
 def mini(small_dataset):
-    schedules = [AvailabilitySchedule.always_on(HORIZON) for _ in range(16)]
-    trace = TraceSet(schedules, HORIZON)
-    system = SeaweedSystem(
-        trace, small_dataset, num_endsystems=16, master_seed=77, startup_stagger=15.0
-    )
+    system = Deployment(
+        trace="always_on", population=16, horizon=HORIZON, seed=77,
+        dataset=small_dataset, startup_stagger=15.0,
+    ).build()
     system.run_until(120.0)
     return system
 

@@ -10,12 +10,11 @@ keep it counted exactly once).
 
 import pytest
 
-from repro.core import SeaweedSystem
+from repro.core.deployment import Deployment
 from repro.core.aggregation import parent_vertex
 from repro.core.query import QueryDescriptor
 from repro.db.aggregates import AggregateSpec, AggregateState
 from repro.db.executor import QueryResult
-from repro.traces import AvailabilitySchedule, TraceSet
 from repro.workload import QUERY_HTTP_BYTES
 
 HORIZON = 2 * 3600.0
@@ -31,12 +30,10 @@ def count_result(rows: int) -> QueryResult:
 
 @pytest.fixture
 def system(small_dataset):
-    schedules = [AvailabilitySchedule.always_on(HORIZON) for _ in range(10)]
-    trace = TraceSet(schedules, HORIZON)
-    system = SeaweedSystem(
-        trace, small_dataset, num_endsystems=10, master_seed=53,
-        startup_stagger=15.0,
-    )
+    system = Deployment(
+        trace="always_on", population=10, horizon=HORIZON, seed=53,
+        dataset=small_dataset, startup_stagger=15.0,
+    ).build()
     system.run_until(90.0)
     return system
 

@@ -1,29 +1,20 @@
 """Node-level unit tests: metadata pushes, delta encoding, query registry."""
 
-import numpy as np
-import pytest
-
-from repro.core import SeaweedConfig, SeaweedSystem
+from repro.core import SeaweedConfig
+from repro.core.deployment import Deployment
 from repro.net.stats import CATEGORY_MAINTENANCE
 from repro.proto import wire
-from repro.traces import AvailabilitySchedule, TraceSet
 from repro.workload import QUERY_HTTP_BYTES
 
 HORIZON = 3 * 3600.0
 
 
 def build(small_dataset, config=None, count=16, seed=71, private=False):
-    schedules = [AvailabilitySchedule.always_on(HORIZON) for _ in range(count)]
-    trace = TraceSet(schedules, HORIZON)
-    system = SeaweedSystem(
-        trace,
-        small_dataset,
-        num_endsystems=count,
-        config=config,
-        master_seed=seed,
-        startup_stagger=15.0,
+    system = Deployment(
+        trace="always_on", population=count, horizon=HORIZON, seed=seed,
+        dataset=small_dataset, config=config, startup_stagger=15.0,
         private_databases=private,
-    )
+    ).build()
     system.run_until(90.0)
     return system
 

@@ -7,23 +7,21 @@ costs O(log) retransmits instead of one per period.
 
 import pytest
 
-from repro.core import SeaweedConfig, SeaweedSystem
+from repro.core import SeaweedConfig
+from repro.core.deployment import Deployment
 from repro.core.aggregation import PendingSubmission
 from repro.core.query import QueryDescriptor
 from repro.db.executor import QueryResult
-from repro.traces import AvailabilitySchedule, TraceSet
 from repro.workload import QUERY_HTTP_BYTES
 
 HORIZON = 2 * 3600.0
 
 
 def build(small_dataset, config=None):
-    schedules = [AvailabilitySchedule.always_on(HORIZON) for _ in range(8)]
-    trace = TraceSet(schedules, HORIZON)
-    system = SeaweedSystem(
-        trace, small_dataset, num_endsystems=8, master_seed=47,
-        startup_stagger=15.0, config=config,
-    )
+    system = Deployment(
+        trace="always_on", population=8, horizon=HORIZON, seed=47,
+        dataset=small_dataset, startup_stagger=15.0, config=config,
+    ).build()
     system.run_until(90.0)
     return system
 

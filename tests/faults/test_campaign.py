@@ -2,9 +2,7 @@
 
 import json
 
-import pytest
-
-from repro.core import SeaweedSystem
+from repro.core.deployment import Deployment
 from repro.faults import (
     ChaosScenario,
     CrashBurst,
@@ -15,7 +13,6 @@ from repro.faults import (
     run_campaign,
     run_scenario,
 )
-from repro.traces import AvailabilitySchedule, TraceSet
 from repro.workload import QUERY_HTTP_BYTES
 
 
@@ -91,18 +88,11 @@ class TestDeterminism:
         plan = _quick_scenario().plan
 
         def snapshot() -> str:
-            horizon = 700.0
-            schedules = [
-                AvailabilitySchedule.always_on(horizon) for _ in range(12)
-            ]
-            trace = TraceSet(schedules, horizon)
-            system = SeaweedSystem(
-                trace, small_dataset, num_endsystems=12, master_seed=17,
-                startup_stagger=30.0, fault_plan=plan,
+            deployment = Deployment(
+                trace="always_on", population=12, horizon=600.0, seed=17,
+                dataset=small_dataset, startup_stagger=30.0, fault_plan=plan,
             )
-            system.run_until(90.0)
-            system.inject_query(QUERY_HTTP_BYTES)
-            system.run_until(600.0)
+            system = deployment.run([(90.0, QUERY_HTTP_BYTES)]).system
             return json.dumps(system.metrics_snapshot(), sort_keys=True)
 
         assert snapshot() == snapshot()

@@ -11,9 +11,8 @@ every endsystem counted — without ever counting anyone twice.
 import pytest
 
 from repro.audit import AUDIT_CONTRIBUTION_BOUND
-from repro.core import SeaweedSystem
+from repro.core.deployment import Deployment
 from repro.faults import Duplication, FaultPlan, LinkPartition
-from repro.traces import AvailabilitySchedule, TraceSet
 from repro.workload import QUERY_HTTP_BYTES
 
 HORIZON = 3600.0
@@ -33,16 +32,13 @@ def partitioned_run(small_dataset):
             Duplication(start=100.0, end=500.0, rate=0.1, copies=1),
         ),
     )
-    schedules = [AvailabilitySchedule.always_on(HORIZON) for _ in range(20)]
-    trace = TraceSet(schedules, HORIZON)
-    system = SeaweedSystem(
-        trace, small_dataset, num_endsystems=20, master_seed=13,
-        startup_stagger=30.0, fault_plan=plan,
+    deployment = Deployment(
+        trace="always_on", population=20, horizon=HORIZON, seed=13,
+        dataset=small_dataset, startup_stagger=30.0, fault_plan=plan,
     )
-    oracle = system.enable_audit()
-    system.run_until(120.0)
-    _, descriptor = system.inject_query(QUERY_HTTP_BYTES)
-    system.run_until(1500.0)
+    system, oracle, (descriptor,), _ = deployment.run(
+        [(120.0, QUERY_HTTP_BYTES)], until=1500.0
+    )
     return system, descriptor, oracle
 
 

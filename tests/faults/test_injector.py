@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import SeaweedSystem
+from repro.core.deployment import Deployment
 from repro.faults import (
     CrashBurst,
     Duplication,
@@ -18,7 +18,6 @@ from repro.faults import (
 from repro.net.topology import Topology
 from repro.net.transport import Message
 from repro.proto.messages import LeafsetProbe
-from repro.traces import AvailabilitySchedule, TraceSet
 
 HORIZON = 1200.0
 
@@ -84,16 +83,15 @@ class TestSlowNodeInterceptor:
 
 
 def _system(small_dataset, plan, population=12, seed=21):
-    schedules = [AvailabilitySchedule.always_on(HORIZON) for _ in range(population)]
-    trace = TraceSet(schedules, HORIZON)
-    return SeaweedSystem(
-        trace,
-        small_dataset,
-        num_endsystems=population,
-        master_seed=seed,
+    return Deployment(
+        trace="always_on",
+        population=population,
+        horizon=HORIZON,
+        seed=seed,
+        dataset=small_dataset,
         startup_stagger=30.0,
         fault_plan=plan,
-    )
+    ).build()
 
 
 class TestFaultInjector:

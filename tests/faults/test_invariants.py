@@ -8,11 +8,10 @@ rule of :meth:`repro.core.query.QueryStatus.offer_predictor`.
 import pytest
 
 from repro.audit import AUDIT_CONTRIBUTION_BOUND
-from repro.core import SeaweedSystem
+from repro.core.deployment import Deployment
 from repro.core.predictor import CompletenessPredictor
 from repro.core.query import QueryDescriptor, QueryStatus
 from repro.db.executor import QueryResult
-from repro.traces import AvailabilitySchedule, TraceSet
 from repro.workload import QUERY_HTTP_BYTES
 
 HORIZON = 4 * 3600.0
@@ -20,12 +19,10 @@ HORIZON = 4 * 3600.0
 
 @pytest.fixture(scope="module")
 def stable_system(small_dataset):
-    schedules = [AvailabilitySchedule.always_on(HORIZON) for _ in range(16)]
-    trace = TraceSet(schedules, HORIZON)
-    system = SeaweedSystem(
-        trace, small_dataset, num_endsystems=16, master_seed=3,
-        startup_stagger=30.0,
-    )
+    system = Deployment(
+        trace="always_on", population=16, horizon=HORIZON, seed=3,
+        dataset=small_dataset, startup_stagger=30.0,
+    ).build()
     system.run_until(120.0)
     return system
 

@@ -2,18 +2,16 @@
 
 import pytest
 
-from repro.harness.overhead import build_trace, run_overhead_experiment
+from repro.core.deployment import Deployment
+from repro.harness.overhead import run_overhead_experiment
 from repro.net.stats import CATEGORY_MAINTENANCE, CATEGORY_OVERLAY, CATEGORY_QUERY
 
 
 @pytest.fixture(scope="module")
 def result():
     return run_overhead_experiment(
-        num_endsystems=60,
-        duration=2 * 3600.0,
+        Deployment(population=60, horizon=2 * 3600.0, seed=1, num_profiles=10),
         inject_after=1200.0,
-        seed=1,
-        num_profiles=10,
         sample_checkpoints=(60.0, 1800.0),
     )
 
@@ -51,13 +49,17 @@ class TestOverheadRun:
 
 class TestBuildTrace:
     def test_farsite(self):
-        trace = build_trace("farsite", 50, 3600.0, 1)
+        trace = Deployment("farsite", population=50, horizon=3600.0, seed=1).trace_set()
         assert len(trace) == 50
 
     def test_gnutella(self):
-        trace = build_trace("gnutella", 50, 3600.0, 1)
+        trace = Deployment("gnutella", population=50, horizon=3600.0, seed=1).trace_set()
         assert len(trace) == 50
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            build_trace("bittorrent", 10, 100.0, 0)
+            Deployment("bittorrent", population=10, horizon=100.0)
+
+    def test_query_at_or_past_the_horizon_rejected(self):
+        with pytest.raises(ValueError, match="at or past the end"):
+            run_overhead_experiment(Deployment(population=10, horizon=900.0))

@@ -13,34 +13,7 @@ here first.  Update the constants only when such a change is
 deliberate, and say so in the commit.
 """
 
-import numpy as np
-import pytest
-
-from repro.core import SeaweedSystem
-from repro.traces import generate_farsite_trace
-from repro.workload import AnemoneDataset, AnemoneParams
-
-
-def fingerprint(system: SeaweedSystem, descriptor) -> dict:
-    snapshot = system.metrics_snapshot()
-    bandwidth = snapshot["bandwidth"]
-    status = system.status_of(descriptor)
-    return {
-        "events_processed": system.sim.events_processed,
-        "total_tx": bandwidth["total_tx"],
-        "total_rx": bandwidth["total_rx"],
-        "messages": bandwidth["messages"],
-        "tx_by_category": dict(sorted(bandwidth["tx_by_category"].items())),
-        "drops_by_reason": snapshot["transport"]["drops_by_reason"],
-        "overlay_online": snapshot["overlay"]["online"],
-        "reroutes": snapshot["overlay"]["reroutes"],
-        "routing_drops": snapshot["overlay"]["routing_drops"],
-        "rows": status.rows_processed,
-        "predictor_ready_at": status.predictor_ready_at,
-        "expected_total": status.predictor.expected_total,
-        "history_len": len(status.history),
-    }
-
+from repro.core.deployment import Deployment
 
 GOLDEN_LOSSLESS = {
     "events_processed": 25539,
@@ -116,25 +89,17 @@ GOLDEN_2K = {
 
 
 def run_scenario(
-    population, seed, num_profiles, inject_at, duration, sql, **system_kwargs
+    population, seed, num_profiles, inject_at, duration, sql, loss_rate=0.0
 ) -> dict:
-    """One seeded deployment, one query, run to ``duration``: its fingerprint."""
-    trace = generate_farsite_trace(
-        population, horizon=duration, rng=np.random.default_rng(seed)
-    )
-    dataset = AnemoneDataset(
+    """One seeded Farsite deployment, one query, run to ``duration``."""
+    deployment = Deployment(
+        population=population,
+        horizon=duration,
+        seed=seed,
         num_profiles=num_profiles,
-        params=AnemoneParams(),
-        rng=np.random.default_rng(seed + 1),
+        loss_rate=loss_rate,
     )
-    system = SeaweedSystem(
-        trace, dataset, num_endsystems=population, master_seed=seed, **system_kwargs
-    )
-    system.pretrain_availability()
-    system.run_until(inject_at)
-    _origin, descriptor = system.inject_query(sql, bind_now=False)
-    system.run_until(duration)
-    return fingerprint(system, descriptor)
+    return deployment.run([(inject_at, sql)], bind_now=False).fingerprint
 
 
 class TestBitIdentity:

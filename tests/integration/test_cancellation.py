@@ -1,10 +1,8 @@
 """Tests for explicit query cancellation (§2)."""
 
-import numpy as np
 import pytest
 
-from repro.core import SeaweedSystem
-from repro.traces import AvailabilitySchedule, TraceSet
+from repro.core.deployment import Deployment
 from repro.workload import QUERY_HTTP_BYTES
 
 HORIZON = 4 * 3600.0
@@ -12,11 +10,10 @@ HORIZON = 4 * 3600.0
 
 @pytest.fixture
 def system(small_dataset):
-    schedules = [AvailabilitySchedule.always_on(HORIZON) for _ in range(20)]
-    trace = TraceSet(schedules, HORIZON)
-    built = SeaweedSystem(
-        trace, small_dataset, num_endsystems=20, master_seed=23, startup_stagger=15.0
-    )
+    built = Deployment(
+        trace="always_on", population=20, horizon=HORIZON, seed=23,
+        dataset=small_dataset, startup_stagger=15.0,
+    ).build()
     built.run_until(90.0)
     return built
 

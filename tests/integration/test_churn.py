@@ -9,7 +9,7 @@ despite failures, rejoins, and vertex primary changes.
 import numpy as np
 import pytest
 
-from repro.core import SeaweedSystem
+from repro.core.deployment import Deployment
 from repro.traces import AvailabilitySchedule, TraceSet
 from repro.workload import QUERY_HTTP_BYTES
 
@@ -39,10 +39,10 @@ def make_churn_trace(count: int, rng: np.random.Generator) -> TraceSet:
 def churn_run(small_dataset):
     rng = np.random.default_rng(31)
     trace = make_churn_trace(36, rng)
-    system = SeaweedSystem(
-        trace, small_dataset, num_endsystems=36, master_seed=5, startup_stagger=60.0
-    )
-    system.pretrain_availability()
+    system = Deployment(
+        trace=trace, population=36, seed=5, dataset=small_dataset,
+        startup_stagger=60.0,
+    ).build()
     # Inject at 4.5 h: some endsystems are mid-outage.
     inject_at = 4.5 * HOURS
     system.run_until(inject_at)

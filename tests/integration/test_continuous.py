@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import SeaweedSystem
+from repro.core.deployment import Deployment
 from repro.traces import AvailabilitySchedule, TraceSet
 from repro.workload.live import LiveAnemoneFeed
 
@@ -13,16 +13,10 @@ SQL = "SELECT COUNT(*), SUM(Bytes) FROM Flow WHERE SrcPort = 80"
 
 @pytest.fixture(scope="module")
 def live_system(small_dataset):
-    schedules = [AvailabilitySchedule.always_on(HORIZON) for _ in range(24)]
-    trace = TraceSet(schedules, HORIZON)
-    system = SeaweedSystem(
-        trace,
-        small_dataset,
-        num_endsystems=24,
-        master_seed=13,
-        startup_stagger=20.0,
-        private_databases=True,
-    )
+    system = Deployment(
+        trace="always_on", population=24, horizon=HORIZON, seed=13,
+        dataset=small_dataset, startup_stagger=20.0, private_databases=True,
+    ).build()
     system.run_until(120.0)
     feed = LiveAnemoneFeed(
         system, np.random.default_rng(14), rows_per_hour=400.0, period=120.0
@@ -68,8 +62,10 @@ class TestContinuousQuery:
 
 class TestLiveFeed:
     def test_requires_private_databases(self, small_dataset):
-        trace = TraceSet([AvailabilitySchedule.always_on(100.0)], 100.0)
-        system = SeaweedSystem(trace, small_dataset, num_endsystems=1, master_seed=1)
+        system = Deployment(
+            trace="always_on", population=1, horizon=100.0, seed=1,
+            dataset=small_dataset,
+        ).build()
         with pytest.raises(ValueError):
             LiveAnemoneFeed(system, np.random.default_rng(0))
 
@@ -79,15 +75,10 @@ class TestLiveFeed:
             AvailabilitySchedule.always_on(horizon),
             AvailabilitySchedule.always_off(horizon),
         ]
-        trace = TraceSet(schedules, horizon)
-        system = SeaweedSystem(
-            trace,
-            small_dataset,
-            num_endsystems=2,
-            master_seed=2,
-            startup_stagger=5.0,
-            private_databases=True,
-        )
+        system = Deployment(
+            trace=TraceSet(schedules, horizon), population=2, seed=2,
+            dataset=small_dataset, startup_stagger=5.0, private_databases=True,
+        ).build()
         system.run_until(10.0)
         before = [node.database.total_rows("Flow") for node in system.nodes]
         LiveAnemoneFeed(

@@ -6,12 +6,10 @@ and the aggregated result equals the ground truth computed directly over
 all local databases.
 """
 
-import numpy as np
 import pytest
 
-from repro.core import SeaweedSystem
+from repro.core.deployment import Deployment
 from repro.db.executor import execute
-from repro.traces import AvailabilitySchedule, TraceSet
 from repro.workload import QUERY_HTTP_BYTES, QUERY_SMB_AVG
 
 HORIZON = 4 * 3600.0
@@ -19,11 +17,10 @@ HORIZON = 4 * 3600.0
 
 @pytest.fixture(scope="module")
 def stable_system(small_dataset):
-    schedules = [AvailabilitySchedule.always_on(HORIZON) for _ in range(40)]
-    trace = TraceSet(schedules, HORIZON)
-    system = SeaweedSystem(
-        trace, small_dataset, num_endsystems=40, master_seed=9, startup_stagger=30.0
-    )
+    system = Deployment(
+        trace="always_on", population=40, horizon=HORIZON, seed=9,
+        dataset=small_dataset, startup_stagger=30.0,
+    ).build()
     system.run_until(180.0)
     return system
 

@@ -6,24 +6,20 @@ assert that the recovery mechanisms (predictor retry, backup promotion,
 refresh sweeps) restore the paper's guarantees.
 """
 
-import numpy as np
 import pytest
 
-from repro.core import SeaweedSystem
+from repro.core.deployment import Deployment
 from repro.overlay.ids import ring_distance
-from repro.traces import AvailabilitySchedule, TraceSet
 from repro.workload import QUERY_HTTP_BYTES
 
 HORIZON = 6 * 3600.0
 
 
 def build_system(small_dataset, count=30, seed=51):
-    schedules = [AvailabilitySchedule.always_on(HORIZON) for _ in range(count)]
-    trace = TraceSet(schedules, HORIZON)
-    system = SeaweedSystem(
-        trace, small_dataset, num_endsystems=count, master_seed=seed,
-        startup_stagger=20.0,
-    )
+    system = Deployment(
+        trace="always_on", population=count, horizon=HORIZON, seed=seed,
+        dataset=small_dataset, startup_stagger=20.0,
+    ).build()
     system.run_until(150.0)
     return system
 

@@ -5,12 +5,10 @@ exactly like flat aggregates; the distributed answer must match a direct
 group-by over all endsystem databases.
 """
 
-import numpy as np
 import pytest
 
-from repro.core import SeaweedSystem
+from repro.core.deployment import Deployment
 from repro.db.sql import parse
-from repro.traces import AvailabilitySchedule, TraceSet
 
 HORIZON = 2 * 3600.0
 SQL = "SELECT SUM(Bytes), COUNT(*) FROM Flow WHERE Bytes > 1000 GROUP BY App"
@@ -18,11 +16,10 @@ SQL = "SELECT SUM(Bytes), COUNT(*) FROM Flow WHERE Bytes > 1000 GROUP BY App"
 
 @pytest.fixture(scope="module")
 def grouped_run(small_dataset):
-    schedules = [AvailabilitySchedule.always_on(HORIZON) for _ in range(24)]
-    trace = TraceSet(schedules, HORIZON)
-    system = SeaweedSystem(
-        trace, small_dataset, num_endsystems=24, master_seed=17, startup_stagger=15.0
-    )
+    system = Deployment(
+        trace="always_on", population=24, horizon=HORIZON, seed=17,
+        dataset=small_dataset, startup_stagger=15.0,
+    ).build()
     system.run_until(120.0)
     origin, query = system.inject_query(SQL)
     system.run_until(system.sim.now + 60.0)

@@ -8,8 +8,7 @@ loss and checks the end-to-end guarantees still hold.
 
 import pytest
 
-from repro.core import SeaweedSystem
-from repro.traces import AvailabilitySchedule, TraceSet
+from repro.core.deployment import Deployment
 from repro.workload import QUERY_HTTP_BYTES
 
 HORIZON = 4 * 3600.0
@@ -17,16 +16,10 @@ HORIZON = 4 * 3600.0
 
 @pytest.fixture(scope="module")
 def lossy_system(small_dataset):
-    schedules = [AvailabilitySchedule.always_on(HORIZON) for _ in range(28)]
-    trace = TraceSet(schedules, HORIZON)
-    system = SeaweedSystem(
-        trace,
-        small_dataset,
-        num_endsystems=28,
-        master_seed=61,
-        startup_stagger=25.0,
-        loss_rate=0.03,
-    )
+    system = Deployment(
+        trace="always_on", population=28, horizon=HORIZON, seed=61,
+        dataset=small_dataset, startup_stagger=25.0, loss_rate=0.03,
+    ).build()
     system.run_until(240.0)
     return system
 

@@ -1,9 +1,8 @@
 """Integration tests for the metadata replication service."""
 
-import numpy as np
 import pytest
 
-from repro.core import SeaweedSystem
+from repro.core.deployment import Deployment
 from repro.traces import AvailabilitySchedule, TraceSet
 from repro.workload import QUERY_HTTP_BYTES
 
@@ -12,11 +11,10 @@ HORIZON = 6 * 3600.0
 
 @pytest.fixture(scope="module")
 def replicated_system(small_dataset):
-    schedules = [AvailabilitySchedule.always_on(HORIZON) for _ in range(30)]
-    trace = TraceSet(schedules, HORIZON)
-    system = SeaweedSystem(
-        trace, small_dataset, num_endsystems=30, master_seed=3, startup_stagger=20.0
-    )
+    system = Deployment(
+        trace="always_on", population=30, horizon=HORIZON, seed=3,
+        dataset=small_dataset, startup_stagger=20.0,
+    ).build()
     system.run_until(120.0)
     return system
 
@@ -90,9 +88,10 @@ class TestDownMarking:
         # Node 0 goes down at t=1800 and stays down.
         schedules[0] = AvailabilitySchedule.from_intervals([(0.0, 1800.0)], horizon)
         trace = TraceSet(schedules, horizon)
-        system = SeaweedSystem(
-            trace, small_dataset, num_endsystems=20, master_seed=4, startup_stagger=20.0
-        )
+        system = Deployment(
+            trace=trace, population=20, seed=4, dataset=small_dataset,
+            startup_stagger=20.0,
+        ).build()
         system.run_until(1800.0 + 120.0)  # past failure detection
         # Profile assignment shuffles schedules: find the actual victim.
         victims = [node for node in system.nodes if not node.pastry.online]

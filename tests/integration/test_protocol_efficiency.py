@@ -10,10 +10,9 @@ scale).
 import numpy as np
 import pytest
 
-from repro.core import SeaweedSystem
+from repro.core.deployment import Deployment
 from repro.core.aggregation import vertex_chain
 from repro.net.stats import CATEGORY_MAINTENANCE, CATEGORY_QUERY
-from repro.traces import AvailabilitySchedule, TraceSet
 from repro.workload import QUERY_HTTP_BYTES
 
 HORIZON = 4 * 3600.0
@@ -22,12 +21,10 @@ COUNT = 48
 
 @pytest.fixture(scope="module")
 def queried_system(small_dataset):
-    schedules = [AvailabilitySchedule.always_on(HORIZON) for _ in range(COUNT)]
-    trace = TraceSet(schedules, HORIZON)
-    system = SeaweedSystem(
-        trace, small_dataset, num_endsystems=COUNT, master_seed=91,
-        startup_stagger=30.0,
-    )
+    system = Deployment(
+        trace="always_on", population=COUNT, horizon=HORIZON, seed=91,
+        dataset=small_dataset, startup_stagger=30.0,
+    ).build()
     system.run_until(200.0)
     origin, query = system.inject_query(QUERY_HTTP_BYTES)
     system.run_until(system.sim.now + 90.0)

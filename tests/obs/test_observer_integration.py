@@ -10,25 +10,22 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.system import SeaweedSystem
+from repro.core.deployment import Deployment
 from repro.obs import JSONLSink, MemorySink, Observer, SimProfiler, read_jsonl
 from repro.sim.simulator import Simulator, handler_label
-from repro.traces.availability import AvailabilitySchedule, TraceSet
 
 HORIZON = 7 * 86400.0
 
 
 def small_system(observer, num=25, dataset=None):
-    schedules = [AvailabilitySchedule.always_on(HORIZON) for _ in range(num)]
-    trace = TraceSet(schedules, HORIZON)
-    return SeaweedSystem(
-        trace,
-        dataset,
-        num_endsystems=num,
-        master_seed=9,
+    return Deployment(
+        trace="always_on",
+        population=num,
+        horizon=HORIZON,
+        seed=9,
+        dataset=dataset,
         startup_stagger=30.0,
-        observer=observer,
-    )
+    ).build(observer)
 
 
 @pytest.fixture(scope="module")

@@ -106,6 +106,14 @@ class TestCommands:
             if name.startswith("transport.")
         )
 
+    def test_run_shorter_than_the_injection_time_is_rejected(self, capsys):
+        # The query goes in at 1800 s; a 900 s run cannot reach it.
+        assert main(["run", "--population", "30", "--hours", "0.25"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ")
+        assert "at or past the end" in err
+        assert "\n" not in err
+
     def test_chaos_single_scenario_with_report(self, tmp_path, capsys):
         report_path = tmp_path / "chaos.json"
         assert (

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import SeaweedSystem
-from repro.traces import AvailabilitySchedule, TraceSet
+from repro.core.deployment import Deployment
 from repro.workload.live import LiveAnemoneFeed
 
 HORIZON = 2 * 3600.0
@@ -12,16 +11,10 @@ HORIZON = 2 * 3600.0
 
 @pytest.fixture
 def live_setup(small_dataset):
-    schedules = [AvailabilitySchedule.always_on(HORIZON) for _ in range(6)]
-    trace = TraceSet(schedules, HORIZON)
-    system = SeaweedSystem(
-        trace,
-        small_dataset,
-        num_endsystems=6,
-        master_seed=81,
-        startup_stagger=5.0,
-        private_databases=True,
-    )
+    system = Deployment(
+        trace="always_on", population=6, horizon=HORIZON, seed=81,
+        dataset=small_dataset, startup_stagger=5.0, private_databases=True,
+    ).build()
     system.run_until(30.0)
     return system
 

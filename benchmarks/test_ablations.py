@@ -7,9 +7,6 @@ qualitatively, measured on the same packet-level deployment:
   offline endsystems the completeness predictor still covers;
 * summary push period — the dominant maintenance cost knob (§4.3.3
   notes the histogram push dominates Fig. 9a);
-* delta-encoded pushes — the §3.2.2 optimization ("delta-encoded
-  histograms ... could reduce network overhead"), which with static data
-  collapses the steady-state push cost to beacons;
 * result-tree vertex backups m — replication traffic paid for
   failure-resilient exactly-once aggregation.
 """
@@ -97,32 +94,6 @@ def test_ablation_summary_push_period(benchmark):
     assert (
         results[17.5].tx_by_category[CATEGORY_MAINTENANCE]
         > 1.5 * results[60.0].tx_by_category[CATEGORY_MAINTENANCE]
-    )
-
-
-def test_ablation_delta_encoded_pushes(benchmark):
-    def sweep():
-        full = run_with(SeaweedConfig(delta_summaries=False))
-        delta = run_with(SeaweedConfig(delta_summaries=True))
-        return full, delta
-
-    full, delta = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    print()
-    print(
-        format_table(
-            ["encoding", "maintenance tx B/s per online es"],
-            [
-                ("full histograms", f"{full.tx_by_category[CATEGORY_MAINTENANCE]:.1f}"),
-                ("delta (beacons)", f"{delta.tx_by_category[CATEGORY_MAINTENANCE]:.1f}"),
-            ],
-            title="Ablation — delta-encoded summary pushes (§3.2.2)",
-        )
-    )
-    # With static data, steady-state pushes collapse to beacons: the
-    # saving the paper anticipates from delta encoding.
-    assert (
-        delta.tx_by_category[CATEGORY_MAINTENANCE]
-        < 0.6 * full.tx_by_category[CATEGORY_MAINTENANCE]
     )
 
 

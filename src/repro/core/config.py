@@ -31,11 +31,6 @@ class SeaweedConfig:
     #: choosing its phase randomly to avoid bandwidth spikes.
     summary_push_period: float = 17.5 * 60.0
 
-    #: Delta-encoded summary pushes (paper §3.2.2 future work): when the
-    #: local data has not changed since the last push to a replica, send
-    #: a small freshness beacon instead of the full histogram set.
-    delta_summaries: bool = False
-
     #: Dissemination: how long a parent waits for a child subtree's
     #: predictor before reissuing the broadcast for that subrange.
     predictor_reply_timeout: float = 8.0

@@ -69,7 +69,6 @@ class Deployment:
     dataset: Optional[AnemoneDataset] = None
     num_profiles: int = 40
     config: Optional[SeaweedConfig] = None
-    loss_rate: float = 0.0
     startup_stagger: float = 300.0
     #: Vary (only) this to rerun with other endsystemIds (Fig. 9c).
     id_seed: Optional[int] = None
@@ -112,7 +111,6 @@ class Deployment:
             num_endsystems=self.population,
             config=self.config,
             master_seed=self.seed,
-            loss_rate=self.loss_rate,
             startup_stagger=self.startup_stagger,
             id_seed=self.id_seed,
             private_databases=self.private_databases,

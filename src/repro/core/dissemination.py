@@ -93,7 +93,6 @@ class Disseminator:
     def __init__(self, node: "SeaweedNode") -> None:
         self.node = node
         self._tasks: dict[tuple[int, int, int], BroadcastTask] = {}
-        self.failed_ranges = 0
 
     # ------------------------------------------------------------------
     # Injection (originator side)
@@ -487,7 +486,6 @@ class Disseminator:
                 # Give up: treat the subrange as answered-empty.
                 child.done = True
                 child.predictor = None
-                self.failed_ranges += 1
                 changed = True
             else:
                 child.last_heard = now

@@ -40,7 +40,6 @@ from repro.db.sql import ParsedQuery
 from repro.obs.observer import Observer
 from repro.overlay.ids import ring_distance
 from repro.overlay.node import PastryNode
-from repro.proto import codec
 from repro.proto.messages import (
     ActiveReq,
     ActiveResp,
@@ -101,8 +100,6 @@ class SeaweedNode:
         self._local_results: dict[int, tuple[QueryDescriptor, QueryResult]] = {}
         self._summary_timer = None
         self._refresh_timer = None
-        #: Data generation last pushed per replica (delta encoding).
-        self._pushed_generation: dict[int, int] = {}
         self._metadata_version = 0
         self._last_down_at: Optional[float] = None
         self._last_replica_set: list[int] = []
@@ -205,13 +202,7 @@ class SeaweedNode:
     # ------------------------------------------------------------------
 
     def push_metadata(self) -> None:
-        """Push this endsystem's metadata to its replica set.
-
-        With ``delta_summaries`` enabled (paper §3.2.2's delta-encoding
-        optimization), a replica that already has the current data
-        generation receives only a small freshness beacon; the histogram
-        set is only re-sent when the data changed or the replica is new.
-        """
+        """Push this endsystem's metadata to its replica set."""
         if not self.pastry.online:
             return
         self._metadata_version += 1
@@ -225,23 +216,8 @@ class SeaweedNode:
         self._last_replica_set = replicas
         if self._obs is not None:
             self._obs.metadata_push(self.scheduler.now, self.node_id, len(replicas))
-        generation = self.database.generation
         for replica in replicas:
-            beacon_bytes = None
-            if (
-                self.config.delta_summaries
-                and self._pushed_generation.get(replica) == generation
-            ):
-                beacon_bytes = codec.DELTA_BEACON
-            self._pushed_generation[replica] = generation
-            self.send_app(
-                replica,
-                MetaPush(
-                    metadata=metadata,
-                    owner_online=True,
-                    beacon_bytes=beacon_bytes,
-                ),
-            )
+            self.send_app(replica, MetaPush(metadata=metadata, owner_online=True))
 
     def _periodic_push(self) -> None:
         """The proactive periodic push (rate p in the analytic model)."""

@@ -51,7 +51,6 @@ class SeaweedSystem:
         num_endsystems: Optional[int] = None,
         config: Optional[SeaweedConfig] = None,
         master_seed: int = 0,
-        loss_rate: float = 0.0,
         startup_stagger: float = 300.0,
         id_seed: Optional[int] = None,
         private_databases: bool = False,
@@ -66,7 +65,6 @@ class SeaweedSystem:
             num_endsystems: Population size (defaults to ``len(trace)``).
             config: Seaweed configuration.
             master_seed: Root of all random streams.
-            loss_rate: Uniform network message loss probability.
             startup_stagger: Endsystems up at t=0 join uniformly at random
                 within this window, modelling a deployment rollout rather
                 than a thundering herd.
@@ -97,8 +95,6 @@ class SeaweedSystem:
             self.sim,
             self.topology,
             accounting=self.accounting,
-            loss_rate=loss_rate,
-            loss_rng=self.streams.get("loss") if loss_rate > 0 else None,
             observer=observer,
         )
         self.overlay = OverlayNetwork(
@@ -371,7 +367,6 @@ class SeaweedSystem:
             },
             "transport": {
                 "dropped_offline": self.transport.dropped_offline,
-                "dropped_loss": self.transport.dropped_loss,
                 "dropped_unregistered": self.transport.dropped_unregistered,
                 "dropped_unknown_kind": self.transport.dropped_unknown_kind,
                 "drops_by_reason": dict(self.transport.drops_by_reason),

@@ -92,7 +92,6 @@ def run_scenario(
             ),
         },
         "transport": {
-            "dropped_loss": snapshot["transport"]["dropped_loss"],
             "dropped_offline": snapshot["transport"]["dropped_offline"],
             "dropped_unregistered": snapshot["transport"]["dropped_unregistered"],
             "drops_by_reason": snapshot["transport"]["drops_by_reason"],

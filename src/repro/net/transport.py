@@ -18,18 +18,14 @@ this.
 Fault injection (:mod:`repro.faults`) hooks in through the *interceptor
 chain*: every outgoing message is shown to each registered interceptor,
 which may let it pass, drop it with a reason, delay it, or duplicate it.
-The classic uniform ``loss_rate`` is itself an interceptor
-(:class:`UniformLossInterceptor`), installed automatically when a loss
-rate is configured, so a run with no fault plan behaves bit-identically
-to the pre-interceptor transport: same RNG draws, same event order.
+The transport has no loss model of its own: message loss, uniform or
+filtered, is a :class:`repro.faults.MessageLoss` event in a fault plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional, Protocol
-
-import numpy as np
 
 from repro.net.stats import BandwidthAccounting
 from repro.net.topology import Topology
@@ -42,7 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Canonical drop reasons used by the transport itself; interceptors may
 #: introduce further reasons (e.g. ``"partition"``, ``"fault_loss"``).
-DROP_LOSS = "loss"
 DROP_OFFLINE = "offline"
 DROP_UNREGISTERED = "unregistered"
 DROP_UNKNOWN_KIND = "unknown_kind"
@@ -125,10 +120,6 @@ class Decision:
         )
 
 
-#: Shared immutable decision for the common uniform-loss drop.
-DECISION_DROP_LOSS = Decision(drop_reason=DROP_LOSS)
-
-
 class Interceptor(Protocol):
     """The interceptor interface: one look at every outgoing message."""
 
@@ -137,26 +128,6 @@ class Interceptor(Protocol):
     ) -> Optional[Decision]:
         """Return ``None`` to pass through, or a :class:`Decision`."""
         ...  # pragma: no cover - protocol definition
-
-
-class UniformLossInterceptor:
-    """The classic uniform loss model as the default interceptor.
-
-    Draws exactly one uniform variate per message (the same stream, in
-    the same order, as the pre-interceptor transport) and drops with
-    probability ``rate``.
-    """
-
-    def __init__(self, rate: float, rng: np.random.Generator) -> None:
-        self.rate = rate
-        self._rng = rng
-
-    def intercept(
-        self, now: float, src: str, dst: str, message: Message
-    ) -> Optional[Decision]:
-        if self._rng.random() < self.rate:
-            return DECISION_DROP_LOSS
-        return None
 
 
 class Transport:
@@ -171,27 +142,18 @@ class Transport:
         scheduler: Scheduler,
         topology: Optional[Topology],
         accounting: Optional[BandwidthAccounting] = None,
-        loss_rate: float = 0.0,
-        loss_rng: Optional[np.random.Generator] = None,
         observer: Optional["Observer"] = None,
     ) -> None:
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
         self.scheduler = scheduler
         if topology is not None:
             self.topology = topology
         self.accounting = accounting
-        self.loss_rate = loss_rate
         self._handlers: dict[str, Handler] = {}
         self._online: dict[str, bool] = {}
         #: Drop counts for every reason, including interceptor-specific
         #: reasons ("partition", "fault_loss", ...) and a carrier's own.
         self.drops_by_reason: dict[str, int] = {}
         self._interceptors: list[Interceptor] = []
-        if loss_rate > 0.0:
-            if loss_rng is None:
-                raise ValueError("loss_rate > 0 requires a loss_rng")
-            self._interceptors.append(UniformLossInterceptor(loss_rate, loss_rng))
         self._obs = observer
         if self._obs is not None:
             metrics = self._obs.metrics
@@ -336,11 +298,6 @@ class Transport:
         rather than silently ignored.
         """
         self._count_drop(dst, kind, DROP_UNKNOWN_KIND)
-
-    @property
-    def dropped_loss(self) -> int:
-        """Messages the uniform loss model (reason ``"loss"``) dropped."""
-        return self.drops_by_reason.get(DROP_LOSS, 0)
 
     @property
     def dropped_offline(self) -> int:

@@ -115,36 +115,20 @@ class Leafset:
         Pastry's routing rule: if the key is within the span from the
         farthest counter-clockwise to the farthest clockwise member, the
         message is forwarded directly to the numerically closest member.
-        The span test is only meaningful when both sides are full; a
-        half-empty side means either the ring is tiny (we know everyone,
-        so the span effectively covers the namespace) or we are still
-        converging — both are treated as covering, and the closest-member
-        delivery plus stabilization then converge to the true root.
 
-        When the farthest member on both sides is the *same* node, the
-        population is no larger than the leafset: the set wraps the whole
-        ring and covers every key.  The span arithmetic degenerates there
-        (``lo == hi`` collapses the span to zero), which used to make the
-        true root of a key refuse local delivery and forward it by
-        routing-table prefix instead — two nodes could each pick the other
-        as next hop and ping-pong the message to the hop limit forever.
+        Fewer than ``l`` distinct members means the leafset holds the
+        whole ring as far as it knows (a short side, or a member on both
+        sides), so it covers every key; the closest-member delivery plus
+        stabilization then converge to the true root.  Only ``l``
+        distinct members make the span test meaningful: with a wrapped
+        set the span ``[lo, hi]`` measures the far arc, so the true root
+        of a nearby key would refuse local delivery and prefix-route it
+        into a ping-pong to the hop limit.
         """
-        if len(self._cw) < self.half or len(self._ccw) < self.half:
+        if len(set(self._cw).union(self._ccw)) < 2 * self.half:
             return True
         lo = self._ccw[-1]
-        hi = self._cw[-1]
-        if lo == hi:
-            return True
-        # The same degeneracy one population size earlier: when a member
-        # appears on *both* sides, walking ``half`` steps each way meets,
-        # so the ring is no larger than the leafset and every key is
-        # covered.  The span [lo, hi] would then measure the far arc —
-        # excluding the owner's own neighbourhood, making the true root
-        # of a nearby key refuse local delivery and prefix-route it into
-        # a ping-pong (the live-mode 6-node cluster hit this).
-        if not set(self._cw).isdisjoint(self._ccw):
-            return True
-        span = cw_distance(lo, hi)
+        span = cw_distance(lo, self._cw[-1])
         return cw_distance(lo, key) <= span
 
     def closest(self, key: int, include_owner: bool = True) -> int:

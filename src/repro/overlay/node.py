@@ -53,7 +53,6 @@ HOP_ACK_TIMEOUT = 0.5
 MAX_HOPS = 64
 #: Join retry: resend the join if no reply arrived within this window.
 JOIN_RETRY_TIMEOUT = 4.0
-MAX_JOIN_RETRIES = 5
 #: How long a node remembers that a peer was observed dead.  Gossip
 #: cannot resurrect a dead entry within this window; any message
 #: received *from* the peer clears the record immediately.
@@ -215,7 +214,9 @@ class PastryNode:
         self._joined = False
         if bootstrap is not None and bootstrap.node_id != self.node_id:
             self._send_join(bootstrap)
-            self.network.scheduler.schedule(JOIN_RETRY_TIMEOUT, self._check_join, 1)
+            self.network.scheduler.schedule(
+                JOIN_RETRY_TIMEOUT, self._check_join, self.leafset
+            )
         else:
             self._joined = True
         self.network.on_node_online(self)
@@ -228,20 +229,22 @@ class PastryNode:
             self.name, bootstrap.name, Message.of(request)
         )
 
-    def _check_join(self, attempt: int) -> None:
+    def _check_join(self, leafset: Leafset) -> None:
         """Retry the join until a JOIN_REPLY populates the leafset.
 
-        A lost join request or reply would otherwise leave the node with
-        a near-empty leafset that only slow stabilization could heal.
+        Retried for as long as the node stays online and unanswered:
+        stabilization only probes leafset neighbours, so a node whose
+        joins were all lost (say, behind a partition) has nobody to
+        probe, and nothing else would ever seed its leafset.  ``leafset``
+        is the one :meth:`go_online` made; a later rejoin replaces it,
+        which ends this retry chain in favour of the rejoin's own.
         """
-        if not self.online or self._joined:
+        if not self.online or self._joined or leafset is not self.leafset:
             return
-        if attempt > MAX_JOIN_RETRIES:
-            return  # stabilization will have to finish the job
         bootstrap = self.network.pick_bootstrap(exclude=self.node_id)
         if bootstrap is not None:
             self._send_join(bootstrap)
-        self.network.scheduler.schedule(JOIN_RETRY_TIMEOUT, self._check_join, attempt + 1)
+        self.network.scheduler.schedule(JOIN_RETRY_TIMEOUT, self._check_join, leafset)
 
     def go_offline(self) -> None:
         """Take the node down (fail-stop: no goodbye messages)."""

@@ -25,7 +25,6 @@ Glossary of primitives (all sizes in bytes):
                           times, lifetime) — the SQL text rides on top
 ``AGG_STATE``         32  one serialized aggregate state (func tag + values)
 ``ROW``               32  one materialized (projection) result row
-``DELTA_BEACON``      32  a no-change metadata freshness beacon
 ``HEARTBEAT``         32  one leafset heartbeat body (two ids)
 ``AVAILABILITY``      48  one availability model (paper Table 1: a)
 ``BUCKET``            20  one equi-depth histogram bucket
@@ -67,10 +66,6 @@ AGG_STATE = 32
 
 #: One materialized result row of a projection query.
 ROW = 32
-
-#: A no-change freshness beacon: what a delta-encoded metadata push
-#: costs when the replica already holds the current data generation.
-DELTA_BEACON = 32
 
 #: Body of one leafset heartbeat (sender and receiver ids); the
 #: heartbeat sweep charges it plus :data:`HEADER` per leafset member.

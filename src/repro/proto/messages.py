@@ -325,13 +325,7 @@ class VertexRepl(ProtoMessage):
 @register
 @dataclass
 class MetaPush(ProtoMessage):
-    """An endsystem's metadata pushed to a replica-set member.
-
-    With delta summaries enabled (§3.2.2), a replica that already holds
-    the current data generation receives only a freshness beacon: the
-    sender sets ``beacon_bytes`` and the push is charged for the beacon
-    alone, although the message still carries the metadata object.
-    """
+    """An endsystem's metadata pushed to a replica-set member."""
 
     KIND: ClassVar[str] = "SW_META_PUSH"
     CATEGORY: ClassVar[str] = "maintenance"
@@ -341,12 +335,8 @@ class MetaPush(ProtoMessage):
     #: Set when re-replicating a dead owner's record: when the owner
     #: went down, per the holder's observation.
     down_since: Optional[float] = None
-    #: Set to ``codec.DELTA_BEACON`` for a no-change delta push.
-    beacon_bytes: Optional[int] = None
 
     def _accounted_size(self) -> int:
-        if self.beacon_bytes is not None:
-            return self.beacon_bytes
         return codec.metadata_size(self.metadata)
 
 

@@ -11,13 +11,12 @@ from repro.overlay.network import OverlayConfig
 
 def test_knob_surface_is_pinned():
     """Every tunable, by name.  A new knob is a reviewed edit of this
-    set; a deleted one leaves it (11 + 4 fields)."""
+    set; a deleted one leaves it (10 + 4 fields)."""
     assert {field.name for field in dataclasses.fields(SeaweedConfig)} == {
         "overlay",
         "metadata_replicas",
         "vertex_backups",
         "summary_push_period",
-        "delta_summaries",
         "predictor_heartbeat",
         "predictor_reply_timeout",
         "predictor_retry_interval",

@@ -1,59 +1,19 @@
-"""Node-level unit tests: metadata pushes, delta encoding, query registry."""
+"""Node-level unit tests: the active-query registry and query parsing."""
 
-from repro.core import SeaweedConfig
 from repro.core.deployment import Deployment
-from repro.net.stats import CATEGORY_MAINTENANCE
 from repro.proto import wire
 from repro.workload import QUERY_HTTP_BYTES
 
 HORIZON = 3 * 3600.0
 
 
-def build(small_dataset, config=None, count=16, seed=71, private=False):
+def build(small_dataset, seed):
     system = Deployment(
-        trace="always_on", population=count, horizon=HORIZON, seed=seed,
-        dataset=small_dataset, config=config, startup_stagger=15.0,
-        private_databases=private,
+        trace="always_on", population=16, horizon=HORIZON, seed=seed,
+        dataset=small_dataset, startup_stagger=15.0,
     ).build()
     system.run_until(90.0)
     return system
-
-
-class TestDeltaPushes:
-    def test_delta_reduces_maintenance_bytes(self, small_dataset):
-        full_system = build(small_dataset, SeaweedConfig(delta_summaries=False))
-        delta_system = build(small_dataset, SeaweedConfig(delta_summaries=True))
-        # Run both through two full push cycles.
-        for system in (full_system, delta_system):
-            system.run_until(2 * 17.5 * 60.0 + 300.0)
-        full_bytes = full_system.accounting.totals_by_category("tx").get(
-            CATEGORY_MAINTENANCE, 0.0
-        )
-        delta_bytes = delta_system.accounting.totals_by_category("tx").get(
-            CATEGORY_MAINTENANCE, 0.0
-        )
-        assert delta_bytes < 0.7 * full_bytes
-
-    def test_data_change_forces_full_push(self, small_dataset):
-        system = build(
-            small_dataset, SeaweedConfig(delta_summaries=True), private=True
-        )
-        node = next(node for node in system.nodes if node.pastry.online)
-        # Steady state: a second push to the same replica is a beacon.
-        node.push_metadata()
-        generation = node.database.generation
-        assert all(
-            gen == generation for gen in node._pushed_generation.values()
-        )
-        # A local write invalidates the delta state for every replica.
-        node.database.insert(
-            "Flow",
-            dict(
-                ts=1, Interval=300, SrcIP=1, DstIP=2, SrcPort=80, DstPort=5,
-                LocalPort=80, Protocol=6, App="HTTP", Bytes=100, Packets=1,
-            ),
-        )
-        assert node.database.generation != generation
 
 
 class TestActiveQueryRegistry:

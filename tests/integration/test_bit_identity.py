@@ -14,6 +14,7 @@ deliberate, and say so in the commit.
 """
 
 from repro.core.deployment import Deployment
+from repro.faults import FaultPlan, MessageLoss
 
 GOLDEN_LOSSLESS = {
     "events_processed": 25539,
@@ -35,24 +36,28 @@ GOLDEN_LOSSLESS = {
     "history_len": 206,
 }
 
+# Deliberately re-captured once since: uniform loss became a fault-plan
+# event (a run-long MessageLoss), so the drops draw from that event's
+# fault stream instead of the transport's own "loss" stream, and count
+# under "fault_loss".  Rows and the predictor total are unchanged.
 GOLDEN_LOSSY = {
-    "events_processed": 7299,
-    "total_tx": 15073002.0,
-    "total_rx": 15073002.0,
-    "messages": 5919,
+    "events_processed": 7160,
+    "total_tx": 14534602.0,
+    "total_rx": 14534602.0,
+    "messages": 5820,
     "tx_by_category": {
-        "maintenance": 13347692.0,
-        "overlay": 1444240.0,
-        "query": 281070.0,
+        "maintenance": 12812940.0,
+        "overlay": 1441088.0,
+        "query": 280574.0,
     },
-    "drops_by_reason": {"loss": 272},
+    "drops_by_reason": {"fault_loss": 290},
     "overlay_online": 19,
-    "reroutes": 22,
+    "reroutes": 16,
     "routing_drops": 0,
     "rows": 35060,
-    "predictor_ready_at": 610.6170786649496,
+    "predictor_ready_at": 616.4132040727769,
     "expected_total": 35060.0,
-    "history_len": 60,
+    "history_len": 61,
 }
 
 
@@ -89,15 +94,21 @@ GOLDEN_2K = {
 
 
 def run_scenario(
-    population, seed, num_profiles, inject_at, duration, sql, loss_rate=0.0
+    population, seed, num_profiles, inject_at, duration, sql, loss=0.0
 ) -> dict:
-    """One seeded Farsite deployment, one query, run to ``duration``."""
+    """One seeded Farsite deployment, one query, run to ``duration``;
+    ``loss`` is the rate of a MessageLoss over the whole run."""
+    plan = (
+        FaultPlan((MessageLoss(start=0.0, end=duration, rate=loss),))
+        if loss > 0
+        else None
+    )
     deployment = Deployment(
         population=population,
         horizon=duration,
         seed=seed,
         num_profiles=num_profiles,
-        loss_rate=loss_rate,
+        fault_plan=plan,
     )
     return deployment.run([(inject_at, sql)], bind_now=False).fingerprint
 
@@ -113,7 +124,7 @@ class TestBitIdentity:
         assert run_scenario(
             32, 23, 8, 600.0, 2700.0,
             "SELECT COUNT(*) FROM Flow WHERE DstPort < 1024",
-            loss_rate=0.05,
+            loss=0.05,
         ) == GOLDEN_LOSSY
 
     def test_2k_perf_scenario_matches_pre_optimization_fingerprint(self):

@@ -3,12 +3,14 @@
 MSPastry tolerates ~5% message loss (the paper cites an incorrect
 delivery rate of 1.6e-5 under such conditions); Seaweed's protocols
 layer acks, retries and refresh sweeps on top.  This run injects 3%
-loss and checks the end-to-end guarantees still hold.
+loss for the whole run (a :class:`~repro.faults.MessageLoss` plan) and
+checks the end-to-end guarantees still hold.
 """
 
 import pytest
 
 from repro.core.deployment import Deployment
+from repro.faults import FaultPlan, MessageLoss
 from repro.workload import QUERY_HTTP_BYTES
 
 HORIZON = 4 * 3600.0
@@ -18,7 +20,8 @@ HORIZON = 4 * 3600.0
 def lossy_system(small_dataset):
     system = Deployment(
         trace="always_on", population=28, horizon=HORIZON, seed=61,
-        dataset=small_dataset, startup_stagger=25.0, loss_rate=0.03,
+        dataset=small_dataset, startup_stagger=25.0,
+        fault_plan=FaultPlan((MessageLoss(start=0.0, end=HORIZON, rate=0.03),)),
     ).build()
     system.run_until(240.0)
     return system
@@ -26,7 +29,7 @@ def lossy_system(small_dataset):
 
 class TestLossyNetwork:
     def test_messages_were_actually_lost(self, lossy_system):
-        assert lossy_system.transport.dropped_loss > 0
+        assert lossy_system.transport.drops_by_reason.get("fault_loss", 0) > 0
 
     def test_overlay_still_converges(self, lossy_system):
         full = sum(

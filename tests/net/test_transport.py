@@ -3,7 +3,7 @@
 What must hold on the live carrier too (offline, unregistered and
 interceptor drops, injected delay, duplication) is in
 ``test_transport_contract.py``; this module keeps what only the
-simulated carrier has: topology latency, loss rates, accounting.
+simulated carrier has: topology latency, loss, accounting.
 """
 
 import numpy as np
@@ -11,13 +11,8 @@ import pytest
 
 from repro.net.stats import BandwidthAccounting
 from repro.net.topology import Topology
-from repro.net.transport import (
-    DECISION_DROP_LOSS,
-    Decision,
-    Message,
-    Transport,
-    UniformLossInterceptor,
-)
+from repro.faults import MessageLoss, WindowLossInterceptor
+from repro.net.transport import Decision, Message, Transport
 from repro.proto import codec
 from repro.proto.messages import Cancel, LeafsetState
 from repro.sim import Simulator
@@ -69,18 +64,33 @@ class TestAccounting:
         assert accounting.total_tx > 0  # the sender still used the wire
 
 
-class TestLoss:
-    def test_loss_rate_applied(self):
-        sim = Simulator()
-        topology = Topology(1, [(0, 0, 0.0)], lan_delay=0.001)
-        topology.attach("a", 0)
-        topology.attach("b", 0)
-        transport = Transport(
-            sim,
+def _lossy_transport(rate):
+    """Two hosts on one router, uniform loss from a whole-run MessageLoss."""
+    sim = Simulator()
+    topology = Topology(1, [(0, 0, 0.0)], lan_delay=0.001)
+    topology.attach("a", 0)
+    topology.attach("b", 0)
+    transport = Transport(sim, topology)
+    transport.add_interceptor(
+        WindowLossInterceptor(
+            MessageLoss(start=0.0, end=60.0, rate=rate),
+            np.random.default_rng(0),
             topology,
-            loss_rate=0.5,
-            loss_rng=np.random.default_rng(0),
         )
+    )
+    return sim, transport
+
+
+class TestLoss:
+    def test_uniform_loss_is_an_interceptor(self):
+        # The transport has no loss model of its own: uniform loss is a
+        # fault plan's MessageLoss interceptor over the whole run.
+        _, transport = _lossy_transport(0.3)
+        assert len(transport.interceptors) == 1
+        assert isinstance(transport.interceptors[0], WindowLossInterceptor)
+
+    def test_loss_rate_applied(self):
+        sim, transport = _lossy_transport(0.5)
         received = []
         transport.register("b", lambda dst, msg: received.append(msg))
         transport.set_online("b", True)
@@ -88,33 +98,14 @@ class TestLoss:
             transport.send("a", "b", Message.of(Cancel(query_id=1)))
         sim.run()
         assert 130 < len(received) < 270  # ~50% with slack
-        assert transport.dropped_loss == 400 - len(received)
-        assert transport.drops_by_reason == {"loss": transport.dropped_loss}
-
-    def test_uniform_loss_is_an_interceptor(self):
-        sim = Simulator()
-        topology = Topology(1, [(0, 0, 0.0)])
-        transport = Transport(
-            sim, topology, loss_rate=0.3, loss_rng=np.random.default_rng(0)
-        )
-        assert len(transport.interceptors) == 1
-        assert isinstance(transport.interceptors[0], UniformLossInterceptor)
+        assert transport.drops_by_reason == {"fault_loss": 400 - len(received)}
 
     def test_no_loss_means_empty_chain(self, setup):
         _, transport, _ = setup
         assert transport.interceptors == ()
 
-    def test_loss_requires_rng(self):
-        sim = Simulator()
-        topology = Topology(1, [(0, 0, 0.0)])
-        with pytest.raises(ValueError):
-            Transport(sim, topology, loss_rate=0.1)
 
-    def test_invalid_loss_rate(self):
-        sim = Simulator()
-        topology = Topology(1, [(0, 0, 0.0)])
-        with pytest.raises(ValueError):
-            Transport(sim, topology, loss_rate=1.5, loss_rng=np.random.default_rng(0))
+DROP = Decision(drop_reason="dropped")
 
 
 class _Always:
@@ -138,11 +129,11 @@ class TestInterceptors:
         transport.register("b", lambda dst, msg: None)
         transport.set_online("b", True)
         late = _Always(Decision(extra_delay=1.0))
-        transport.add_interceptor(_Always(DECISION_DROP_LOSS))
+        transport.add_interceptor(_Always(DROP))
         transport.add_interceptor(late)
         transport.send("a", "b", Message.of(Cancel(query_id=1)))
         sim.run()
-        assert transport.dropped_loss == 1
+        assert transport.drops_by_reason == {"dropped": 1}
         assert late.seen == 0  # chain stops at the drop
 
     def test_remove_interceptor(self, setup):
@@ -150,7 +141,7 @@ class TestInterceptors:
         received = []
         transport.register("b", lambda dst, msg: received.append(msg))
         transport.set_online("b", True)
-        dropper = _Always(DECISION_DROP_LOSS)
+        dropper = _Always(DROP)
         transport.add_interceptor(dropper)
         transport.remove_interceptor(dropper)
         transport.remove_interceptor(dropper)  # second removal is a no-op

@@ -14,7 +14,7 @@ import asyncio
 import pytest
 
 from repro.net.topology import Topology
-from repro.net.transport import DECISION_DROP_LOSS, Decision, Message, Transport
+from repro.net.transport import Decision, Message, Transport
 from repro.overlay.ids import id_to_hex
 from repro.overlay.network import OverlayServices
 from repro.proto.messages import Cancel, RouteAck, RouteEnvelope
@@ -109,14 +109,13 @@ class Always:
 
 def drop_counters(transport):
     return {
-        "loss": transport.dropped_loss,
         "offline": transport.dropped_offline,
         "unregistered": transport.dropped_unregistered,
         "unknown_kind": transport.dropped_unknown_kind,
     }
 
 
-NO_DROPS = {"loss": 0, "offline": 0, "unregistered": 0, "unknown_kind": 0}
+NO_DROPS = {"offline": 0, "unregistered": 0, "unknown_kind": 0}
 
 
 def send(world, dst="b"):
@@ -179,12 +178,14 @@ def test_unknown_kind(world):
 
 
 def test_interceptor_drop_with_reason_loss(world):
-    world.transport.add_interceptor(Always(DECISION_DROP_LOSS))
+    # The reason a MessageLoss fault event drops with: the transport has
+    # no loss model, so it has no counter of its own for it either.
+    world.transport.add_interceptor(Always(Decision(drop_reason="fault_loss")))
     send(world)
     world.advance(1.0)
     assert world.received == []
-    assert world.transport.drops_by_reason == {"loss": 1}
-    assert drop_counters(world.transport) == {**NO_DROPS, "loss": 1}
+    assert world.transport.drops_by_reason == {"fault_loss": 1}
+    assert drop_counters(world.transport) == NO_DROPS
 
 
 def test_interceptor_drop_with_custom_reason(world):
@@ -193,7 +194,7 @@ def test_interceptor_drop_with_custom_reason(world):
     world.advance(1.0)
     assert world.received == []
     assert world.transport.drops_by_reason == {"partition": 1}
-    # Custom reasons do not pollute the uniform-loss counter.
+    # Custom reasons do not pollute the transport's own counters.
     assert drop_counters(world.transport) == NO_DROPS
 
 

@@ -23,6 +23,19 @@ def reference_closest(leafset: Leafset, key: int, include_owner: bool) -> int:
     return min(candidates, key=lambda member: (ring_distance(member, key), member))
 
 
+def reference_covers(leafset: Leafset, key: int) -> bool:
+    """The three-branch coverage predicate ``Leafset.covers`` replaced."""
+    cw, ccw = leafset.cw_members, leafset.ccw_members
+    if len(cw) < leafset.half or len(ccw) < leafset.half:
+        return True  # a short side
+    lo, hi = ccw[-1], cw[-1]
+    if lo == hi:
+        return True  # both extremes are one node
+    if not set(cw).isdisjoint(ccw):
+        return True  # the sides overlap
+    return cw_distance(lo, key) <= cw_distance(lo, hi)
+
+
 class TestLeafsetProperties:
     @given(ids, st.lists(ids, max_size=60))
     @settings(max_examples=80)
@@ -93,6 +106,18 @@ class TestLeafsetProperties:
         assert leafset.closest(key, include_owner) == reference_closest(
             leafset, key, include_owner
         )
+
+    @given(
+        st.one_of(ids, crowded),
+        st.lists(st.one_of(ids, crowded), max_size=20),
+        st.one_of(ids, crowded),
+        st.sampled_from([2, 4, 8]),
+    )
+    @settings(max_examples=300)
+    def test_covers_equals_three_branch_reference(self, owner, members, key, size):
+        leafset = Leafset(owner, size=size)
+        leafset.merge(members)
+        assert leafset.covers(key) == reference_covers(leafset, key)
 
     def test_closest_tie_and_both_sides(self):
         # Population below the leafset size: each member is on both sides.

@@ -381,13 +381,8 @@ CASES: dict[str, tuple] = {
             metadata=metadata_records,
             owner_online=st.booleans(),
             down_since=st.none() | times,
-            beacon_bytes=st.none() | st.integers(min_value=0, max_value=256),
         ),
-        lambda msg: (
-            b"\x00" * msg.beacon_bytes
-            if msg.beacon_bytes is not None
-            else enc_metadata(msg.metadata)
-        ),
+        lambda msg: enc_metadata(msg.metadata),
     ),
     ActiveReq.KIND: (
         st.builds(ActiveReq, requester=overlay_ids),

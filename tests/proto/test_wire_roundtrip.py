@@ -233,7 +233,6 @@ STRATEGIES: dict[str, st.SearchStrategy] = {
         metadata=metadata_records,
         owner_online=st.booleans(),
         down_since=st.none() | times,
-        beacon_bytes=st.none() | st.integers(min_value=0, max_value=4096),
     ),
     ActiveReq.KIND: st.builds(ActiveReq, requester=overlay_ids),
     ActiveResp.KIND: st.builds(

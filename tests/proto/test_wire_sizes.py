@@ -241,12 +241,6 @@ class TestMaintenanceSizes:
         msg = MetaPush(metadata=metadata)
         assert msg.body_size() == 250 * 20 + 5 * 12 + 12 + 48 == 5120
 
-    def test_meta_push_beacon(self):
-        # Legacy delta path: a fixed 32-byte beacon
-        metadata = metadata_of(buckets=250, mcv=5, tables=1)
-        msg = MetaPush(metadata=metadata, beacon_bytes=codec.DELTA_BEACON)
-        assert msg.body_size() == 32
-
     def test_meta_push_category_is_maintenance(self):
         assert MetaPush.CATEGORY == "maintenance"
 

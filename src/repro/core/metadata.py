@@ -13,7 +13,7 @@ This module holds the data structures; the message protocol lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.core.availability_model import AvailabilityModel
@@ -90,6 +90,9 @@ class MetadataRecord:
     down_since: Optional[float] = None
     #: Last time the record was refreshed by a push.
     refreshed_at: float = 0.0
+    #: The owner's content epoch this record holds (see
+    #: :class:`~repro.proto.messages.MetaPush`).
+    epoch: int = 0
 
 
 class MetadataStore:
@@ -99,7 +102,11 @@ class MetadataStore:
         self._records: dict[int, MetadataRecord] = {}
 
     def store(
-        self, metadata: EndsystemMetadata, now: float, owner_online: bool = True
+        self,
+        metadata: EndsystemMetadata,
+        now: float,
+        owner_online: bool = True,
+        epoch: int = 0,
     ) -> bool:
         """Install (or refresh) a record; stale versions are ignored.
 
@@ -112,8 +119,26 @@ class MetadataStore:
         if existing is not None and not owner_online:
             down_since = existing.down_since
         self._records[metadata.owner] = MetadataRecord(
-            metadata=metadata, down_since=down_since, refreshed_at=now
+            metadata=metadata, down_since=down_since, refreshed_at=now, epoch=epoch
         )
+        return True
+
+    def refresh(self, owner: int, version: int, epoch: int, now: float) -> bool:
+        """Apply a version-only push from an online owner.
+
+        The held record of ``epoch`` takes ``version`` exactly as a full
+        push of the same content would install it (a stale version is
+        ignored).  Returns False when no record of ``epoch`` is held.
+        """
+        existing = self._records.get(owner)
+        if existing is None or existing.epoch != epoch:
+            return False
+        if existing.metadata.version <= version:
+            self._records[owner] = MetadataRecord(
+                metadata=replace(existing.metadata, version=version),
+                refreshed_at=now,
+                epoch=epoch,
+            )
         return True
 
     def get(self, owner: int) -> Optional[MetadataRecord]:

@@ -46,7 +46,9 @@ from repro.proto.messages import (
     Bcast,
     BcastAck,
     Cancel,
+    MetaAck,
     MetaPush,
+    MetaRefresh,
     PredictorResult,
     PredictorUpdate,
     ProtoMessage,
@@ -101,6 +103,13 @@ class SeaweedNode:
         self._summary_timer = None
         self._refresh_timer = None
         self._metadata_version = 0
+        # Content epoch of this session's pushes (None: nothing pushed
+        # yet this session), the data generation it was built from, the
+        # last full record, and the replicas that acknowledged the epoch.
+        self._metadata_epoch: Optional[int] = None
+        self._epoch_generation = 0
+        self._last_metadata: Optional[EndsystemMetadata] = None
+        self._acked_replicas: set[int] = set()
         self._last_down_at: Optional[float] = None
         self._last_replica_set: list[int] = []
         self._dispatch = Dispatcher(on_unknown=self._on_unknown_kind)
@@ -113,6 +122,8 @@ class SeaweedNode:
         self._dispatch.on(ResultAck, self.aggregator.on_ack)
         self._dispatch.on(VertexRepl, self.aggregator.on_replicate)
         self._dispatch.on(MetaPush, self._handle_meta_push)
+        self._dispatch.on(MetaRefresh, self._handle_meta_refresh)
+        self._dispatch.on(MetaAck, self._handle_meta_ack)
         self._dispatch.on(ActiveReq, self._handle_active_req)
         self._dispatch.on(ActiveResp, self._handle_active_resp)
         self._dispatch.on(StatusPush, self._handle_status)
@@ -134,6 +145,8 @@ class SeaweedNode:
             self.availability.record_down_duration(now - self._last_down_at)
             self._last_down_at = None
         self.availability.record_up_event(self.scheduler.clock.hour_of_day(now))
+        # A new session means a new availability model: a new epoch.
+        self._metadata_epoch = None
         self._contributed.clear()
         self.disseminator.reset_for_rejoin()
         self.aggregator.reset_for_rejoin()
@@ -201,23 +214,41 @@ class SeaweedNode:
     # Metadata replication
     # ------------------------------------------------------------------
 
-    def push_metadata(self) -> None:
-        """Push this endsystem's metadata to its replica set."""
+    def push_metadata(self, refresh: bool = False) -> None:
+        """Push this endsystem's metadata to its replica set.
+
+        Every replica gets the full record, except that a ``refresh`` (a
+        replica-set change) sends a replica that has acknowledged the
+        current content epoch only the new version.  A replica that has
+        not acknowledged gets the full record at every push until it
+        does, so a lost push or ack is repaired at the next one.
+        """
         if not self.pastry.online:
             return
         self._metadata_version += 1
+        generation = self.database.generation
+        if self._metadata_epoch is None or generation != self._epoch_generation:
+            # New content (a new session or a write): nobody holds it.
+            self._metadata_epoch = self._metadata_version
+            self._epoch_generation = generation
+            self._acked_replicas = set()
         metadata = EndsystemMetadata.build(
             owner=self.node_id,
             database=self.database,
             availability=AvailabilityModel.from_snapshot(self.availability.snapshot()),
             version=self._metadata_version,
         )
+        self._last_metadata = metadata
         replicas = self.pastry.replica_set(self.config.metadata_replicas)
         self._last_replica_set = replicas
         if self._obs is not None:
             self._obs.metadata_push(self.scheduler.now, self.node_id, len(replicas))
+        epoch = self._metadata_epoch
+        full = MetaPush(metadata=metadata, owner_online=True, epoch=epoch)
+        brief = MetaRefresh(owner=self.node_id, version=metadata.version, epoch=epoch)
         for replica in replicas:
-            self.send_app(replica, MetaPush(metadata=metadata, owner_online=True))
+            acked = refresh and replica in self._acked_replicas
+            self.send_app(replica, brief if acked else full)
 
     def _periodic_push(self) -> None:
         """The proactive periodic push (rate p in the analytic model)."""
@@ -249,6 +280,7 @@ class SeaweedNode:
                 metadata=record.metadata,
                 owner_online=False,
                 down_since=record.down_since,
+                epoch=record.epoch,
             )
             for candidate in candidates:
                 self.send_app(candidate, push)
@@ -256,14 +288,43 @@ class SeaweedNode:
     def _handle_meta_push(self, message: MetaPush) -> None:
         metadata = message.metadata
         stored = self.metadata_store.store(
-            metadata, self.scheduler.now, owner_online=message.owner_online
+            metadata,
+            self.scheduler.now,
+            owner_online=message.owner_online,
+            epoch=message.epoch,
         )
         if not stored:
             return
         if message.owner_online:
             self.metadata_store.mark_up(metadata.owner)
+            self.send_app(
+                metadata.owner, MetaAck(replica=self.node_id, epoch=message.epoch)
+            )
         elif message.down_since is not None:
             self.metadata_store.mark_down(metadata.owner, message.down_since)
+
+    def _handle_meta_refresh(self, message: MetaRefresh) -> None:
+        held = self.metadata_store.refresh(
+            message.owner, message.version, message.epoch, self.scheduler.now
+        )
+        if not held:
+            self.send_app(
+                message.owner,
+                MetaAck(replica=self.node_id, epoch=message.epoch, held=False),
+            )
+
+    def _handle_meta_ack(self, message: MetaAck) -> None:
+        if message.epoch != self._metadata_epoch:
+            return  # an earlier content's ack, or a new session began
+        if message.held:
+            self._acked_replicas.add(message.replica)
+            return
+        # The replica lost the record: send it in full at once.
+        self._acked_replicas.discard(message.replica)
+        self.send_app(
+            message.replica,
+            MetaPush(metadata=self._last_metadata, owner_online=True, epoch=message.epoch),
+        )
 
     # ------------------------------------------------------------------
     # Active query distribution
@@ -553,7 +614,7 @@ class SeaweedNode:
             return
         current = self.pastry.replica_set(self.config.metadata_replicas)
         if set(current) != set(self._last_replica_set) and current == expected:
-            self.push_metadata()
+            self.push_metadata(refresh=True)
 
     def _on_neighbour_failed(self, dead_id: int) -> None:
         """A leafset neighbour stopped heartbeating."""

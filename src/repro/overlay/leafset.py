@@ -7,6 +7,7 @@ the failure detector for the whole system.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Optional
 
 from repro.overlay.ids import ID_MASK, ID_SPACE, cw_distance, ring_distance
@@ -24,61 +25,86 @@ class Leafset:
         self.half = size // 2
         self._cw: list[int] = []  # sorted by clockwise distance from owner
         self._ccw: list[int] = []  # sorted by counter-clockwise distance
+        # Each side's ring distances from the owner, parallel to the side
+        # and so sorted too: an insert is one bisect.
+        self._cw_distances: list[int] = []
+        self._ccw_distances: list[int] = []
         #: Bumped on every actual mutation; next-hop caches key on it.
         self.version = 0
+        self._members: list[int] = []
+        self._members_version = 0
 
     def add(self, node_id: int) -> bool:
         """Consider ``node_id`` for membership.  Returns True if it was added."""
-        if node_id == self.owner:
+        owner = self.owner
+        if node_id == owner:
             return False
-        added = False
-        if self._insert(self._cw, cw_distance(self.owner, node_id), node_id):
-            added = True
-        if self._insert(self._ccw, cw_distance(node_id, self.owner), node_id):
+        cw = (node_id - owner) & ID_MASK
+        ccw = (owner - node_id) & ID_MASK
+        half = self.half
+        cw_distances = self._cw_distances
+        ccw_distances = self._ccw_distances
+        # Farther than a full side's last member on both sides: the usual
+        # verdict for a gossiped id, decided before any other work.
+        if (
+            len(cw_distances) >= half
+            and cw >= cw_distances[-1]
+            and len(ccw_distances) >= half
+            and ccw >= ccw_distances[-1]
+        ):
+            return False
+        added = self._insert(self._cw, cw_distances, cw, node_id)
+        if self._insert(self._ccw, ccw_distances, ccw, node_id):
             added = True
         if added:
             self.version += 1
         return added
 
-    def _insert(self, side: list[int], distance: int, node_id: int) -> bool:
-        if node_id in side:
-            return False
-        key = distance
-
-        def side_key(member: int) -> int:
-            if side is self._cw:
-                return cw_distance(self.owner, member)
-            return cw_distance(member, self.owner)
-
-        position = 0
-        while position < len(side) and side_key(side[position]) < key:
-            position += 1
+    def _insert(
+        self, side: list[int], distances: list[int], distance: int, node_id: int
+    ) -> bool:
+        # A distance from the owner names exactly one id, so an equal
+        # distance at the insertion point means the member is held.
+        position = bisect_left(distances, distance)
         if position >= self.half:
             return False
+        if position < len(distances) and distances[position] == distance:
+            return False
         side.insert(position, node_id)
+        distances.insert(position, distance)
         if len(side) > self.half:
             side.pop()
+            distances.pop()
         return True
 
     def remove(self, node_id: int) -> bool:
         """Remove a failed member.  Returns True if it was present."""
         removed = False
-        if node_id in self._cw:
-            self._cw.remove(node_id)
-            removed = True
-        if node_id in self._ccw:
-            self._ccw.remove(node_id)
-            removed = True
+        for side, distances in (
+            (self._cw, self._cw_distances),
+            (self._ccw, self._ccw_distances),
+        ):
+            if node_id in side:
+                position = side.index(node_id)
+                del side[position], distances[position]
+                removed = True
         if removed:
             self.version += 1
         return removed
 
     @property
     def members(self) -> list[int]:
-        """All distinct members (a node may appear on both sides in tiny rings)."""
-        seen = dict.fromkeys(self._cw)
-        seen.update(dict.fromkeys(self._ccw))
-        return list(seen)
+        """All distinct members (a node may appear on both sides in tiny rings).
+
+        Built once per :attr:`version` and shared: callers must not
+        mutate the list.
+        """
+        if self._members_version != self.version:
+            seen = dict.fromkeys(self._cw)
+            seen.update(dict.fromkeys(self._ccw))
+            self._members = list(seen)
+            self._members_version = self.version
+        return self._members
 
     @property
     def cw_members(self) -> list[int]:
@@ -125,7 +151,7 @@ class Leafset:
         of a nearby key would refuse local delivery and prefix-route it
         into a ping-pong to the hop limit.
         """
-        if len(set(self._cw).union(self._ccw)) < 2 * self.half:
+        if len(self.members) < 2 * self.half:
             return True
         lo = self._ccw[-1]
         span = cw_distance(lo, self._cw[-1])

@@ -125,16 +125,23 @@ class OverlayNetwork(OverlayServices):
         self._heartbeat_timer = None
 
     def pick_bootstrap(self, exclude: int) -> Optional[PastryNode]:
-        """A random online node to bootstrap a join (well-known-host model)."""
+        """A random joined node to bootstrap a join (well-known-host model).
+
+        Only a joined node can answer a join (an unjoined one ignores
+        it), so only joined nodes are offered.
+        """
         if not self._online_ids:
             return None
         candidates = self._online_ids
+        nodes = self.nodes
         for _ in range(8):
             choice = candidates[int(self._rng.integers(0, len(candidates)))]
-            if choice != exclude:
-                return self.nodes[choice]
-        others = [node_id for node_id in candidates if node_id != exclude]
-        return self.nodes[others[0]] if others else None
+            if choice != exclude and nodes[choice].joined:
+                return nodes[choice]
+        for node_id in candidates:
+            if node_id != exclude and nodes[node_id].joined:
+                return nodes[node_id]
+        return None
 
     def on_node_online(self, node: PastryNode) -> None:
         """Bookkeeping when a node comes up (called by the node itself)."""
@@ -226,6 +233,20 @@ class OverlayNetwork(OverlayServices):
         for offset in (position - 1, position, position + 1):
             candidates.append(self._online_ids[offset % len(self._online_ids)])
         return min(candidates, key=lambda c: (ring_distance(c, key), c))
+
+    def misplaced_successors(self) -> list[int]:
+        """Online nodes whose clockwise neighbour is not the true next
+        online id: empty exactly when the online nodes form one ring
+        (oracle, for tests)."""
+        ids = self._online_ids
+        if len(ids) < 2:
+            return []
+        return [
+            node_id
+            for position, node_id in enumerate(ids)
+            if self.nodes[node_id].leafset.neighbour_cw()
+            != ids[(position + 1) % len(ids)]
+        ]
 
 
 class _SortedView:

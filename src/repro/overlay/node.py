@@ -235,15 +235,20 @@ class PastryNode:
         Retried for as long as the node stays online and unanswered:
         stabilization only probes leafset neighbours, so a node whose
         joins were all lost (say, behind a partition) has nobody to
-        probe, and nothing else would ever seed its leafset.  ``leafset``
+        probe, and nothing else would ever seed its leafset.  Each retry
+        goes to a freshly picked joined node.  ``leafset``
         is the one :meth:`go_online` made; a later rejoin replaces it,
         which ends this retry chain in favour of the rejoin's own.
         """
         if not self.online or self._joined or leafset is not self.leafset:
             return
         bootstrap = self.network.pick_bootstrap(exclude=self.node_id)
-        if bootstrap is not None:
-            self._send_join(bootstrap)
+        if bootstrap is None:
+            # No joined node is left to answer: found the ring, as a node
+            # that comes up with nobody to join through does.
+            self._joined = True
+            return
+        self._send_join(bootstrap)
         self.network.scheduler.schedule(JOIN_RETRY_TIMEOUT, self._check_join, leafset)
 
     def go_offline(self) -> None:
@@ -450,6 +455,10 @@ class PastryNode:
         self._pending_acks.discard(message.payload.msg_id)
 
     def _handle_join_req(self, message: Message) -> None:
+        if not self._joined:
+            # Not yet part of a ring: an answer from our empty leafset
+            # would found a second one.  The joiner retries elsewhere.
+            return
         request: JoinRequest = message.payload
         joiner = request.joiner
         # Route *before* learning the joiner, and never forward the join

@@ -19,7 +19,9 @@ from repro.proto.messages import (
     LeafsetAnnounce,
     LeafsetProbe,
     LeafsetState,
+    MetaAck,
     MetaPush,
+    MetaRefresh,
     PredictorResult,
     PredictorUpdate,
     ProtoMessage,
@@ -57,7 +59,9 @@ __all__ = [
     "LeafsetAnnounce",
     "LeafsetProbe",
     "LeafsetState",
+    "MetaAck",
     "MetaPush",
+    "MetaRefresh",
     "PredictorResult",
     "PredictorUpdate",
     "ProtoMessage",

@@ -325,7 +325,13 @@ class VertexRepl(ProtoMessage):
 @register
 @dataclass
 class MetaPush(ProtoMessage):
-    """An endsystem's metadata pushed to a replica-set member."""
+    """An endsystem's metadata pushed to a replica-set member.
+
+    ``epoch`` names the record's content: the owner's push version at
+    which that content (availability model and data generation) was
+    first pushed.  A replica that stores an owner-online push answers
+    with a :class:`MetaAck` for it.
+    """
 
     KIND: ClassVar[str] = "SW_META_PUSH"
     CATEGORY: ClassVar[str] = "maintenance"
@@ -335,9 +341,50 @@ class MetaPush(ProtoMessage):
     #: Set when re-replicating a dead owner's record: when the owner
     #: went down, per the holder's observation.
     down_since: Optional[float] = None
+    epoch: int = 0
 
     def _accounted_size(self) -> int:
+        # Modelled as the paper's record (Table 1: h + a); like the
+        # owner id and version, the epoch is not charged.
         return codec.metadata_size(self.metadata)
+
+
+@register
+@dataclass
+class MetaRefresh(ProtoMessage):
+    """Owner → replica that acknowledged ``epoch``: a new push version.
+
+    Stands in for a full :class:`MetaPush` whose content the replica
+    already holds; the replica applies it the same way, or answers a
+    negative :class:`MetaAck` when it does not hold ``epoch``.
+    """
+
+    KIND: ClassVar[str] = "SW_META_REFRESH"
+    CATEGORY: ClassVar[str] = "maintenance"
+
+    owner: int
+    version: int
+    epoch: int
+
+    def _accounted_size(self) -> int:
+        return codec.ID + 2 * codec.TAG
+
+
+@register
+@dataclass
+class MetaAck(ProtoMessage):
+    """Replica → owner: the record of ``epoch`` is held (or, when
+    ``held`` is false, is not and should be sent in full)."""
+
+    KIND: ClassVar[str] = "SW_META_ACK"
+    CATEGORY: ClassVar[str] = "maintenance"
+
+    replica: int
+    epoch: int
+    held: bool = True
+
+    def _accounted_size(self) -> int:
+        return codec.ID + 2 * codec.TAG
 
 
 @register

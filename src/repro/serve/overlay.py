@@ -67,9 +67,13 @@ class LiveOverlay(OverlayServices):
         transport.on_peer_activity = self.note_peer_activity
 
     def pick_bootstrap(self, exclude: int):
-        """An online local node, else the configured remote bootstrap."""
+        """A joined local node, else the configured remote bootstrap.
+
+        A local node that is online but not yet joined would ignore the
+        join, so it is never offered.
+        """
         for node_id, node in self.nodes.items():
-            if node.online and node_id != exclude:
+            if node.joined and node_id != exclude:
                 return node
         if self.bootstrap is not None and self.bootstrap.node_id != exclude:
             return self.bootstrap

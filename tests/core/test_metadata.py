@@ -91,3 +91,41 @@ class TestMetadataStore:
         store.drop(1234)
         assert 1234 not in store
         assert len(store) == 0
+
+
+class TestVersionOnlyRefresh:
+    """``MetadataStore.refresh`` installs what a full push of the same
+    content would: the new version and refresh time, owner up."""
+
+    def test_refresh_matches_a_full_push(self, metadata, flow_db):
+        store = MetadataStore()
+        store.store(metadata, now=1.0, epoch=1)
+        store.mark_down(1234, 5.0)
+        assert store.refresh(1234, version=4, epoch=1, now=9.0)
+        record = store.get(1234)
+        full = EndsystemMetadata.build(
+            owner=1234, database=flow_db, availability=AvailabilityModel(), version=4
+        )
+        assert record.metadata == full
+        assert record.metadata.summaries is metadata.summaries
+        assert record.metadata.estimate_cache is metadata.estimate_cache
+        assert (record.refreshed_at, record.down_since, record.epoch) == (9.0, None, 1)
+        # The record first stored is not touched: other replicas may share it.
+        assert metadata.version == 1
+
+    def test_refresh_of_another_epoch_is_not_held(self, metadata):
+        store = MetadataStore()
+        assert not store.refresh(1234, version=2, epoch=1, now=3.0)
+        store.store(metadata, now=1.0, epoch=1)
+        assert not store.refresh(1234, version=2, epoch=2, now=3.0)
+        assert store.get(1234).metadata.version == 1
+
+    def test_stale_refresh_is_held_but_ignored(self, metadata, flow_db):
+        store = MetadataStore()
+        newer = EndsystemMetadata.build(
+            owner=1234, database=flow_db, availability=AvailabilityModel(), version=5
+        )
+        store.store(newer, now=1.0, epoch=1)
+        assert store.refresh(1234, version=3, epoch=1, now=2.0)
+        assert store.get(1234).metadata is newer
+        assert store.get(1234).refreshed_at == 1.0

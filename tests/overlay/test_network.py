@@ -40,6 +40,10 @@ class TestMembership:
         nodes[0].go_online(None)
         assert net.pick_bootstrap(exclude=nodes[0].node_id) is None
         nodes[1].go_online(nodes[0])
+        # Online but unanswered: it would ignore a join, so not offered.
+        assert net.pick_bootstrap(exclude=nodes[0].node_id) is None
+        sim.run_until(sim.now + 1.0)
+        assert nodes[1].joined
         choice = net.pick_bootstrap(exclude=nodes[0].node_id)
         assert choice is nodes[1]
 

@@ -55,6 +55,34 @@ class TestJoin:
         bring_all_online(sim, network, nodes, np.random.default_rng(3))
         assert all(node.leafset.is_full() for node in nodes)
 
+    def test_unjoined_node_sends_no_join_reply(self, overlay):
+        """Its empty leafset would found a second ring; the joiner's
+        retry goes to a joined node instead."""
+        sim, network, nodes, _ = overlay
+        founder, waiting, joiner = nodes[:3]
+        sent = []
+
+        class Recorder:
+            def intercept(self, now, src, dst, message):
+                sent.append((src, dst, message.kind))
+
+        network.transport.add_interceptor(Recorder())
+        waiting.go_online(founder)  # the founder is offline: no answer
+        sim.run_until(sim.now + 1.0)
+        assert waiting.online and not waiting.joined
+        joiner.go_online(waiting)
+        sim.run_until(sim.now + 1.0)
+        assert (joiner.name, waiting.name, "P_JOIN_REQ") in sent
+        assert [s for s in sent if s[0] == waiting.name and s[2] == "P_JOIN_REPLY"] == []
+        assert not joiner.joined
+        # With no joined node left to ask, the first retry founds the
+        # ring and the other joins it.
+        sim.run_until(sim.now + 10.0)
+        assert waiting.joined and joiner.joined
+        assert waiting.leafset.neighbour_cw() == joiner.node_id
+        assert joiner.leafset.neighbour_cw() == waiting.node_id
+        assert network.misplaced_successors() == []
+
     def test_online_count_tracks(self, overlay):
         sim, network, nodes, _ = overlay
         bring_all_online(sim, network, nodes)

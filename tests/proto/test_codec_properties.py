@@ -6,7 +6,7 @@ honest is *encodability*: for every registered message kind there must
 exist an actual byte encoding, following the documented field layout,
 whose length is exactly ``body_size()``.  These tests implement that
 reference encoder and let Hypothesis drive it with arbitrary field
-values for all 20 registered kinds.
+values for all 22 registered kinds.
 
 If a message class adds a field without extending its ``body_size()``
 (or vice versa), the reference encoding and the arithmetic diverge and
@@ -35,7 +35,9 @@ from repro.proto.messages import (
     LeafsetAnnounce,
     LeafsetProbe,
     LeafsetState,
+    MetaAck,
     MetaPush,
+    MetaRefresh,
     PredictorResult,
     PredictorUpdate,
     QueryInject,
@@ -49,7 +51,7 @@ from repro.proto.messages import (
 from repro.proto.registry import registered_kinds
 
 # Same directory, no package: pytest's default import mode puts it on the path.
-from test_wire_roundtrip import metadata_records, predictors, query_results
+from test_wire_roundtrip import metadata_records, predictors, query_results, versions
 
 # ----------------------------------------------------------------------
 # Reference encoding primitives (mirror the codec glossary)
@@ -381,8 +383,17 @@ CASES: dict[str, tuple] = {
             metadata=metadata_records,
             owner_online=st.booleans(),
             down_since=st.none() | times,
+            epoch=versions,
         ),
         lambda msg: enc_metadata(msg.metadata),
+    ),
+    MetaRefresh.KIND: (
+        st.builds(MetaRefresh, owner=overlay_ids, version=versions, epoch=versions),
+        lambda msg: enc_id(msg.owner) + enc_tag(msg.version) + enc_tag(msg.epoch),
+    ),
+    MetaAck.KIND: (
+        st.builds(MetaAck, replica=overlay_ids, epoch=versions, held=st.booleans()),
+        lambda msg: enc_id(msg.replica) + enc_tag(msg.epoch) + enc_tag(msg.held),
     ),
     ActiveReq.KIND: (
         st.builds(ActiveReq, requester=overlay_ids),
@@ -416,7 +427,7 @@ def test_every_registered_kind_has_a_case() -> None:
     """Adding a message kind without a property case fails loudly here."""
     kinds = set(registered_kinds())
     assert kinds == set(CASES)
-    assert len(kinds) == 20
+    assert len(kinds) == 22
 
 
 @pytest.mark.parametrize("kind", sorted(CASES))

@@ -33,7 +33,9 @@ from repro.proto.messages import (
     LeafsetAnnounce,
     LeafsetProbe,
     LeafsetState,
+    MetaAck,
     MetaPush,
+    MetaRefresh,
     PredictorResult,
     PredictorUpdate,
     QueryInject,
@@ -233,6 +235,13 @@ STRATEGIES: dict[str, st.SearchStrategy] = {
         metadata=metadata_records,
         owner_online=st.booleans(),
         down_since=st.none() | times,
+        epoch=versions,
+    ),
+    MetaRefresh.KIND: st.builds(
+        MetaRefresh, owner=overlay_ids, version=versions, epoch=versions
+    ),
+    MetaAck.KIND: st.builds(
+        MetaAck, replica=overlay_ids, epoch=versions, held=st.booleans()
     ),
     ActiveReq.KIND: st.builds(ActiveReq, requester=overlay_ids),
     ActiveResp.KIND: st.builds(

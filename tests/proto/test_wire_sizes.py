@@ -39,7 +39,9 @@ from repro.proto.messages import (
     LeafsetAnnounce,
     LeafsetProbe,
     LeafsetState,
+    MetaAck,
     MetaPush,
+    MetaRefresh,
     PredictorResult,
     PredictorUpdate,
     QueryInject,
@@ -244,6 +246,22 @@ class TestMaintenanceSizes:
     def test_meta_push_category_is_maintenance(self):
         assert MetaPush.CATEGORY == "maintenance"
 
+    def test_meta_push_epoch_is_not_charged(self):
+        metadata = metadata_of(buckets=250, mcv=5, tables=1)
+        assert MetaPush(metadata=metadata, epoch=7).body_size() == 5120
+
+    def test_meta_refresh(self):
+        # New kind, no legacy: owner id + version + epoch.
+        msg = MetaRefresh(owner=1, version=9, epoch=4)
+        assert msg.body_size() == 16 + 8 + 8 == 32
+        assert MetaRefresh.CATEGORY == "maintenance"
+
+    def test_meta_ack(self):
+        # New kind, no legacy: replica id + epoch + held flag.
+        assert MetaAck(replica=1, epoch=4).body_size() == 16 + 8 + 8 == 32
+        assert MetaAck(replica=1, epoch=4, held=False).body_size() == 32
+        assert MetaAck.CATEGORY == "maintenance"
+
     def test_active_req(self):
         # Legacy literal: 16
         assert ActiveReq(requester=1).body_size() == 16
@@ -292,7 +310,8 @@ class TestCodecConstants:
             "SW_QUERY_INJECT", "SW_BCAST", "SW_BCAST_ACK",
             "SW_PREDICTOR", "SW_PREDICTOR_RESULT",
             "SW_RESULT_SUBMIT", "SW_RESULT_ACK", "SW_VERTEX_REPL",
-            "SW_META_PUSH", "SW_ACTIVE_REQ", "SW_ACTIVE_RESP",
+            "SW_META_PUSH", "SW_META_REFRESH", "SW_META_ACK",
+            "SW_ACTIVE_REQ", "SW_ACTIVE_RESP",
             "SW_STATUS", "SW_CANCEL",
         }
         assert set(registered_kinds()) == covered

@@ -28,6 +28,7 @@ def run_with(config: SeaweedConfig, seed: int = 3):
         seed=seed,
         num_profiles=20,
         config=config,
+        live_feed=True,
     )
     return run_overhead_experiment(deployment, sample_checkpoints=(60.0,))
 

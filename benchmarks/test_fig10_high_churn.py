@@ -21,10 +21,12 @@ def test_fig10_high_churn_overhead(benchmark):
     duration = scale["duration"]
 
     farsite_deployment = Deployment(
-        "farsite", population=population, horizon=duration, seed=7
+        "farsite", population=population, horizon=duration, seed=7,
+        live_feed=True,
     )
     gnutella_deployment = Deployment(
-        "gnutella", population=population, horizon=duration, seed=7
+        "gnutella", population=population, horizon=duration, seed=7,
+        live_feed=True,
     )
 
     def run_both():

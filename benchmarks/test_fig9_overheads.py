@@ -31,7 +31,8 @@ from repro.net.stats import CATEGORY_MAINTENANCE, CATEGORY_OVERLAY, CATEGORY_QUE
 def test_fig9a_overhead_breakdown(benchmark):
     scale = overhead_scale()
     deployment = Deployment(
-        population=scale["base_population"], horizon=scale["duration"], seed=7
+        population=scale["base_population"], horizon=scale["duration"], seed=7,
+        live_feed=True,
     )
     result = benchmark.pedantic(
         run_overhead_experiment, args=(deployment,), rounds=1, iterations=1
@@ -92,6 +93,7 @@ def test_fig9c_id_assignment_insensitivity(benchmark):
         population=max(100, scale["base_population"] // 2),
         horizon=scale["duration"] / 2,
         seed=7,
+        live_feed=True,
     )
 
     def sweep():
@@ -121,7 +123,7 @@ def test_fig9c_id_assignment_insensitivity(benchmark):
 
 def test_fig9d_scaling_with_population(benchmark):
     scale = overhead_scale()
-    base = Deployment(horizon=scale["duration"] / 2, seed=7)
+    base = Deployment(horizon=scale["duration"] / 2, seed=7, live_feed=True)
 
     def sweep():
         return {

@@ -11,7 +11,7 @@ Run with:  python examples/continuous_monitoring.py
 import numpy as np
 
 from repro.core.deployment import Deployment
-from repro.workload import AnemoneDataset, LiveAnemoneFeed
+from repro.workload import AnemoneDataset
 
 HOURS = 3600.0
 SQL = "SELECT COUNT(*), SUM(Bytes) FROM Flow WHERE SrcPort = 80"
@@ -22,13 +22,10 @@ def main() -> None:
     system = Deployment(
         "always_on", population=40, horizon=4 * HOURS, seed=11, dataset=dataset,
         startup_stagger=30.0,
-        private_databases=True,  # each endsystem owns mutable data
+        live_feed=True,  # each endsystem keeps appending to its own data
     ).build()
     system.run_until(0.2 * HOURS)
 
-    feed = LiveAnemoneFeed(
-        system, np.random.default_rng(3), rows_per_hour=600.0, period=120.0
-    )
     origin, query = system.inject_query(SQL, continuous_period=300.0)
     print(f"continuous query registered: {SQL}")
     print("time     COUNT(*)      SUM(Bytes)        rows inserted so far")
@@ -38,7 +35,7 @@ def main() -> None:
         count, total = status.result.values()
         print(
             f"t+{step * 0.5:3.1f} h  {count:>10,.0f}  {total:>14,.0f}   "
-            f"{feed.rows_inserted:>8,}"
+            f"{system.live_feed.rows_inserted:>8,}"
         )
 
 

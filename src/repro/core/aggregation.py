@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from repro.core.query import QueryDescriptor
 from repro.db.executor import QueryResult
 from repro.overlay.ids import common_suffix_len, replace_suffix
+from repro.proto import codec
 from repro.proto.messages import ResultAck, ResultSubmit, VertexRepl
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -107,6 +108,9 @@ class VertexState:
     #: {contributor key: (version, result)} — contributor keys are
     #: endsystem ids for leaf submissions and child vertexIds for interior.
     children: dict[int, tuple[int, QueryResult]] = field(default_factory=dict)
+    #: ``codec.vertex_children_size(children.values())``, kept up to date
+    #: as children change so a replication never re-sums it.
+    children_size: int = 0
     #: Version counter for this vertex's own upward submissions.
     up_version: int = 0
     #: Whether an upward forward is pending (coalescing flag).
@@ -115,10 +119,23 @@ class VertexState:
     def update_child(self, contributor: int, version: int, result: QueryResult) -> bool:
         """Install a child result if newer.  Returns True if state changed."""
         existing = self.children.get(contributor)
-        if existing is not None and existing[0] >= version:
+        if existing is None:
+            self.children_size += codec.ID
+        elif existing[0] >= version:
             return False
+        else:
+            self.children_size -= codec.result_size(existing[1])
         self.children[contributor] = (version, result)
+        self.children_size += codec.result_size(result)
         return True
+
+    def adopt_children(self, message: VertexRepl) -> None:
+        """Take a replicated child table (and its size) as this state's."""
+        self.children = dict(message.children)
+        size = message.children_size
+        if size is None:
+            size = codec.vertex_children_size(self.children.values())
+        self.children_size = size
 
     def merged_result(self) -> Optional[QueryResult]:
         """Fold all child results into one (exactly-once by construction)."""
@@ -364,6 +381,7 @@ class ResultAggregator:
             primary=self.node.node_id,
             up_version=state.up_version,
             children=dict(state.children),
+            children_size=state.children_size,
         )
         for backup in backups:
             self.node.send_app(backup, repl)
@@ -384,7 +402,7 @@ class ResultAggregator:
         vertex_id = message.vertex_id
         state = VertexState(descriptor.query_id, vertex_id)
         state.up_version = message.up_version
-        state.children = dict(message.children)
+        state.adopt_children(message)
         key = (descriptor.query_id, vertex_id)
         self.node.remember_query(descriptor)
         if key in self._vertices:
@@ -452,6 +470,7 @@ class ResultAggregator:
                 primary=new_primary,
                 up_version=state.up_version,
                 children=dict(state.children),
+                children_size=state.children_size,
             )
             self.node.send_app(new_primary, handover)
             # Demote ourselves to backup for the group.

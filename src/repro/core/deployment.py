@@ -7,10 +7,11 @@ frozen value and the one place that decides the trace family
 (``"farsite"``, ``"gnutella"``, ``"always_on"`` or a caller's own
 :class:`~repro.traces.availability.TraceSet`), the seeding convention
 (trace from ``seed``, dataset from ``seed + 1`` unless a shared dataset
-is passed in, ``master_seed`` is ``seed``), pretraining (always: the
-paper's warmup) and the ground-truth oracle (always attached; its hooks
-are read-only, so an audited run is event-for-event identical to an
-unaudited one).  Sweeps are :func:`dataclasses.replace` loops::
+is passed in, the live feed from ``seed + 2``, ``master_seed`` is
+``seed``), pretraining (always: the paper's warmup) and the ground-truth
+oracle (always attached; its hooks are read-only, so an audited run is
+event-for-event identical to an unaudited one).  Sweeps are
+:func:`dataclasses.replace` loops::
 
     base = Deployment(trace="farsite", population=250, horizon=5 * 3600.0)
     for population in (80, 160, 320):
@@ -32,6 +33,7 @@ from repro.traces.availability import AvailabilitySchedule, TraceSet
 from repro.traces.farsite import generate_farsite_trace
 from repro.traces.gnutella import generate_gnutella_trace
 from repro.workload.anemone import AnemoneDataset
+from repro.workload.live import LiveAnemoneFeed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.audit.oracle import GroundTruthOracle
@@ -74,6 +76,11 @@ class Deployment:
     id_seed: Optional[int] = None
     #: A mutable database copy per endsystem (live feeds need it).
     private_databases: bool = False
+    #: Anemone live updates: every online endsystem keeps appending Flow
+    #: rows (:class:`~repro.workload.live.LiveAnemoneFeed` at its default
+    #: rate), as a deployed Seaweed does; implies ``private_databases``.
+    #: Off, the data is read-only, as in the paper's own simulations.
+    live_feed: bool = False
     fault_plan: Optional["FaultPlan"] = None
 
     def __post_init__(self) -> None:
@@ -113,10 +120,14 @@ class Deployment:
             master_seed=self.seed,
             startup_stagger=self.startup_stagger,
             id_seed=self.id_seed,
-            private_databases=self.private_databases,
+            private_databases=self.private_databases or self.live_feed,
             observer=observer,
             fault_plan=self.fault_plan,
         )
+        if self.live_feed:
+            system.live_feed = LiveAnemoneFeed(
+                system, np.random.default_rng(self.seed + 2)
+            )
         system.pretrain_availability()
         system.enable_audit()
         return system

@@ -20,6 +20,7 @@ a query.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
@@ -214,14 +215,16 @@ class SeaweedNode:
     # Metadata replication
     # ------------------------------------------------------------------
 
-    def push_metadata(self, refresh: bool = False) -> None:
+    def push_metadata(self) -> None:
         """Push this endsystem's metadata to its replica set.
 
-        Every replica gets the full record, except that a ``refresh`` (a
-        replica-set change) sends a replica that has acknowledged the
-        current content epoch only the new version.  A replica that has
-        not acknowledged gets the full record at every push until it
-        does, so a lost push or ack is repaired at the next one.
+        A replica that has acknowledged the current content epoch gets
+        only the new version (a ``MetaRefresh``); every other replica
+        gets the full record.  New content (a new session or a database
+        write) starts a new epoch, which nobody has acknowledged, so it
+        goes out in full to every replica; a replica that has not
+        acknowledged gets the full record at every push until it does,
+        so a lost push or ack is repaired at the next one.
         """
         if not self.pastry.online:
             return
@@ -232,12 +235,15 @@ class SeaweedNode:
             self._metadata_epoch = self._metadata_version
             self._epoch_generation = generation
             self._acked_replicas = set()
-        metadata = EndsystemMetadata.build(
-            owner=self.node_id,
-            database=self.database,
-            availability=AvailabilityModel.from_snapshot(self.availability.snapshot()),
-            version=self._metadata_version,
-        )
+            metadata = EndsystemMetadata.build(
+                owner=self.node_id,
+                database=self.database,
+                availability=AvailabilityModel.from_snapshot(self.availability.snapshot()),
+                version=self._metadata_version,
+            )
+        else:
+            # The epoch's content, which replicas may hold: a new version.
+            metadata = replace(self._last_metadata, version=self._metadata_version)
         self._last_metadata = metadata
         replicas = self.pastry.replica_set(self.config.metadata_replicas)
         self._last_replica_set = replicas
@@ -247,8 +253,7 @@ class SeaweedNode:
         full = MetaPush(metadata=metadata, owner_online=True, epoch=epoch)
         brief = MetaRefresh(owner=self.node_id, version=metadata.version, epoch=epoch)
         for replica in replicas:
-            acked = refresh and replica in self._acked_replicas
-            self.send_app(replica, brief if acked else full)
+            self.send_app(replica, brief if replica in self._acked_replicas else full)
 
     def _periodic_push(self) -> None:
         """The proactive periodic push (rate p in the analytic model)."""
@@ -614,7 +619,7 @@ class SeaweedNode:
             return
         current = self.pastry.replica_set(self.config.metadata_replicas)
         if set(current) != set(self._last_replica_set) and current == expected:
-            self.push_metadata(refresh=True)
+            self.push_metadata()
 
     def _on_neighbour_failed(self, dead_id: int) -> None:
         """A leafset neighbour stopped heartbeating."""

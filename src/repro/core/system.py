@@ -39,6 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.audit.oracle import GroundTruthOracle
     from repro.faults.injector import FaultInjector
     from repro.faults.plan import FaultPlan
+    from repro.workload.live import LiveAnemoneFeed
 
 
 class SeaweedSystem:
@@ -145,6 +146,9 @@ class SeaweedSystem:
         self._by_id = {node.node_id: node for node in self.nodes}
 
         self.private_databases = private_databases
+        #: The Anemone live feed, when the deployment has one (attached
+        #: by ``Deployment(live_feed=True)``).
+        self.live_feed: Optional["LiveAnemoneFeed"] = None
         #: Ground-truth conformance oracle (:mod:`repro.audit`); attached
         #: by :meth:`enable_audit`, ``None`` otherwise (zero-cost-off).
         self.auditor: Optional["GroundTruthOracle"] = None

@@ -50,6 +50,15 @@ _DECISION_PARTITION = Decision(drop_reason=DROP_PARTITION)
 _DECISION_FAULT_LOSS = Decision(drop_reason=DROP_FAULT_LOSS)
 
 
+def _kind_matches(message, kinds: set[str]) -> bool:
+    """Whether ``message`` is of one of ``kinds``: its transport kind, or
+    the application kind of the message a route envelope carries."""
+    if message.kind in kinds:
+        return True
+    app_kind = getattr(message.payload, "app_kind", None)
+    return app_kind is not None and app_kind in kinds
+
+
 class WindowLossInterceptor:
     """Per-window, optionally filtered message loss."""
 
@@ -66,7 +75,7 @@ class WindowLossInterceptor:
         event = self._event
         if not event.start <= now < event.end:
             return None
-        if self._kinds is not None and message.kind not in self._kinds:
+        if self._kinds is not None and not _kind_matches(message, self._kinds):
             return None
         if self._routers is not None:
             if (
@@ -94,7 +103,7 @@ class DuplicationInterceptor:
         event = self._event
         if not event.start <= now < event.end:
             return None
-        if self._kinds is not None and message.kind not in self._kinds:
+        if self._kinds is not None and not _kind_matches(message, self._kinds):
             return None
         if self._rng.random() < event.rate:
             return self._decision

@@ -152,7 +152,9 @@ class MessageLoss(FaultEvent):
     """Drop messages with probability ``rate`` during ``[start, end)``.
 
     ``kinds`` restricts the loss to those protocol message kinds (empty
-    means all kinds); ``routers`` restricts it to messages with at least
+    means all kinds): a transport kind such as ``"P_ROUTE"``, or the
+    application kind a route envelope carries, such as
+    ``"SW_META_PUSH"``; ``routers`` restricts it to messages with at least
     one endpoint attached to the given routers (per-link loss).
     """
 

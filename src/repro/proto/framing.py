@@ -35,8 +35,9 @@ MAGIC = b"SW"
 #: submissions and vertex replication carry typed query results, vertex
 #: children are keyed by int, and a query descriptor is a field tuple;
 #: 5: an availability model is ``(down_edges, down_counts,
-#: up_hour_counts)``).
-VERSION = 5
+#: up_hour_counts)``; 6: vertex replication also carries its children's
+#: modelled size).
+VERSION = 6
 
 #: Fixed part of the envelope, before the kind string and body.
 #: magic(2) + version(1) + flags(1) + kind len(2) + body len(4) + crc(4).

@@ -298,7 +298,9 @@ class ResultAck(ProtoMessage):
 class VertexRepl(ProtoMessage):
     """Vertex state replicated to backups (or handed to a new primary).
 
-    ``children`` maps each contributor key to its ``(version, result)``.
+    ``children`` maps each contributor key to its ``(version, result)``;
+    ``children_size`` is their :func:`~repro.proto.codec.vertex_children_size`
+    as the sending vertex keeps it (``None``: summed here on demand).
     """
 
     KIND: ClassVar[str] = "SW_VERTEX_REPL"
@@ -308,13 +310,13 @@ class VertexRepl(ProtoMessage):
     primary: int
     up_version: int
     children: dict[int, tuple[int, "QueryResult"]]
+    children_size: Optional[int] = field(default=None, compare=False)
 
     def _accounted_size(self) -> int:
-        return (
-            codec.RANGE
-            + codec.vertex_children_size(self.children.values())
-            + len(self.descriptor.sql)
-        )
+        children_size = self.children_size
+        if children_size is None:
+            children_size = codec.vertex_children_size(self.children.values())
+        return codec.RANGE + children_size + len(self.descriptor.sql)
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ from repro.faults import (
 )
 from repro.net.topology import Topology
 from repro.net.transport import Message
-from repro.proto.messages import LeafsetProbe
+from repro.proto.messages import Cancel, LeafsetProbe, RouteEnvelope
 
 HORIZON = 1200.0
 
@@ -31,6 +31,12 @@ def _topology() -> Topology:
 
 def _message() -> Message:
     return Message.of(LeafsetProbe())
+
+
+def _routed(app=None) -> Message:
+    """A Seaweed message as the transport sees it: in a route envelope."""
+    app = Cancel(query_id=1) if app is None else app
+    return Message.of(RouteEnvelope(key=1, app_payload=app, app_size=8, direct=True))
 
 
 class TestWindowLossInterceptor:
@@ -49,6 +55,22 @@ class TestWindowLossInterceptor:
         interceptor = WindowLossInterceptor(
             event, np.random.default_rng(0), _topology()
         )
+        assert interceptor.intercept(5.0, "a", "b", _message()) is None
+
+    def test_kind_filter_matches_the_routed_application_kind(self):
+        event = MessageLoss(start=0.0, end=10.0, rate=0.999999, kinds=("SW_CANCEL",))
+        interceptor = WindowLossInterceptor(
+            event, np.random.default_rng(0), _topology()
+        )
+        assert interceptor.intercept(5.0, "a", "b", _routed()).drop_reason == "fault_loss"
+        assert interceptor.intercept(5.0, "a", "b", _message()) is None
+
+    def test_kind_filter_still_matches_the_transport_kind(self):
+        event = MessageLoss(start=0.0, end=10.0, rate=0.999999, kinds=("P_ROUTE",))
+        interceptor = WindowLossInterceptor(
+            event, np.random.default_rng(0), _topology()
+        )
+        assert interceptor.intercept(5.0, "a", "b", _routed()) is not None
         assert interceptor.intercept(5.0, "a", "b", _message()) is None
 
     def test_router_filter(self):
@@ -70,6 +92,12 @@ class TestDuplicationInterceptor:
         assert decision.duplicates == 2
         assert decision.duplicate_delay == pytest.approx(0.3)
         assert decision.drop_reason is None
+
+    def test_kind_filter_matches_the_routed_application_kind(self):
+        event = Duplication(start=0.0, end=10.0, rate=0.999999, kinds=("SW_CANCEL",))
+        interceptor = DuplicationInterceptor(event, np.random.default_rng(0))
+        assert interceptor.intercept(5.0, "a", "b", _routed()) is not None
+        assert interceptor.intercept(5.0, "a", "b", _message()) is None
 
 
 class TestSlowNodeInterceptor:
@@ -103,6 +131,14 @@ class TestFaultInjector:
     def test_empty_plan_means_no_injector(self, small_dataset):
         system = _system(small_dataset, FaultPlan())
         assert system.fault_injector is None
+
+    def test_application_kind_loss_drops_seaweed_messages(self, small_dataset):
+        plan = FaultPlan(events=(
+            MessageLoss(start=0.0, end=300.0, rate=0.9, kinds=("SW_META_PUSH",)),
+        ))
+        system = _system(small_dataset, plan, population=16)
+        system.run_until(300.0)
+        assert system.transport.drops_by_reason["fault_loss"] > 0
 
     def test_crash_burst_takes_nodes_down_then_back(self, small_dataset):
         plan = FaultPlan(events=(

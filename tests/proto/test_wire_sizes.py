@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.aggregation import VertexState
 from repro.core.availability_model import AvailabilityModel
 from repro.core.metadata import EndsystemMetadata
 from repro.core.predictor import CompletenessPredictor
@@ -228,6 +229,30 @@ class TestAggregationSizes:
         )
         legacy_state = 32 + (16 + 8 * 2 * 4 + 32 * 1) + (16 + 8 * 1 * 4 + 32 * 0)
         assert msg.body_size() == legacy_state + len(descriptor.sql)
+
+    def test_vertex_repl_carried_children_size(self, descriptor):
+        # A vertex keeps its children's size as they change; a replication
+        # carrying it is charged exactly the recomputed sum.
+        state = VertexState(query_id=1, vertex_id=2)
+        state.update_child(17, 1, query_result(states=2, rows=1))
+        state.update_child(42, 3, query_result(states=1, rows=0))
+        state.update_child(17, 2, query_result(states=1, rows=4, groups=2))
+        state.update_child(42, 1, query_result(states=3, rows=9))  # stale
+        assert state.children_size == codec.vertex_children_size(
+            state.children.values()
+        )
+
+        def repl(**size):
+            return VertexRepl(
+                descriptor=descriptor, vertex_id=2, primary=3, up_version=1,
+                children=dict(state.children), **size,
+            )
+
+        carried = repl(children_size=state.children_size)
+        assert carried.body_size() == repl().body_size()
+        backup = VertexState(query_id=1, vertex_id=2)
+        backup.adopt_children(repl())
+        assert backup.children_size == state.children_size
 
 
 # ----------------------------------------------------------------------

@@ -68,3 +68,30 @@ class TestLiveFeed:
         )
         system.run_until(system.sim.now + 300.0)
         assert node.database.generation > generation
+
+
+class TestDeploymentFeed:
+    def spec(self, small_dataset, **fields):
+        return Deployment(
+            trace="always_on", population=6, horizon=HORIZON, seed=81,
+            dataset=small_dataset, startup_stagger=5.0, **fields,
+        )
+
+    def test_read_only_by_default(self, small_dataset):
+        system = self.spec(small_dataset).build()
+        assert system.live_feed is None
+        assert not system.private_databases
+
+    def test_the_spec_attaches_a_feed_on_private_databases(self, small_dataset):
+        system = self.spec(small_dataset, live_feed=True).build()
+        assert system.private_databases
+        before = sum(node.database.total_rows("Flow") for node in system.nodes)
+        system.run_until(HORIZON)
+        after = sum(node.database.total_rows("Flow") for node in system.nodes)
+        assert system.live_feed.rows_inserted > 0
+        assert after - before == system.live_feed.rows_inserted
+
+    def test_the_feed_draws_from_seed_plus_two(self, small_dataset):
+        system = self.spec(small_dataset, live_feed=True).build()
+        expected = 10.0 * np.random.default_rng(81 + 2).lognormal(0.0, 1.0, size=6)
+        assert np.array_equal(system.live_feed._rates, expected)

@@ -23,6 +23,13 @@ to m backups before acknowledging, and forwards a new aggregate upward
 when children change.  Contributions are keyed and versioned, so
 retransmissions and primary failovers never double-count — the
 exactly-once property of §2.3.
+
+Replication is incremental: each replication of a state is numbered
+(``seq``), a backup that was sent the state's chain gets only the child
+entry that just changed, and any other backup the whole table.  A backup
+applies a delta only on top of the same primary's previous ``seq``;
+otherwise it answers :class:`~repro.proto.messages.VertexNack` and the
+primary re-sends the whole table at once.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from repro.core.query import QueryDescriptor
 from repro.db.executor import QueryResult
 from repro.overlay.ids import common_suffix_len, replace_suffix
 from repro.proto import codec
-from repro.proto.messages import ResultAck, ResultSubmit, VertexRepl
+from repro.proto.messages import ResultAck, ResultSubmit, VertexNack, VertexRepl
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.node import SeaweedNode
@@ -115,6 +122,12 @@ class VertexState:
     up_version: int = 0
     #: Whether an upward forward is pending (coalescing flag).
     forward_scheduled: bool = False
+    #: Number of this state's latest replication (a backup: of the latest
+    #: one it applied).
+    seq: int = 0
+    #: Primary only: the backups that were sent every replication of
+    #: this state since they joined the backup set (they get deltas).
+    synced: set[int] = field(default_factory=set)
 
     def update_child(self, contributor: int, version: int, result: QueryResult) -> bool:
         """Install a child result if newer.  Returns True if state changed."""
@@ -130,12 +143,9 @@ class VertexState:
         return True
 
     def adopt_children(self, message: VertexRepl) -> None:
-        """Take a replicated child table (and its size) as this state's."""
+        """Take a replicated full child table (and its size) as this state's."""
         self.children = dict(message.children)
-        size = message.children_size
-        if size is None:
-            size = codec.vertex_children_size(self.children.values())
-        self.children_size = size
+        self.children_size = message.children_size
 
     def merged_result(self) -> Optional[QueryResult]:
         """Fold all child results into one (exactly-once by construction)."""
@@ -181,6 +191,10 @@ class ResultAggregator:
         #: how continuous queries refresh their contribution.
         self._leaf_versions: dict[int, int] = {}
         self._retransmit_timer = None
+        #: Highest replication ``seq`` this node has sent.  A state that
+        #: becomes primary here continues from it, so its chain never
+        #: reuses a ``seq`` an earlier chain of this node left at a backup.
+        self._seq_high = 0
 
     # ------------------------------------------------------------------
     # Leaf path
@@ -343,12 +357,18 @@ class ResultAggregator:
             state = backed[1] if backed is not None else VertexState(
                 descriptor.query_id, vertex_id
             )
-            self._vertices[key] = state
+            self._take_primary(key, state)
         changed = state.update_child(contributor, version, result)
         if not changed:
             return
-        self._replicate(descriptor, state)
+        self._replicate(descriptor, state, contributor)
         self._after_state_change(descriptor, key)
+
+    def _take_primary(self, key: tuple[int, int], state: VertexState) -> None:
+        """Install ``state`` as ours: a new chain no backup was sent yet."""
+        state.seq = max(state.seq, self._seq_high)
+        state.synced = set()
+        self._vertices[key] = state
 
     def _forward_up(self, descriptor: QueryDescriptor, key: tuple[int, int]) -> None:
         state = self._vertices.get(key)
@@ -372,19 +392,57 @@ class ResultAggregator:
             descriptor, parent, state.vertex_id, state.up_version, merged
         )
 
-    def _replicate(self, descriptor: QueryDescriptor, state: VertexState) -> None:
-        """Replicate vertex state to the m closest leafset members."""
+    def _replicate(
+        self,
+        descriptor: QueryDescriptor,
+        state: VertexState,
+        changed: Optional[int] = None,
+    ) -> None:
+        """Replicate vertex state to the m closest leafset members.
+
+        A synced backup gets only the ``changed`` child's entry; every
+        other backup (all of them when ``changed`` is None) the table.
+        """
         backups = self.node.pastry.replica_set(self.node.config.vertex_backups)
-        repl = VertexRepl(
+        state.seq += 1
+        self._seq_high = max(self._seq_high, state.seq)
+        full = delta = None
+        for backup in backups:
+            if changed is not None and backup in state.synced:
+                if delta is None:
+                    entry = state.children[changed]
+                    delta = VertexRepl(
+                        descriptor=descriptor,
+                        vertex_id=state.vertex_id,
+                        primary=self.node.node_id,
+                        up_version=state.up_version,
+                        children={changed: entry},
+                        children_size=codec.ID + codec.result_size(entry[1]),
+                        seq=state.seq,
+                        full=False,
+                    )
+                self.node.send_app(backup, delta)
+            else:
+                if full is None:
+                    full = self._full_repl(descriptor, state, self.node.node_id)
+                self.node.send_app(backup, full)
+        state.synced = set(backups)
+
+    @staticmethod
+    def _full_repl(
+        descriptor: QueryDescriptor, state: VertexState, primary: int
+    ) -> VertexRepl:
+        """The whole table of ``state`` at its current ``seq``."""
+        return VertexRepl(
             descriptor=descriptor,
             vertex_id=state.vertex_id,
-            primary=self.node.node_id,
+            primary=primary,
             up_version=state.up_version,
             children=dict(state.children),
             children_size=state.children_size,
+            seq=state.seq,
+            full=True,
         )
-        for backup in backups:
-            self.node.send_app(backup, repl)
 
     def on_ack(self, message: ResultAck) -> None:
         """Handle a RESULT_ACK: stop retransmitting that submission."""
@@ -397,30 +455,67 @@ class ResultAggregator:
         If we are now the node closest to the vertexId (e.g. the old
         primary is handing the group over after our join), we take over
         as primary; otherwise we hold the state as a backup for failover.
+        A delta that does not extend the chain we hold from its primary
+        is answered with a :class:`VertexNack`.
         """
         descriptor = message.descriptor
         vertex_id = message.vertex_id
-        state = VertexState(descriptor.query_id, vertex_id)
-        state.up_version = message.up_version
-        state.adopt_children(message)
         key = (descriptor.query_id, vertex_id)
         self.node.remember_query(descriptor)
-        if key in self._vertices:
+        existing = self._vertices.get(key)
+        held = self._backups.get(key)
+        if not message.full and (
+            existing is not None
+            or held is None
+            or held[0] != message.primary
+            or held[1].seq != message.seq - 1
+        ):
+            self.node.send_app(
+                message.primary,
+                VertexNack(
+                    query_id=descriptor.query_id,
+                    vertex_id=vertex_id,
+                    backup=self.node.node_id,
+                ),
+            )
+            if existing is None:
+                return
+        if existing is not None:
             # We were (or believe we are) the primary; merge children.
-            existing = self._vertices[key]
-            existing.up_version = max(existing.up_version, state.up_version)
+            existing.up_version = max(existing.up_version, message.up_version)
             changed = False
-            for contributor, (version, result) in state.children.items():
+            for contributor, (version, result) in message.children.items():
                 if existing.update_child(contributor, version, result):
                     changed = True
             if changed:
                 self._after_state_change(descriptor, key)
             return
+        if message.full:
+            state = VertexState(descriptor.query_id, vertex_id)
+            state.adopt_children(message)
+        else:
+            state = held[1]
+            for contributor, (version, result) in message.children.items():
+                state.update_child(contributor, version, result)
+        state.up_version = message.up_version
+        state.seq = message.seq
         if self.node.pastry.is_closest_to(vertex_id) and message.primary != self.node.node_id:
-            self._vertices[key] = state
+            self._backups.pop(key, None)
+            self._take_primary(key, state)
             self._after_state_change(descriptor, key)
             return
         self._backups[key] = (message.primary, state)
+
+    def on_nack(self, message: VertexNack) -> None:
+        """Handle a VERTEX_NACK: send the backup the whole table at once."""
+        key = (message.query_id, message.vertex_id)
+        state = self._vertices.get(key)
+        descriptor = self.node.known_query(message.query_id)
+        if state is None or descriptor is None:
+            return
+        self.node.send_app(
+            message.backup, self._full_repl(descriptor, state, self.node.node_id)
+        )
 
     def _after_state_change(
         self, descriptor: QueryDescriptor, key: tuple[int, int]
@@ -464,15 +559,9 @@ class ResultAggregator:
             new_primary = self.node.pastry.leafset.closest(
                 state.vertex_id, include_owner=False
             )
-            handover = VertexRepl(
-                descriptor=descriptor,
-                vertex_id=state.vertex_id,
-                primary=new_primary,
-                up_version=state.up_version,
-                children=dict(state.children),
-                children_size=state.children_size,
+            self.node.send_app(
+                new_primary, self._full_repl(descriptor, state, new_primary)
             )
-            self.node.send_app(new_primary, handover)
             # Demote ourselves to backup for the group.
             del self._vertices[key]
             self._backups[key] = (new_primary, state)
@@ -489,7 +578,7 @@ class ResultAggregator:
                 del self._backups[key]
                 continue
             del self._backups[key]
-            self._vertices[key] = state
+            self._take_primary(key, state)
             self._replicate(descriptor, state)
             self._after_state_change(descriptor, key)
 

@@ -57,6 +57,7 @@ from repro.proto.messages import (
     ResultAck,
     ResultSubmit,
     StatusPush,
+    VertexNack,
     VertexRepl,
 )
 from repro.proto.registry import Dispatcher
@@ -122,6 +123,7 @@ class SeaweedNode:
         self._dispatch.on(ResultSubmit, self.aggregator.on_submit)
         self._dispatch.on(ResultAck, self.aggregator.on_ack)
         self._dispatch.on(VertexRepl, self.aggregator.on_replicate)
+        self._dispatch.on(VertexNack, self.aggregator.on_nack)
         self._dispatch.on(MetaPush, self._handle_meta_push)
         self._dispatch.on(MetaRefresh, self._handle_meta_refresh)
         self._dispatch.on(MetaAck, self._handle_meta_ack)

@@ -385,6 +385,7 @@ class SeaweedSystem:
                 "total_rx": self.accounting.total_rx,
                 "messages": self.accounting.messages,
                 "tx_by_category": self.accounting.totals_by_category("tx"),
+                "tx_by_kind": dict(sorted(self.accounting.tx_by_kind.items())),
             },
             "metrics": obs.metrics.snapshot() if obs is not None else None,
             "profile": (

@@ -38,14 +38,23 @@ class BandwidthAccounting:
         self.total_tx = 0.0
         self.total_rx = 0.0
         self.messages = 0
+        #: {message kind: sent bytes}; a route envelope counts under the
+        #: kind it carries.
+        self.tx_by_kind: dict[str, float] = defaultdict(float)
 
     def _bucket(self, time: float) -> int:
         return int(time // self.bucket_seconds)
 
     def record(
-        self, time: float, src: str, dst: str, size: int, category: str
+        self,
+        time: float,
+        src: str,
+        dst: str,
+        size: int,
+        category: str,
+        kind: str = "other",
     ) -> None:
-        """Record one message of ``size`` bytes from ``src`` to ``dst``.
+        """Record one ``kind`` message of ``size`` bytes from ``src`` to ``dst``.
 
         Raises ValueError for categories outside :data:`ALL_CATEGORIES` —
         a typo here would silently vanish from every Fig. 9/10 breakdown.
@@ -59,10 +68,17 @@ class BandwidthAccounting:
         self._rx[(dst, bucket, category)] += size
         self.total_tx += size
         self.total_rx += size
+        self.tx_by_kind[kind] += size
         self.messages += 1
 
     def record_local(
-        self, time: float, endsystem: str, tx_bytes: float, rx_bytes: float, category: str
+        self,
+        time: float,
+        endsystem: str,
+        tx_bytes: float,
+        rx_bytes: float,
+        category: str,
+        kind: str = "other",
     ) -> None:
         """Record pre-aggregated traffic for one endsystem.
 
@@ -78,6 +94,7 @@ class BandwidthAccounting:
         if tx_bytes:
             self._tx[(endsystem, bucket, category)] += tx_bytes
             self.total_tx += tx_bytes
+            self.tx_by_kind[kind] += tx_bytes
         if rx_bytes:
             self._rx[(endsystem, bucket, category)] += rx_bytes
             self.total_rx += rx_bytes

@@ -209,8 +209,13 @@ class Transport:
         delay injected on top of the carrier's own.
         """
         message.src = src
+        payload = message.payload
         self._account(
-            src, dst, message.payload.body_size() + codec.HEADER, message.category
+            src,
+            dst,
+            payload.body_size() + codec.HEADER,
+            message.category,
+            getattr(payload, "app_kind", payload.KIND),
         )
         fate = self._run_interceptors(src, dst, message)
         if fate is None:
@@ -238,10 +243,14 @@ class Transport:
             self.topology.latency(src, dst) + delay, self._deliver, dst, message
         )
 
-    def _account(self, src: str, dst: str, wire_size: int, category: str) -> None:
+    def _account(
+        self, src: str, dst: str, wire_size: int, category: str, kind: str
+    ) -> None:
         """Record ``wire_size`` outgoing bytes for one logical message."""
         if self.accounting is not None:
-            self.accounting.record(self.scheduler.now, src, dst, wire_size, category)
+            self.accounting.record(
+                self.scheduler.now, src, dst, wire_size, category, kind
+            )
         if self._obs is not None:
             self._c_messages.inc()
             self._c_bytes.inc(wire_size)

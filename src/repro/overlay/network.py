@@ -198,7 +198,9 @@ class OverlayNetwork(OverlayServices):
                 node = self.nodes[node_id]
                 neighbours = len(node.leafset)
                 size = neighbours * (codec.HEARTBEAT + codec.HEADER)
-                accounting.record_local(now, node.name, size, size, CATEGORY_OVERLAY)
+                accounting.record_local(
+                    now, node.name, size, size, CATEGORY_OVERLAY, "heartbeat"
+                )
 
         self._heartbeat_timer = self.scheduler.schedule_periodic(
             self.config.heartbeat_period, sweep

@@ -31,6 +31,7 @@ from repro.proto.messages import (
     RouteAck,
     RouteEnvelope,
     StatusPush,
+    VertexNack,
     VertexRepl,
 )
 from repro.proto.registry import (
@@ -71,6 +72,7 @@ __all__ = [
     "RouteAck",
     "RouteEnvelope",
     "StatusPush",
+    "VertexNack",
     "VertexRepl",
     "codec",
     "lookup",

@@ -36,8 +36,9 @@ MAGIC = b"SW"
 #: children are keyed by int, and a query descriptor is a field tuple;
 #: 5: an availability model is ``(down_edges, down_counts,
 #: up_hour_counts)``; 6: vertex replication also carries its children's
-#: modelled size).
-VERSION = 6
+#: modelled size; 7: vertex replication carries a sequence number and a
+#: full/delta flag, and a backup can answer ``SW_VERTEX_NACK``).
+VERSION = 7
 
 #: Fixed part of the envelope, before the kind string and body.
 #: magic(2) + version(1) + flags(1) + kind len(2) + body len(4) + crc(4).

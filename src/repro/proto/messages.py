@@ -298,9 +298,12 @@ class ResultAck(ProtoMessage):
 class VertexRepl(ProtoMessage):
     """Vertex state replicated to backups (or handed to a new primary).
 
-    ``children`` maps each contributor key to its ``(version, result)``;
-    ``children_size`` is their :func:`~repro.proto.codec.vertex_children_size`
-    as the sending vertex keeps it (``None``: summed here on demand).
+    ``children`` maps each contributor key to its ``(version, result)``:
+    the whole table when ``full``, else only the entries that changed in
+    replication ``seq`` (a *delta*, applied by a backup that holds the
+    same primary's ``seq - 1``).  ``children_size`` is the carried
+    entries' :func:`~repro.proto.codec.vertex_children_size`, set by the
+    sender.
     """
 
     KIND: ClassVar[str] = "SW_VERTEX_REPL"
@@ -310,13 +313,31 @@ class VertexRepl(ProtoMessage):
     primary: int
     up_version: int
     children: dict[int, tuple[int, "QueryResult"]]
-    children_size: Optional[int] = field(default=None, compare=False)
+    children_size: int
+    seq: int
+    full: bool
 
     def _accounted_size(self) -> int:
-        children_size = self.children_size
-        if children_size is None:
-            children_size = codec.vertex_children_size(self.children.values())
-        return codec.RANGE + children_size + len(self.descriptor.sql)
+        # The seq and the full flag share one tag.
+        return (
+            codec.RANGE + codec.TAG + self.children_size + len(self.descriptor.sql)
+        )
+
+
+@register
+@dataclass
+class VertexNack(ProtoMessage):
+    """Backup → primary: a delta :class:`VertexRepl` did not apply (the
+    backup does not hold the chain it extends); send the whole table."""
+
+    KIND: ClassVar[str] = "SW_VERTEX_NACK"
+
+    query_id: int
+    vertex_id: int
+    backup: int
+
+    def _accounted_size(self) -> int:
+        return codec.ids(3)
 
 
 # ----------------------------------------------------------------------

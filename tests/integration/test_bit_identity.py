@@ -31,15 +31,22 @@ from repro.faults import FaultPlan, MessageLoss
 # messages 22028 -> 20578, total_tx 25987840 -> 12334744, maintenance
 # 19175004 -> 5521908.  Rows, predictor time, expected_total and history
 # are unchanged; the oracle passes before and after (0 violations).
+#
+# Re-captured a third time: delta vertex replication (a backup that holds
+# the primary's chain gets only the changed child entry).  Only bytes
+# moved: total_tx 12334744 -> 11694472, query 1146340 -> 506068
+# (SW_VERTEX_REPL 862476 -> 222204).  Events, messages, rows, predictor
+# time and history are unchanged; the oracle passes before and after
+# (0 violations).
 GOLDEN_LOSSLESS = {
     "events_processed": 26057,
-    "total_tx": 12334744.0,
-    "total_rx": 12334744.0,
+    "total_tx": 11694472.0,
+    "total_rx": 11694472.0,
     "messages": 20578,
     "tx_by_category": {
         "maintenance": 5521908.0,
         "overlay": 5666496.0,
-        "query": 1146340.0,
+        "query": 506068.0,
     },
     "drops_by_reason": {"offline": 2},
     "overlay_online": 36,
@@ -68,22 +75,30 @@ GOLDEN_LOSSLESS = {
 # 624.22 -> 606.70, expected_total 34987 -> 35060, history 55 -> 60.
 # Rows stay 35060, equal to the truth; the oracle passes before and after
 # (0 violations).
+# Fourth: delta vertex replication (see GOLDEN_LOSSLESS).  A lost delta
+# now draws a VertexNack and the whole table (35 NACKs here), and those
+# messages move the loss draws: events 7408 -> 7626, messages 6093 ->
+# 6261, total_tx 4275038 -> 4185862 (SW_VERTEX_REPL 168700 -> 82236,
+# plus 3360 of NACKs), fault_loss drops 308 -> 319, reroutes 16 -> 19,
+# predictor_ready_at 606.70 -> 616.38.  Rows, expected_total and history
+# are unchanged (rows 35060, equal to the truth); the oracle passes
+# before and after (0 violations).
 GOLDEN_LOSSY = {
-    "events_processed": 7408,
-    "total_tx": 4275038.0,
-    "total_rx": 4275038.0,
-    "messages": 6093,
+    "events_processed": 7626,
+    "total_tx": 4185862.0,
+    "total_rx": 4185862.0,
+    "messages": 6261,
     "tx_by_category": {
-        "maintenance": 2557500.0,
-        "overlay": 1441920.0,
-        "query": 275618.0,
+        "maintenance": 2542540.0,
+        "overlay": 1441632.0,
+        "query": 201690.0,
     },
-    "drops_by_reason": {"fault_loss": 308},
+    "drops_by_reason": {"fault_loss": 319},
     "overlay_online": 19,
-    "reroutes": 16,
+    "reroutes": 19,
     "routing_drops": 0,
     "rows": 35060,
-    "predictor_ready_at": 606.697635986572,
+    "predictor_ready_at": 616.3820857206152,
     "expected_total": 35060.0,
     "history_len": 60,
 }
@@ -119,15 +134,22 @@ GOLDEN_LOSSY = {
 # history are unchanged.  Oracle: final_equality at 900 s before and
 # after (rows in flight); run on to 1200 s, it passes before and after
 # (840620 rows).
+#
+# Re-captured a fourth time: delta vertex replication (see
+# GOLDEN_LOSSLESS).  Only bytes moved: total_tx 260963130 -> 252940146,
+# query 13888534 -> 5865550 (SW_VERTEX_REPL 10004262 -> 1981278).
+# Events, messages, rows, expected_total, predictor time and history are
+# unchanged.  Oracle: final_equality at 900 s before and after (rows in
+# flight); run on to 1200 s, it passes (840620 rows).
 GOLDEN_2K = {
     "events_processed": 294039,
-    "total_tx": 260963130.0,
-    "total_rx": 260963130.0,
+    "total_tx": 252940146.0,
+    "total_rx": 252940146.0,
     "messages": 245486,
     "tx_by_category": {
         "maintenance": 212277956.0,
         "overlay": 34796640.0,
-        "query": 13888534.0,
+        "query": 5865550.0,
     },
     "drops_by_reason": {},
     "overlay_online": 1386,

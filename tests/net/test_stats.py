@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.deployment import Deployment
 from repro.net.stats import BandwidthAccounting, cdf, percentile
 
 
@@ -35,6 +36,15 @@ class TestRecording:
         accounting.record_local(0.0, "a", tx_bytes=50, rx_bytes=70, category="overlay")
         assert accounting.per_endsystem_totals("tx") == {"a": 50}
         assert accounting.per_endsystem_totals("rx") == {"a": 70}
+
+    def test_tx_by_kind(self, accounting):
+        accounting.record(0.0, "a", "b", 10, "query", "SW_VERTEX_REPL")
+        accounting.record(0.0, "b", "a", 20, "query", "SW_VERTEX_REPL")
+        accounting.record_local(0.0, "a", 5, 5, "overlay", "heartbeat")
+        accounting.record(0.0, "a", "b", 7, "query")
+        assert accounting.tx_by_kind == {
+            "SW_VERTEX_REPL": 30, "heartbeat": 5, "other": 7,
+        }
 
     def test_invalid_bucket_rejected(self):
         with pytest.raises(ValueError):
@@ -89,3 +99,16 @@ class TestHelpers:
         samples = np.arange(101, dtype=float)
         assert percentile(samples, 99) == pytest.approx(99.0)
         assert percentile(np.array([]), 99) == 0.0
+
+
+def test_tx_by_kind_sums_to_total_tx():
+    """Every sent byte of a run is charged to exactly one message kind."""
+    run = Deployment("always_on", population=25, horizon=600.0, num_profiles=8).run(
+        [(120.0, "SELECT COUNT(*) FROM Flow WHERE SrcPort = 80")]
+    )
+    bandwidth = run.system.metrics_snapshot()["bandwidth"]
+    by_kind = bandwidth["tx_by_kind"]
+    assert sum(by_kind.values()) == bandwidth["total_tx"] > 0
+    # Route envelopes count under the kind they carry.
+    assert "P_ROUTE" not in by_kind
+    assert {"heartbeat", "SW_RESULT_SUBMIT", "SW_VERTEX_REPL"} <= set(by_kind)

@@ -6,7 +6,7 @@ honest is *encodability*: for every registered message kind there must
 exist an actual byte encoding, following the documented field layout,
 whose length is exactly ``body_size()``.  These tests implement that
 reference encoder and let Hypothesis drive it with arbitrary field
-values for all 22 registered kinds.
+values for all 23 registered kinds.
 
 If a message class adds a field without extending its ``body_size()``
 (or vice versa), the reference encoding and the arithmetic diverge and
@@ -46,6 +46,7 @@ from repro.proto.messages import (
     RouteAck,
     RouteEnvelope,
     StatusPush,
+    VertexNack,
     VertexRepl,
 )
 from repro.proto.registry import registered_kinds
@@ -238,8 +239,28 @@ def _encode_result_submit(msg: ResultSubmit) -> bytes:
     )
 
 
+@st.composite
+def vertex_repls(draw) -> VertexRepl:
+    """A full table or a delta, its ``children_size`` set as a sender sets it."""
+    children = draw(
+        st.dictionaries(overlay_ids, st.tuples(versions, query_results()), max_size=8)
+    )
+    return VertexRepl(
+        descriptor=draw(descriptors),
+        vertex_id=draw(overlay_ids),
+        primary=draw(overlay_ids),
+        up_version=draw(versions),
+        children=children,
+        children_size=codec.vertex_children_size(children.values()),
+        seq=draw(versions),
+        full=draw(st.booleans()),
+    )
+
+
 def _encode_vertex_repl(msg: VertexRepl) -> bytes:
-    encoded = enc_id(msg.vertex_id) + enc_id(msg.primary)
+    encoded = (
+        enc_id(msg.vertex_id) + enc_id(msg.primary) + enc_tag(2 * msg.seq + msg.full)
+    )
     for contributor, (_version, result) in msg.children.items():
         encoded += enc_id(contributor) + enc_result(result)
     return encoded + enc_sql(msg.descriptor.sql)
@@ -364,18 +385,12 @@ CASES: dict[str, tuple] = {
             + enc_tag(msg.version)
         ),
     ),
-    VertexRepl.KIND: (
+    VertexRepl.KIND: (vertex_repls(), _encode_vertex_repl),
+    VertexNack.KIND: (
         st.builds(
-            VertexRepl,
-            descriptor=descriptors,
-            vertex_id=overlay_ids,
-            primary=overlay_ids,
-            up_version=versions,
-            children=st.dictionaries(
-                overlay_ids, st.tuples(versions, query_results()), max_size=8
-            ),
+            VertexNack, query_id=overlay_ids, vertex_id=overlay_ids, backup=overlay_ids
         ),
-        _encode_vertex_repl,
+        lambda msg: enc_id(msg.query_id) + enc_id(msg.vertex_id) + enc_id(msg.backup),
     ),
     MetaPush.KIND: (
         st.builds(
@@ -427,7 +442,7 @@ def test_every_registered_kind_has_a_case() -> None:
     """Adding a message kind without a property case fails loudly here."""
     kinds = set(registered_kinds())
     assert kinds == set(CASES)
-    assert len(kinds) == 22
+    assert len(kinds) == 23
 
 
 @pytest.mark.parametrize("kind", sorted(CASES))

@@ -100,6 +100,8 @@ class TestGroupedMessageSizes:
         msg = VertexRepl(
             descriptor=descriptor, vertex_id=1, primary=2,
             up_version=1, children=children,
+            children_size=codec.vertex_children_size(children.values()),
+            seq=1, full=True,
         )
         expected_children = sum(
             codec.ID
@@ -107,7 +109,7 @@ class TestGroupedMessageSizes:
             + codec.ROW * len(child.rows)
             for _, child in children.values()
         )
-        assert msg.body_size() == 32 + expected_children + len(descriptor.sql)
+        assert msg.body_size() == 32 + 8 + expected_children + len(descriptor.sql)
 
     def test_vertex_state_wire_size_includes_groups(self):
         result = grouped_result()

@@ -20,7 +20,7 @@ from repro.proto.registry import (
 
 class TestRegistry:
     def test_twenty_kinds_registered(self):
-        assert len(list(registered_kinds())) == 22
+        assert len(list(registered_kinds())) == 23
 
     def test_lookup_round_trip(self):
         for cls in registered_classes():

@@ -44,6 +44,7 @@ from repro.proto.messages import (
     RouteAck,
     RouteEnvelope,
     StatusPush,
+    VertexNack,
     VertexRepl,
 )
 from repro.proto.registry import registered_kinds
@@ -229,6 +230,12 @@ STRATEGIES: dict[str, st.SearchStrategy] = {
         children=st.dictionaries(
             overlay_ids, st.tuples(versions, query_results()), max_size=4
         ),
+        children_size=versions,
+        seq=versions,
+        full=st.booleans(),
+    ),
+    VertexNack.KIND: st.builds(
+        VertexNack, query_id=overlay_ids, vertex_id=overlay_ids, backup=overlay_ids
     ),
     MetaPush.KIND: st.builds(
         MetaPush,

@@ -51,6 +51,7 @@ from repro.proto.messages import (
     RouteAck,
     RouteEnvelope,
     StatusPush,
+    VertexNack,
     VertexRepl,
 )
 from repro.proto.registry import registered_kinds
@@ -218,7 +219,8 @@ class TestAggregationSizes:
 
     def test_vertex_repl(self, descriptor):
         # Legacy: VertexState.wire_size() + len(sql), where wire_size is
-        # 32 + sum(16 + 8*len(states)*4 + 32*len(rows)) over children.
+        # 32 + sum(16 + 8*len(states)*4 + 32*len(rows)) over children;
+        # since delta replication, plus one 8-byte tag (seq and full flag).
         children = {
             17: (1, query_result(states=2, rows=1)),
             42: (3, query_result(states=1, rows=0)),
@@ -226,13 +228,26 @@ class TestAggregationSizes:
         msg = VertexRepl(
             descriptor=descriptor, vertex_id=1, primary=2,
             up_version=1, children=children,
+            children_size=codec.vertex_children_size(children.values()),
+            seq=4, full=True,
         )
         legacy_state = 32 + (16 + 8 * 2 * 4 + 32 * 1) + (16 + 8 * 1 * 4 + 32 * 0)
-        assert msg.body_size() == legacy_state + len(descriptor.sql)
+        assert msg.body_size() == legacy_state + 8 + len(descriptor.sql)
+
+    def test_vertex_repl_delta(self, descriptor):
+        # New form, no legacy: a delta is charged by the same formula
+        # over the entries it carries.
+        entry = (3, query_result(states=1, rows=2))
+        msg = VertexRepl(
+            descriptor=descriptor, vertex_id=1, primary=2, up_version=1,
+            children={42: entry}, children_size=16 + 8 * 1 * 4 + 32 * 2,
+            seq=5, full=False,
+        )
+        assert msg.body_size() == 32 + 8 + (16 + 32 + 64) + len(descriptor.sql)
 
     def test_vertex_repl_carried_children_size(self, descriptor):
         # A vertex keeps its children's size as they change; a replication
-        # carrying it is charged exactly the recomputed sum.
+        # carries it, and a backup adopting the table takes it as is.
         state = VertexState(query_id=1, vertex_id=2)
         state.update_child(17, 1, query_result(states=2, rows=1))
         state.update_child(42, 3, query_result(states=1, rows=0))
@@ -241,18 +256,22 @@ class TestAggregationSizes:
         assert state.children_size == codec.vertex_children_size(
             state.children.values()
         )
-
-        def repl(**size):
-            return VertexRepl(
-                descriptor=descriptor, vertex_id=2, primary=3, up_version=1,
-                children=dict(state.children), **size,
-            )
-
-        carried = repl(children_size=state.children_size)
-        assert carried.body_size() == repl().body_size()
+        repl = VertexRepl(
+            descriptor=descriptor, vertex_id=2, primary=3, up_version=1,
+            children=dict(state.children), children_size=state.children_size,
+            seq=1, full=True,
+        )
+        assert repl.body_size() == (
+            codec.RANGE + codec.TAG + state.children_size + len(descriptor.sql)
+        )
         backup = VertexState(query_id=1, vertex_id=2)
-        backup.adopt_children(repl())
+        backup.adopt_children(repl)
         assert backup.children_size == state.children_size
+
+    def test_vertex_nack(self):
+        # New kind, no legacy: query id + vertex id + backup id.
+        msg = VertexNack(query_id=1, vertex_id=2, backup=3)
+        assert msg.body_size() == 3 * ID_BYTES == 48
 
 
 # ----------------------------------------------------------------------
@@ -335,6 +354,7 @@ class TestCodecConstants:
             "SW_QUERY_INJECT", "SW_BCAST", "SW_BCAST_ACK",
             "SW_PREDICTOR", "SW_PREDICTOR_RESULT",
             "SW_RESULT_SUBMIT", "SW_RESULT_ACK", "SW_VERTEX_REPL",
+            "SW_VERTEX_NACK",
             "SW_META_PUSH", "SW_META_REFRESH", "SW_META_ACK",
             "SW_ACTIVE_REQ", "SW_ACTIVE_RESP",
             "SW_STATUS", "SW_CANCEL",
